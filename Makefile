@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench-smoke bench-all check-bench serve-smoke cluster-smoke obs-smoke soak-smoke soak-full lint install docs-check analyze
+.PHONY: test bench-smoke bench-e2e bench-e2e-compare bench-e2e-test bench-all check-bench serve-smoke cluster-smoke obs-smoke soak-smoke soak-full lint install docs-check analyze
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,6 +14,25 @@ test:
 bench-smoke:
 	REPRO_SCALE=small $(PYTHON) tools/check_bench.py run --repeat 3 \
 		--out-dir benchmarks/results/smoke -- -q benchmarks/bench_query_latency.py
+
+# The repo's one end-to-end benchmark (bench_e2e/README.md): N runs of
+# all six workloads into one result file.  A performance claim is a
+# same-box A/B — `make bench-e2e OUT=/tmp/parent.json` in a checkout of
+# the parent commit, `make bench-e2e OUT=/tmp/change.json` in the change,
+# then `make bench-e2e-compare PARENT=/tmp/parent.json CHANGE=/tmp/change.json`.
+N ?= 3
+OUT ?= bench_e2e/results/runs.json
+bench-e2e:
+	$(PYTHON) -m bench_e2e run --repeat $(N) --out $(OUT)
+
+bench-e2e-compare:
+	@test -n "$(PARENT)" -a -n "$(CHANGE)" || \
+		{ echo "usage: make bench-e2e-compare PARENT=parent.json CHANGE=change.json"; exit 2; }
+	$(PYTHON) -m bench_e2e compare $(PARENT) $(CHANGE)
+
+# The benchmark's own self-tests (tier-1 collects tests/ only).
+bench-e2e-test:
+	$(PYTHON) -m pytest bench_e2e/tests -q
 
 #: The acceptance suites that emit BENCH_<name>.json reports.
 BENCH_SUITES = benchmarks/bench_planner.py benchmarks/bench_sharding.py \

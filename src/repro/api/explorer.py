@@ -16,8 +16,8 @@ that session object.  It owns
   AND 7`` vs ``x >= 3 AND x <= 7`` — skip label resolution and
   re-inference entirely,
 * ``run_many()`` — batched execution through the planner's shared
-  batched executor (one vectorized
-  :class:`~repro.core.inference.InferenceEngine` pass per backend).
+  batched executor (one backend call per batch: a vectorized arena
+  pass on sharded models, the masked kernel per query on a single one).
 
 Construction::
 
@@ -379,10 +379,11 @@ class Explorer:
         """Execute a batch of queries, vectorizing where possible.
 
         Plans run through the planner's shared batched executor: all
-        batchable scalar ``COUNT(*)`` plans go through one
-        :meth:`InferenceEngine.estimate_masks_batch` pass on model
-        backends (one polynomial evaluation for the whole batch instead
-        of one per query); contradictions answer ``0`` without touching
+        batchable scalar ``COUNT(*)`` plans go to a model backend as
+        one batch (a sharded model evaluates it in one arena pass, a
+        single summary's :meth:`InferenceEngine.estimate_masks_batch`
+        runs its masked kernel per query — parse, plan and cache work
+        is still shared); contradictions answer ``0`` without touching
         the backend; grouped and SUM/AVG queries run per-query.
         Results come back in input order and populate the session cache
         like sequential ``run()`` calls.

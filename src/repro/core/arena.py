@@ -26,7 +26,7 @@ owned ranges are folded into the same mask, which makes shard pruning
 implicit — a pruned shard's masked polynomial is exactly zero), one
 gather + multiply for all term products, one ``reduceat`` for all
 component values.  GROUP BY and SUM reuse the pass with the gradient
-trick of :meth:`CompressedPolynomial.attribute_gradient`, batched over
+trick of :meth:`CompressedPolynomial.masked_gradient`, batched over
 shards and group combinations at once.
 
 Results are cached on the canonical mask key (the serve layer's

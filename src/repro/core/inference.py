@@ -6,7 +6,9 @@ The optimized route of Sec 4.2 is the only one used at query time:
 
 i.e. zero the 1D variables whose values fail the query predicate and
 re-evaluate the compressed polynomial.  ``n / P`` is precomputed once
-per model.
+per model, and so — on the first masked query — is everything in ``P``
+that no mask can change (the polynomial's masked kernel starts from
+those unmasked parts and redoes only the constrained factors).
 
 Beyond the paper's point estimates, this module implements the Sec 7
 extension: under the model, a counting query's answer is
@@ -103,6 +105,8 @@ class InferenceEngine:
                 "fitted polynomial evaluates to 0; the model is degenerate"
             )
         self._scale = self.total / self._full_value
+        #: unmasked evaluation parts, built by the first masked query
+        self._base = None
         self._cache: dict[tuple, float] = {}
         self._cache_size = max(int(cache_size), 0)
         self.cache_hits = 0
@@ -112,6 +116,13 @@ class InferenceEngine:
     def partition_value(self) -> float:
         """``P`` at the fitted parameters (``Z = P^n`` by Lemma 3.1)."""
         return self._full_value
+
+    def _base_parts(self):
+        """The fitted model's constants (δ products, unmasked range
+        sums, component values) every masked evaluation starts from."""
+        if self._base is None:
+            self._base = self.polynomial.evaluation_parts(self.params)
+        return self._base
 
     # ------------------------------------------------------------------
     def masks_for(self, predicate: Conjunction) -> dict[int, np.ndarray]:
@@ -154,7 +165,10 @@ class InferenceEngine:
             self.cache_misses += 1
             # The masked polynomial is a sum of non-negative monomials;
             # tiny negatives are inclusion/exclusion cancellation noise.
-            masked_value = max(self.polynomial.evaluate(self.params, masks), 0.0)
+            masked_value = max(
+                self.polynomial.masked_value(self._base_parts(), self.params, masks),
+                0.0,
+            )
             if self._cache_size:
                 if len(self._cache) >= self._cache_size:
                     self._cache.clear()
@@ -170,37 +184,14 @@ class InferenceEngine:
     def estimate_masks_batch(
         self, masks_list: Sequence[Mapping[int, np.ndarray]]
     ) -> list[QueryEstimate]:
-        """Estimate many counting queries in one vectorized pass.
-
-        Cached queries are answered from the cache; all remaining masked
-        evaluations run through a single
-        :meth:`~repro.core.polynomial.CompressedPolynomial.evaluate_batch`
-        call, which is substantially faster than per-query evaluation
-        for interactive batches (``run_many``, workload scoring).
-        """
-        keys = [self._cache_key(masks) for masks in masks_list]
-        values: list[float | None] = [self._cache.get(key) for key in keys]
-        missing = [index for index, value in enumerate(values) if value is None]
-        self.cache_hits += len(masks_list) - len(missing)
-        self.cache_misses += len(missing)
-        if missing:
-            batch_values = self.polynomial.evaluate_batch(
-                self.params, [masks_list[index] for index in missing]
-            )
-            for index, raw in zip(missing, batch_values.tolist()):
-                masked_value = max(raw, 0.0)
-                values[index] = masked_value
-                if self._cache_size:
-                    if len(self._cache) >= self._cache_size:
-                        self._cache.clear()
-                    self._cache[keys[index]] = masked_value
-        return [self._wrap(value) for value in values]
+        """:meth:`estimate_masks` for each query in turn (one kernel,
+        so batched and single answers are bit-equal)."""
+        return [self.estimate_masks(masks) for masks in masks_list]
 
     def estimate_batch(
         self, predicates: Sequence[Conjunction]
     ) -> list[QueryEstimate]:
-        """Batched :meth:`estimate` — one polynomial pass for the whole
-        list of conjunctions."""
+        """Batched :meth:`estimate`."""
         return self.estimate_masks_batch(
             [self.masks_for(predicate) for predicate in predicates]
         )
@@ -257,8 +248,9 @@ class InferenceEngine:
         del masks[pos]
 
     def _inner_group(self, pos: int, masks) -> list[QueryEstimate]:
-        parts = self.polynomial.evaluation_parts(self.params, masks)
-        gradient = self.polynomial.attribute_gradient(parts, pos)
+        gradient = self.polynomial.masked_gradient(
+            self._base_parts(), self.params, masks, pos
+        )
         numerators = self.params.alphas[pos] * gradient
         estimates = []
         for numerator in numerators.tolist():
@@ -295,8 +287,9 @@ class InferenceEngine:
             )
         masks = dict(self.masks_for(predicate)) if predicate else {}
         attr_mask = masks.pop(pos, None)
-        parts = self.polynomial.evaluation_parts(self.params, masks)
-        gradient = self.polynomial.attribute_gradient(parts, pos)
+        gradient = self.polynomial.masked_gradient(
+            self._base_parts(), self.params, masks, pos
+        )
         counts = self.params.alphas[pos] * gradient * self._scale
         if attr_mask is not None:
             counts = np.where(np.asarray(attr_mask, dtype=bool), counts, 0.0)

@@ -11,10 +11,17 @@ attribute ``p`` over an inclusive index range, and ``dprod`` is the
 with prefix sums, so a full evaluation is ``O(#terms · m + Σ N_i)`` —
 this is the oracle behind both query answering (Sec 4.2: evaluate ``P``
 with excluded 1D variables set to 0) and the solver's gradients.
+
+Query answering never repeats that full pass: the unmasked
+:class:`EvaluationParts` of the fitted parameters are constants of the
+model, and :meth:`CompressedPolynomial.masked_value` /
+:meth:`~CompressedPolynomial.masked_gradient` recompute only the
+factors a query's masks constrain.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -107,10 +114,10 @@ class CompressedPolynomial:
         for index, component in enumerate(self.components):
             for pos in component.positions:
                 self._component_of_position[pos] = index
-        self._component_of_stat: dict[int, int] = {}
-        for index, component in enumerate(self.components):
-            for stat in component.stat_terms:
-                self._component_of_stat[stat] = index
+        self._component_of_stat = {
+            stat_id: self._component_of_position[statistic.positions[0]]
+            for stat_id, statistic in enumerate(statistic_set.multi_dim)
+        }
 
     # ------------------------------------------------------------------
     # Size accounting (Sec 4.1 / Theorem 4.2)
@@ -166,37 +173,11 @@ class CompressedPolynomial:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def masked_alphas(
-        self, params: ModelParameters, masks: Mapping[int, np.ndarray] | None
-    ) -> list[np.ndarray]:
-        """Apply Sec 4.2's optimization: excluded 1D variables become 0."""
-        if not masks:
-            return params.alphas
-        out = []
-        for pos, alpha in enumerate(params.alphas):
-            mask = masks.get(pos)
-            if mask is None:
-                out.append(alpha)
-            else:
-                mask = np.asarray(mask, dtype=bool)
-                if mask.shape[0] != alpha.shape[0]:
-                    raise SolverError(
-                        f"mask for attribute {pos} has size {mask.shape[0]}, "
-                        f"expected {alpha.shape[0]}"
-                    )
-                out.append(np.where(mask, alpha, 0.0))
-        return out
-
-    def evaluation_parts(
-        self,
-        params: ModelParameters,
-        masks: Mapping[int, np.ndarray] | None = None,
-    ) -> EvaluationParts:
-        """Evaluate ``P`` and keep every intermediate factor."""
-        alphas = self.masked_alphas(params, masks)
+    def evaluation_parts(self, params: ModelParameters) -> EvaluationParts:
+        """Evaluate the unmasked ``P`` and keep every intermediate factor."""
         prefixes = [
             np.concatenate([[0.0], np.cumsum(alpha, dtype=float)])
-            for alpha in alphas
+            for alpha in params.alphas
         ]
         full_sums = [float(prefix[-1]) for prefix in prefixes]
 
@@ -234,73 +215,137 @@ class CompressedPolynomial:
             value,
         )
 
+    def _masked_prefixes(
+        self, params: ModelParameters, masks: Mapping[int, np.ndarray]
+    ) -> dict[int, np.ndarray]:
+        """Sec 4.2's optimization — excluded 1D variables become 0 —
+        as prefix sums of the constrained attributes only."""
+        prefixes = {}
+        for pos, mask in masks.items():
+            alpha = params.alphas[pos]
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape[0] != alpha.shape[0]:
+                raise SolverError(
+                    f"mask for attribute {pos} has size {mask.shape[0]}, "
+                    f"expected {alpha.shape[0]}"
+                )
+            prefixes[pos] = np.concatenate(
+                [[0.0], np.cumsum(np.where(mask, alpha, 0.0), dtype=float)]
+            )
+        return prefixes
+
+    def _masked_terms(self, base: EvaluationParts, index: int, prefixes, skip=None):
+        """Per-term ``Π_p rangesum_p · dprod`` of component ``index`` over
+        every position but ``skip``: range sums are regathered for the
+        masked positions and taken from ``base`` for the rest."""
+        component = self.components[index]
+        factors = []
+        for pos in component.positions:
+            if pos == skip:
+                continue
+            prefix = prefixes.get(pos)
+            if prefix is None:
+                factors.append(base.range_sums[index][pos])
+            else:
+                sums = prefix[1:].take(component.hi[pos])
+                sums -= prefix.take(component.lo[pos])
+                factors.append(sums)
+        # Left to right with δ last — the solver's fitted parameters
+        # depend on this association bit for bit — and in place after
+        # the first product (a component spans >= 2 attributes, so
+        # there is always a range-sum factor before δ).
+        factors.append(base.delta_products[index])
+        product = factors[0] * factors[1]
+        for factor in factors[2:]:
+            product *= factor
+        return product
+
+    def _masked_factors(self, base: EvaluationParts, prefixes, skip_pos=None):
+        """Masked ``(Π_{p free} fullsum_p, [Q_c])`` with attribute
+        ``skip_pos`` left out (its free factor dropped, or its
+        component's slot held at 1.0); components no mask touches reuse
+        ``base.component_values``."""
+        free = 1.0
+        for pos in self.free_positions:
+            if pos != skip_pos:
+                prefix = prefixes.get(pos)
+                free *= base.full_sums[pos] if prefix is None else float(prefix[-1])
+        values = []
+        for index, component in enumerate(self.components):
+            if skip_pos in component.positions:
+                values.append(1.0)
+            elif prefixes.keys().isdisjoint(component.positions):
+                values.append(base.component_values[index])
+            else:
+                values.append(float(self._masked_terms(base, index, prefixes).sum()))
+        return free, values
+
+    def masked_value(
+        self,
+        base: EvaluationParts,
+        params: ModelParameters,
+        masks: Mapping[int, np.ndarray],
+    ) -> float:
+        """``P[α masked]`` — the quantity of Sec 4.2's query formula.
+
+        ``base`` is ``evaluation_parts(params)``; only the components
+        and free positions the masks touch are re-evaluated."""
+        prefixes = self._masked_prefixes(params, masks)
+        free, values = self._masked_factors(base, prefixes)
+        return math.prod(values, start=free)
+
+    def masked_gradient(
+        self,
+        base: EvaluationParts,
+        params: ModelParameters,
+        masks: Mapping[int, np.ndarray],
+        pos: int,
+    ) -> np.ndarray:
+        """``∂P[α masked]/∂α_{pos,v}`` for every value ``v`` of ``pos``.
+
+        By overcompleteness each monomial holds exactly one variable of
+        the attribute, so this is also the coefficient vector of the
+        linear expansion Eq. (7); a mask on ``pos`` itself is ignored
+        (the partial does not depend on the attribute's own variables).
+        """
+        size = self.sizes[pos]
+        prefixes = self._masked_prefixes(
+            params, {p: mask for p, mask in masks.items() if p != pos}
+        )
+        free, values = self._masked_factors(base, prefixes, skip_pos=pos)
+        index = self._component_of_position.get(pos)
+        if index is None:
+            return np.full(size, math.prod(values, start=free))
+        component = self.components[index]
+        coeff = self._masked_terms(base, index, prefixes, skip=pos)
+        # Difference array over [lo, hi], accumulated in term order (all
+        # lo ends, then all hi ends) with no per-term temporaries.
+        diff = np.bincount(component.lo[pos], weights=coeff, minlength=size + 1)
+        np.subtract.at(diff[1:], component.hi[pos], coeff)
+        # free × (Q_0 ⋯ Q_{c−1}) × (Q_last ⋯ Q_{c+1}), as outer_products().
+        outer = free * (math.prod(values[:index]) * math.prod(values[:index:-1]))
+        return np.cumsum(diff[:-1]) * outer
+
     def evaluate(
         self,
         params: ModelParameters,
         masks: Mapping[int, np.ndarray] | None = None,
     ) -> float:
-        """``P[α masked]`` — the quantity of Sec 4.2's query formula."""
-        return self.evaluation_parts(params, masks).value
+        """``P[α masked]`` for arbitrary (not necessarily fitted) parameters."""
+        base = self.evaluation_parts(params)
+        return self.masked_value(base, params, masks or {})
 
     def evaluate_batch(
         self,
         params: ModelParameters,
         masks_list: Sequence[Mapping[int, np.ndarray] | None],
     ) -> np.ndarray:
-        """``P[α masked]`` for a whole batch of queries in one pass.
-
-        Positions unconstrained by *every* query in the batch share a
-        single scalar prefix sum; constrained positions get a
-        ``(batch, size + 1)`` prefix matrix, and the per-component term
-        products/dot products run batched.  This is the engine behind
-        ``run_many()``-style batched query execution: the Python-level
-        component walk happens once instead of once per query.
-        """
-        batch = len(masks_list)
-        if batch == 0:
-            return np.empty(0, dtype=float)
-        masked_positions: set[int] = set()
-        for masks in masks_list:
-            if masks:
-                masked_positions.update(masks.keys())
-
-        # pos -> (size + 1,) shared prefix, or (batch, size + 1) per query.
-        prefixes: dict[int, np.ndarray] = {}
-        for pos, alpha in enumerate(params.alphas):
-            if pos in masked_positions:
-                matrix = np.broadcast_to(alpha, (batch, alpha.shape[0])).copy()
-                for row, masks in enumerate(masks_list):
-                    mask = masks.get(pos) if masks else None
-                    if mask is None:
-                        continue
-                    mask = np.asarray(mask, dtype=bool)
-                    if mask.shape[0] != alpha.shape[0]:
-                        raise SolverError(
-                            f"mask for attribute {pos} has size "
-                            f"{mask.shape[0]}, expected {alpha.shape[0]}"
-                        )
-                    matrix[row, ~mask] = 0.0
-                prefix = np.concatenate(
-                    [np.zeros((batch, 1)), np.cumsum(matrix, axis=1)], axis=1
-                )
-            else:
-                prefix = np.concatenate([[0.0], np.cumsum(alpha, dtype=float)])
-            prefixes[pos] = prefix
-
-        values = np.ones(batch, dtype=float)
-        for pos in self.free_positions:
-            values = values * prefixes[pos][..., -1]
-        for component in self.components:
-            product: np.ndarray | float = 1.0
-            for pos in component.positions:
-                prefix = prefixes[pos]
-                # (num_terms,) shared or (batch, num_terms) per query.
-                product = product * (
-                    prefix[..., component.hi[pos] + 1]
-                    - prefix[..., component.lo[pos]]
-                )
-            values = values * (product @ component.delta_products(params.deltas))
-        return np.broadcast_to(values, (batch,)).astype(float, copy=True)
+        """:meth:`evaluate` for a list of queries sharing one base pass."""
+        base = self.evaluation_parts(params)
+        return np.array(
+            [self.masked_value(base, params, masks or {}) for masks in masks_list],
+            dtype=float,
+        )
 
     # ------------------------------------------------------------------
     # Gradients
@@ -311,44 +356,6 @@ class CompressedPolynomial:
         if values.size == 0:
             return values
         return parts.free_product * product_excluding(values)
-
-    def free_outer_product(self, parts: EvaluationParts, pos: int) -> float:
-        """``Π_{p' free, p'≠pos} fullsum × Π_c Q_c`` for a free attribute."""
-        others = [parts.full_sums[p] for p in self.free_positions if p != pos]
-        product = 1.0
-        for value in others:
-            product *= value
-        for component_value in parts.component_values:
-            product *= component_value
-        return product
-
-    def attribute_gradient(
-        self, parts: EvaluationParts, pos: int
-    ) -> np.ndarray:
-        """``∂P/∂α_{pos,v}`` for every value ``v`` of attribute ``pos``.
-
-        By overcompleteness each monomial holds exactly one variable of
-        the attribute, so this is also the coefficient vector of the
-        linear expansion Eq. (7).
-        """
-        size = self.sizes[pos]
-        component_index = self._component_of_position.get(pos)
-        if component_index is None:
-            return np.full(size, self.free_outer_product(parts, pos))
-        component = self.components[component_index]
-        sums = parts.range_sums[component_index]
-        rows = [sums[p] for p in component.positions if p != pos]
-        if rows:
-            coeff = np.prod(np.stack(rows, axis=0), axis=0)
-        else:
-            coeff = np.ones(component.num_terms, dtype=float)
-        coeff = coeff * parts.delta_products[component_index]
-        diff = np.zeros(size + 1, dtype=float)
-        np.add.at(diff, component.lo[pos], coeff)
-        np.add.at(diff, component.hi[pos] + 1, -coeff)
-        grad_q = np.cumsum(diff[:-1])
-        outer = self.outer_products(parts)[component_index]
-        return grad_q * outer
 
     def delta_gradient(self, parts: EvaluationParts, params: ModelParameters, stat_id: int) -> float:
         """``∂P/∂δ_{stat_id}`` — sum over the terms containing the
@@ -361,9 +368,10 @@ class CompressedPolynomial:
         range_products = parts.range_products[component_index]
         deltas = params.deltas
         total = 0.0
+        indptr, ids = component.stat_indptr, component.stat_ids
         for term in terms.tolist():
             dprod = 1.0
-            for other in component.term_stats[term]:
+            for other in ids[indptr[term] : indptr[term + 1]].tolist():
                 if other != stat_id:
                     dprod *= deltas[other] - 1.0
             total += range_products[term] * dprod
@@ -380,7 +388,7 @@ class CompressedPolynomial:
         attribute at once."""
         if parts.value <= 0:
             raise SolverError("polynomial evaluates to 0; model is degenerate")
-        gradient = self.attribute_gradient(parts, pos)
+        gradient = self.masked_gradient(parts, params, {}, pos)
         return total * params.alphas[pos] * gradient / parts.value
 
     def expected_multi_dim(

@@ -599,7 +599,7 @@ class ShardedSummary:
         The default route evaluates every query across every live shard
         in a single set of matrix operations over the
         :class:`~repro.core.arena.ShardArena`.  ``use_arena=False``
-        falls back to per-shard vectorized evaluation; there,
+        falls back to per-shard engine evaluation; there,
         ``parallel`` (default: when the machine has more than one core)
         fans the shard passes across the summary's persistent thread
         pool — the numpy kernels run outside the GIL.

@@ -109,21 +109,44 @@ class MirrorDescentSolver:
         for stat_id in range(poly.num_deltas):
             component_index = poly.component_of_stat(stat_id)
             component = poly.components[component_index]
-            terms = component.stat_terms.get(stat_id)
-            if terms is None or terms.size == 0:
-                plan.append(None)
-                continue
-            rows = terms.astype(np.int64)
-            others = [
-                [other for other in component.term_stats[term] if other != stat_id]
-                for term in rows.tolist()
+            rows = component.stat_terms[stat_id]
+            # The rows' statistic sets, read out of the CSR layout and
+            # padded to the widest; the statistic's own slot becomes
+            # padding too (a factor of exactly 1.0).
+            starts = component.stat_indptr[rows]
+            lengths = component.stat_indptr[rows + 1] - starts
+            slots = np.arange(lengths.max())
+            others = component.stat_ids[
+                np.minimum(starts[:, None] + slots, component.stat_ids.size - 1)
             ]
-            width = max((len(row) for row in others), default=0)
-            matrix = np.full((rows.size, max(width, 1)), sentinel, dtype=np.int64)
-            for index, row in enumerate(others):
-                matrix[index, : len(row)] = row
-            plan.append((component_index, rows, matrix))
+            others[slots >= lengths[:, None]] = sentinel
+            others[others == stat_id] = sentinel
+            plan.append((component_index, rows, others))
         return plan
+
+    def _delta_partial(self, stat_id, extended, range_products):
+        """``(c, ∂Q_c/∂δ_j)``: the terms holding statistic ``j`` with its
+        ``(δ_j − 1)`` factor dropped.  ``extended`` is the δ vector plus
+        the sentinel slot that keeps ``(δ − 1) = 1`` for padding."""
+        if self._delta_plan is None:
+            self._delta_plan = self._build_delta_plan()
+        component_index, rows, others = self._delta_plan[stat_id]
+        dprod_excl = np.prod(extended[others] - 1.0, axis=1)
+        term_excl = range_products[component_index][rows] * dprod_excl
+        return component_index, float(term_excl.sum())
+
+    def _multi_dim_errors(self, parts, params: ModelParameters) -> np.ndarray:
+        """``|s_j − E[⟨c_j, I⟩]|`` of every multi-dimensional statistic
+        (``expected_multi_dim`` without its Python loop over terms)."""
+        extended = np.append(params.deltas, 2.0)
+        outer = self.polynomial.outer_products(parts)
+        gradients = np.empty(params.deltas.shape[0])
+        for stat_id in range(gradients.shape[0]):
+            index, grad_q = self._delta_partial(stat_id, extended, parts.range_products)
+            gradients[stat_id] = grad_q * outer[index]
+        expected = self.statistic_set.total * params.deltas * gradients / parts.value
+        targets = [statistic.value for statistic in self.statistic_set.multi_dim]
+        return np.abs(expected - np.asarray(targets, dtype=float))
 
     # ------------------------------------------------------------------
     def solve(
@@ -163,7 +186,7 @@ class MirrorDescentSolver:
         total = self.statistic_set.total
         for pos in range(poly.schema.num_attributes):
             parts = poly.evaluation_parts(params)
-            gradient = poly.attribute_gradient(parts, pos)
+            gradient = poly.masked_gradient(parts, params, {}, pos)
             value = parts.value
             alpha = params.alphas[pos]
             targets = self.statistic_set.one_dim[pos]
@@ -195,8 +218,6 @@ class MirrorDescentSolver:
         poly = self.polynomial
         if poly.num_deltas == 0:
             return
-        if self._delta_plan is None:
-            self._delta_plan = self._build_delta_plan()
         total = self.statistic_set.total
         parts = poly.evaluation_parts(params)
         component_values = list(parts.component_values)
@@ -207,15 +228,10 @@ class MirrorDescentSolver:
         extended = np.append(params.deltas, 2.0)
 
         for stat_id, statistic in enumerate(self.statistic_set.multi_dim):
-            plan = self._delta_plan[stat_id]
-            if plan is None:
-                continue
-            component_index, rows, others = plan
             target = statistic.value
-            # Gradient of Q_c w.r.t. δ: per term, drop its (δ−1) factor.
-            dprod_excl = np.prod(extended[others] - 1.0, axis=1)
-            term_excl = range_products[component_index][rows] * dprod_excl
-            grad_q = float(term_excl.sum())
+            component_index, grad_q = self._delta_partial(
+                stat_id, extended, range_products
+            )
             outer = free_product
             for other_index, other_value in enumerate(component_values):
                 if other_index != component_index:
@@ -252,9 +268,8 @@ class MirrorDescentSolver:
             expected = poly.expected_one_dim(parts, params, total, pos)
             targets = np.asarray(self.statistic_set.one_dim[pos])
             worst = max(worst, float(np.abs(expected - targets).max()))
-        for stat_id, statistic in enumerate(self.statistic_set.multi_dim):
-            expected = poly.expected_multi_dim(parts, params, total, stat_id)
-            worst = max(worst, abs(expected - statistic.value))
+        if poly.num_deltas:
+            worst = max(worst, float(self._multi_dim_errors(parts, params).max()))
         return worst / total
 
     def constraint_errors(self, params: ModelParameters) -> dict:
@@ -267,16 +282,7 @@ class MirrorDescentSolver:
             expected = poly.expected_one_dim(parts, params, total, pos)
             targets = np.asarray(self.statistic_set.one_dim[pos])
             one_dim.append(np.abs(expected - targets))
-        multi = np.asarray(
-            [
-                abs(
-                    poly.expected_multi_dim(parts, params, total, stat_id)
-                    - statistic.value
-                )
-                for stat_id, statistic in enumerate(self.statistic_set.multi_dim)
-            ]
-        )
-        return {"one_dim": one_dim, "multi_dim": multi}
+        return {"one_dim": one_dim, "multi_dim": self._multi_dim_errors(parts, params)}
 
 
 def solve_statistics(

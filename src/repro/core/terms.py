@@ -74,7 +74,11 @@ class Component:
     stat_indptr, stat_ids:
         CSR layout of each term's statistic set ``S`` (global δ ids).
     stat_terms:
-        For each δ id used here, the term rows containing it.
+        For each δ id used here, the term rows containing it — derived
+        from the CSR layout on first use (only fitting needs it).
+    term_stats:
+        Each term's statistic set as a tuple, rebuilt from the CSR
+        layout on every access (a debugging/test view, not a hot path).
     """
 
     __slots__ = (
@@ -84,8 +88,7 @@ class Component:
         "hi",
         "stat_indptr",
         "stat_ids",
-        "stat_terms",
-        "term_stats",
+        "_stat_terms",
     )
 
     def __init__(self, positions, lo, hi, stat_indptr, stat_ids):
@@ -95,18 +98,26 @@ class Component:
         self.stat_indptr = stat_indptr
         self.stat_ids = stat_ids
         self.num_terms = int(stat_indptr.shape[0] - 1)
-        self.term_stats = [
-            tuple(stat_ids[stat_indptr[t] : stat_indptr[t + 1]].tolist())
-            for t in range(self.num_terms)
-        ]
-        stat_terms: dict[int, list[int]] = {}
-        for term, stats in enumerate(self.term_stats):
-            for stat in stats:
-                stat_terms.setdefault(stat, []).append(term)
-        self.stat_terms = {
-            stat: np.asarray(terms, dtype=np.int64)
-            for stat, terms in stat_terms.items()
-        }
+        self._stat_terms = None
+
+    @property
+    def stat_terms(self) -> dict[int, np.ndarray]:
+        if self._stat_terms is None:
+            # Stable sort keeps each statistic's rows in ascending term order.
+            order = np.argsort(self.stat_ids, kind="stable")
+            stats, starts = np.unique(self.stat_ids[order], return_index=True)
+            term_of_entry = np.repeat(
+                np.arange(self.num_terms), np.diff(self.stat_indptr)
+            )
+            self._stat_terms = dict(
+                zip(stats.tolist(), np.split(term_of_entry[order], starts[1:]))
+            )
+        return self._stat_terms
+
+    @property
+    def term_stats(self) -> list[tuple[int, ...]]:
+        ids, indptr = self.stat_ids.tolist(), self.stat_indptr.tolist()
+        return [tuple(ids[indptr[t] : indptr[t + 1]]) for t in range(self.num_terms)]
 
     def delta_products(self, deltas: np.ndarray) -> np.ndarray:
         """``Π_{j∈S_t} (δ_j − 1)`` for every term ``t``."""

@@ -77,25 +77,20 @@ def sample_world_sequential(
     num_attrs = polynomial.schema.num_attributes
     columns = np.zeros((total, num_attrs), dtype=np.int64)
 
+    base = polynomial.evaluation_parts(params)
+
     def fill(rows: np.ndarray, pos: int, masks: dict) -> None:
         if rows.size == 0 or pos == num_attrs:
             return
-        parts = polynomial.evaluation_parts(params, masks)
-        if parts.value <= 0:
-            raise SolverError(
-                "conditional distribution is degenerate (P[masked] = 0)"
-            )
-        gradient = polynomial.attribute_gradient(parts, pos)
-        alpha = params.alphas[pos]
-        mask = masks.get(pos)
-        weights = alpha * gradient
-        if mask is not None:
-            weights = np.where(mask, weights, 0.0)
-        weights = np.clip(weights, 0.0, None)
+        gradient = polynomial.masked_gradient(base, params, masks, pos)
+        # Σ_v α_v ∂P[masked]/∂α_v = P[masked] (overcompleteness), so a
+        # vanishing weight sum is a degenerate conditional.
+        weights = np.clip(params.alphas[pos] * gradient, 0.0, None)
         weight_sum = weights.sum()
         if weight_sum <= 0:
             raise SolverError(
-                f"attribute {pos} has no admissible value while sampling"
+                f"attribute {pos} has no admissible value while sampling "
+                "(P[masked] = 0)"
             )
         probabilities = weights / weight_sum
         draws = rng.choice(probabilities.shape[0], size=rows.size, p=probabilities)

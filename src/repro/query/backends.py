@@ -51,7 +51,7 @@ class SummaryBackend(Backend):
     def estimate_many(
         self, predicates: Sequence[Conjunction]
     ) -> list[QueryEstimate]:
-        """Batched estimates through one vectorized polynomial pass."""
+        """Batched estimates: the engine's masked kernel, once per query."""
         return self.summary.engine.estimate_batch(predicates)
 
     def count_many(self, predicates: Sequence[Conjunction]) -> list[float]:

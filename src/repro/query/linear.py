@@ -75,8 +75,12 @@ def _comparison_mask(domain: Domain, op: str, literal) -> np.ndarray:
             elif op == ">":
                 mask[index] = label.high > literal
             elif op == ">=":
-                hi_in = label.high if label.closed_right else label.high
-                mask[index] = hi_in >= literal
+                # ``[low, high)`` holds no value ``>= high``; only a
+                # right-closed bucket reaches its upper bound.
+                if label.closed_right:
+                    mask[index] = label.high >= literal
+                else:
+                    mask[index] = label.high > literal
             else:
                 raise QueryError(f"unsupported bucket comparison {op!r}")
         else:

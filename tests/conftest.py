@@ -261,3 +261,22 @@ def parameters_for(draw, polynomial):
     ]
     deltas = generator.random(polynomial.num_deltas) * 2.0 + 0.05
     return ModelParameters(alphas, deltas)
+
+
+@st.composite
+def masked_models(draw):
+    """A random statistic set (0-4 statistics over 2-4 attributes, so
+    multi-component sets and free positions both occur), its compressed
+    polynomial, positive parameters, and value masks on any subset of
+    the attributes — no mask at all and all-False masks included."""
+    from repro.core.polynomial import CompressedPolynomial
+
+    _, statistic_set = draw(relations_with_stats())
+    polynomial = CompressedPolynomial(statistic_set)
+    params = draw(parameters_for(polynomial))
+    masks = {}
+    for pos, size in enumerate(polynomial.sizes):
+        if draw(st.booleans()):
+            bits = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            masks[pos] = np.array(bits, dtype=bool)
+    return statistic_set, polynomial, params, masks

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from repro.core.inference import InferenceEngine, QueryEstimate, round_half_up
 from repro.core.naive import NaivePolynomial
 from repro.core.polynomial import CompressedPolynomial
 from repro.core.solver import solve_statistics
 from repro.errors import QueryError
-from repro.stats.predicates import Conjunction, RangePredicate
+from repro.stats.predicates import Conjunction, RangePredicate, SetPredicate
+
+from tests.conftest import masked_models
 
 
 @pytest.fixture
@@ -104,6 +107,82 @@ class TestOptimizedQueryAnswering:
         masks = {0: np.array([True, False, False, False])}
         estimate = engine.estimate_masks(masks)
         assert 0.0 <= estimate.probability <= 1.0
+
+
+class TestMaskedKernelRouting:
+    """COUNT, batches, GROUP BY, SUM and AVG all run through the one
+    masked kernel over the engine's lazily built base parts."""
+
+    @given(masked_models())
+    def test_property_every_aggregate_equals_naive(self, model):
+        statistic_set, poly, params, masks = model
+        naive = NaivePolynomial(statistic_set)
+        total = statistic_set.total
+        engine = InferenceEngine(poly, params, total)
+
+        def expected(extra=None):
+            return naive.expected_count(params, total, {**masks, **(extra or {})})
+
+        count = engine.estimate_masks(masks).expectation
+        assert count == pytest.approx(expected(), rel=1e-9, abs=1e-9)
+
+        # GROUP BY / SUM / AVG take a conjunction; an all-False mask has
+        # no predicate form (the planner answers it without the engine).
+        if not all(mask.any() for mask in masks.values()):
+            return
+        predicate = Conjunction(
+            poly.schema,
+            {pos: SetPredicate(np.flatnonzero(mask)) for pos, mask in masks.items()},
+        )
+        for pos, size in enumerate(poly.sizes):
+            point = {v: np.arange(size) == v for v in range(size)}
+            allowed = masks.get(pos, np.ones(size, dtype=bool))
+            grouped = engine.group_by([pos], predicate)
+            assert set(grouped) == {(v,) for v in np.flatnonzero(allowed)}
+            for (value,), estimate in grouped.items():
+                assert estimate.expectation == pytest.approx(
+                    expected({pos: point[value]}), rel=1e-9, abs=1e-9
+                )
+            weights = np.arange(size) * 1.5 + 1.0
+            want = sum(
+                weights[v] * expected({pos: point[v]}) for v in np.flatnonzero(allowed)
+            )
+            assert engine.sum_estimate(pos, weights, predicate) == pytest.approx(
+                want, rel=1e-9, abs=1e-9
+            )
+            if count > 1e-6:
+                assert engine.avg_estimate(pos, weights, predicate) == pytest.approx(
+                    want / count, rel=1e-8
+                )
+
+    @given(masked_models())
+    def test_property_batch_is_bit_equal_to_single(self, model):
+        statistic_set, poly, params, masks = model
+        other = {0: np.arange(poly.sizes[0]) == 0}
+        queries = [masks, other, {}, masks]
+        single = InferenceEngine(poly, params, statistic_set.total, cache_size=0)
+        batched = InferenceEngine(poly, params, statistic_set.total, cache_size=0)
+        answers = batched.estimate_masks_batch(queries)
+        assert [a.expectation for a in answers] == [
+            single.estimate_masks(query).expectation for query in queries
+        ]
+        assert [a.probability for a in answers] == [
+            single.estimate_masks(query).probability for query in queries
+        ]
+
+    def test_base_parts_are_built_by_the_first_masked_query(self, fitted):
+        poly, params, _, statistic_set = fitted
+        engine = InferenceEngine(poly, params, statistic_set.total)
+        assert engine.partition_value > 0
+        engine.masks_for(Conjunction(poly.schema, {0: RangePredicate(0, 1)}))
+        engine.clear_cache()
+        assert engine._base is None
+        engine.estimate_masks({0: np.array([True, False, True, False])})
+        base = engine._base
+        assert base is not None and base.value == engine.partition_value
+        engine.group_by([1])
+        engine.sum_estimate(2, np.ones(poly.sizes[2]))
+        assert engine._base is base
 
 
 class TestGroupBy:

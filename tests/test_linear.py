@@ -80,6 +80,19 @@ class TestConditionMask:
         mask = condition_mask(schema.domain("dist"), Condition("dist", ">", [75]))
         assert mask.tolist() == [False, False, False, True, True]
 
+    def test_greater_equal_on_a_bucket_boundary(self, schema):
+        # 40 is the open upper bound of [20, 40): no value of that bucket
+        # is >= 40, so the selection starts at [40, 60).
+        mask = condition_mask(schema.domain("dist"), Condition("dist", ">=", [40]))
+        assert mask.tolist() == [False, False, True, True, True]
+        mask = condition_mask(
+            schema.domain("dist"), Condition("dist", "between", [40, 50])
+        )
+        assert mask.tolist() == [False, False, True, False, False]
+        # The last bucket [80, 100] is closed on the right and holds 100.
+        mask = condition_mask(schema.domain("dist"), Condition("dist", ">=", [100]))
+        assert mask.tolist() == [False, False, False, False, True]
+
     def test_incomparable_types(self, schema):
         with pytest.raises(QueryError, match="cannot compare"):
             condition_mask(schema.domain("city"), Condition("city", "<", [5]))

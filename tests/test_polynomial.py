@@ -20,7 +20,7 @@ from repro.core.polynomial import (
 from repro.core.variables import ModelParameters
 from repro.errors import SolverError
 
-from tests.conftest import relations_with_stats
+from tests.conftest import masked_models, relations_with_stats
 
 
 class TestProductExcluding:
@@ -84,7 +84,7 @@ class TestAgainstNaive:
         parts = poly.evaluation_parts(params)
         for pos in range(3):
             expected = naive.attribute_gradient(params, pos)
-            actual = poly.attribute_gradient(parts, pos)
+            actual = poly.masked_gradient(parts, params, {}, pos)
             np.testing.assert_allclose(actual, expected, rtol=1e-10)
 
     def test_delta_gradients_match(self, small_statistics, rng):
@@ -110,7 +110,7 @@ class TestAgainstNaive:
         parts = poly.evaluation_parts(params)
         for pos in range(3):
             np.testing.assert_allclose(
-                poly.attribute_gradient(parts, pos),
+                poly.masked_gradient(parts, params, {}, pos),
                 naive.attribute_gradient(params, pos),
                 rtol=1e-10,
             )
@@ -150,13 +150,149 @@ class TestAgainstNaive:
         parts = poly.evaluation_parts(params)
         for pos in range(statistic_set.schema.num_attributes):
             np.testing.assert_allclose(
-                poly.attribute_gradient(parts, pos),
+                poly.masked_gradient(parts, params, {}, pos),
                 naive.attribute_gradient(params, pos),
                 rtol=1e-8,
             )
         for stat_id in range(statistic_set.num_multi_dim):
             assert poly.delta_gradient(parts, params, stat_id) == pytest.approx(
                 naive.delta_gradient(params, stat_id), rel=1e-8, abs=1e-9
+            )
+
+
+def _zeroed(params, masks, keep=None):
+    """Parameters with the 1D variables failing ``masks`` set to 0 —
+    Sec 4.2 spelled out, for the naive polynomial (``keep`` is the one
+    position whose own mask a gradient ignores)."""
+    alphas = [
+        np.where(masks[pos], alpha, 0.0) if pos in masks and pos != keep else alpha.copy()
+        for pos, alpha in enumerate(params.alphas)
+    ]
+    return ModelParameters(alphas, params.deltas.copy())
+
+
+def _add_at_gradient(poly, base, pos):
+    """``∂P/∂α_pos`` of a component attribute exactly as the solver
+    computed it before the masked kernel: ``np.prod`` over the stacked
+    range sums, two ``np.add.at`` scatters, ``outer_products``."""
+    index = poly.component_of_position(pos)
+    component = poly.components[index]
+    rows = [base.range_sums[index][p] for p in component.positions if p != pos]
+    coeff = np.prod(np.stack(rows, axis=0), axis=0) * base.delta_products[index]
+    diff = np.zeros(poly.sizes[pos] + 1)
+    np.add.at(diff, component.lo[pos], coeff)
+    np.add.at(diff, component.hi[pos] + 1, -coeff)
+    return np.cumsum(diff[:-1]) * poly.outer_products(base)[index]
+
+
+class TestMaskedKernel:
+    """``masked_value`` / ``masked_gradient`` start from the unmasked
+    parts of the parameters and recompute only what the masks touch;
+    the answer must be the naive polynomial's with zeroed variables."""
+
+    @given(masked_models())
+    def test_property_value_equals_naive_and_wrappers(self, model):
+        statistic_set, poly, params, masks = model
+        naive = NaivePolynomial(statistic_set)
+        base = poly.evaluation_parts(params)
+        value = poly.masked_value(base, params, masks)
+        assert value == pytest.approx(
+            naive.evaluate(params, masks), rel=1e-9, abs=1e-12
+        )
+        assert poly.evaluate(params, masks) == value
+        batch = poly.evaluate_batch(params, [masks, None, {}, masks])
+        assert batch.tolist() == [value, base.value, base.value, value]
+
+    @given(masked_models())
+    def test_property_gradient_equals_naive(self, model):
+        statistic_set, poly, params, masks = model
+        naive = NaivePolynomial(statistic_set)
+        base = poly.evaluation_parts(params)
+        for pos in range(len(poly.sizes)):
+            np.testing.assert_allclose(
+                poly.masked_gradient(base, params, masks, pos),
+                naive.attribute_gradient(_zeroed(params, masks, keep=pos), pos),
+                rtol=1e-9,
+                atol=1e-12,
+            )
+
+    @given(masked_models())
+    def test_property_euler_identity_under_masks(self, model):
+        """Σ_v α_v ∂P[masked]/∂α_v over the values a mask on ``pos``
+        keeps is ``P[masked]`` again (Eq. 7 after masking)."""
+        _, poly, params, masks = model
+        base = poly.evaluation_parts(params)
+        value = poly.masked_value(base, params, masks)
+        for pos in range(len(poly.sizes)):
+            weights = params.alphas[pos] * poly.masked_gradient(base, params, masks, pos)
+            if pos in masks:
+                weights = weights[masks[pos]]
+            assert weights.sum() == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+    def test_untouched_components_and_masked_free_position(self, rng):
+        """Three components plus a free attribute: a mask on the free
+        attribute or on some components leaves the others at their base
+        values, an all-False mask zeroes the polynomial."""
+        from repro.data.domain import integer_domain
+        from repro.data.relation import Relation
+        from repro.data.schema import Schema
+        from repro.stats.statistic import StatisticSet, range_statistic_2d
+
+        schema = Schema([integer_domain(name, 3) for name in "abcdefg"])
+        relation = Relation(schema, [rng.integers(0, 3, 120) for _ in range(7)])
+        stats = [
+            range_statistic_2d(schema, "a", (0, 1), "b", (1, 2), 30.0),
+            range_statistic_2d(schema, "c", (1, 2), "d", (0, 1), 40.0),
+            range_statistic_2d(schema, "e", (0, 0), "f", (0, 2), 20.0),
+        ]
+        statistic_set = StatisticSet.from_relation(relation, stats)
+        poly = CompressedPolynomial(statistic_set)
+        assert len(poly.components) == 3 and poly.free_positions == [6]
+        naive = NaivePolynomial(statistic_set)
+        params = ModelParameters(
+            [rng.random(3) + 0.1 for _ in range(7)], rng.random(3) + 0.1
+        )
+        base = poly.evaluation_parts(params)
+        some = np.array([True, False, True])
+        for masks in ({}, {6: some}, {0: some}, {2: some, 6: some}, {1: some, 5: some}):
+            assert poly.masked_value(base, params, masks) == pytest.approx(
+                naive.evaluate(params, masks), rel=1e-12
+            )
+            for pos in range(7):
+                np.testing.assert_allclose(
+                    poly.masked_gradient(base, params, masks, pos),
+                    naive.attribute_gradient(_zeroed(params, masks, keep=pos), pos),
+                    rtol=1e-12,
+                )
+        for pos in range(6):
+            np.testing.assert_array_equal(
+                poly.masked_gradient(base, params, {}, pos),
+                _add_at_gradient(poly, base, pos),
+            )
+        nothing = np.zeros(3, dtype=bool)
+        assert poly.masked_value(base, params, {6: nothing}) == 0.0
+        assert poly.masked_value(base, params, {1: nothing}) == 0.0
+        assert not poly.masked_gradient(base, params, {1: nothing}, 6).any()
+        # A mask on the differentiated attribute itself changes nothing.
+        np.testing.assert_array_equal(
+            poly.masked_gradient(base, params, {0: nothing}, 0),
+            poly.masked_gradient(base, params, {}, 0),
+        )
+
+    def test_unmasked_gradient_keeps_the_solver_bits(self, small_statistics, rng):
+        """With no masks the kernel multiplies and scatters in the order
+        the old ``attribute_gradient`` did — the solver's fitted
+        parameters depend on every bit of it."""
+        poly = CompressedPolynomial(small_statistics)
+        params = initial_parameters(poly)
+        for alpha in params.alphas:
+            alpha[:] = rng.random(alpha.size) + 0.1
+        params.deltas[:] = rng.random(params.deltas.size) + 0.1
+        base = poly.evaluation_parts(params)
+        for pos in poly.components[0].positions:
+            np.testing.assert_array_equal(
+                poly.masked_gradient(base, params, {}, pos),
+                _add_at_gradient(poly, base, pos),
             )
 
 
@@ -204,7 +340,7 @@ class TestOvercompleteness:
             alpha[:] = rng.random(alpha.size) + 0.1
         parts = poly.evaluation_parts(params)
         for pos in range(3):
-            gradient = poly.attribute_gradient(parts, pos)
+            gradient = poly.masked_gradient(parts, params, {}, pos)
             total = float(np.dot(params.alphas[pos], gradient))
             assert total == pytest.approx(parts.value, rel=1e-9)
 
@@ -233,7 +369,7 @@ class TestShapesAndSizes:
         with pytest.raises(SolverError):
             poly.component_of_stat(99)
 
-    def test_masked_alphas_shape_mismatch(self, small_statistics):
+    def test_mask_shape_mismatch(self, small_statistics):
         poly = CompressedPolynomial(small_statistics)
         params = initial_parameters(poly)
         with pytest.raises(SolverError, match="mask"):

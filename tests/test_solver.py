@@ -14,7 +14,7 @@ from repro.core.polynomial import CompressedPolynomial
 from repro.core.solver import MirrorDescentSolver, solve_statistics
 from repro.errors import SolverError
 
-from tests.conftest import relations_with_stats
+from tests.conftest import masked_models, relations_with_stats
 
 
 class TestConvergence:
@@ -146,3 +146,46 @@ class TestModelAgreesWithData:
         # (Coordinate ascent converges slowly on tiny degenerate
         # schemas; the paper's configurations run far from this regime.)
         assert solver.max_constraint_error(params) < 2e-3
+
+
+def _reference_multi_dim_errors(poly, params, statistic_set):
+    """The residual the solver used to compute: ``expected_multi_dim``
+    once per statistic, a Python loop over that statistic's terms."""
+    parts = poly.evaluation_parts(params)
+    return np.array(
+        [
+            abs(
+                poly.expected_multi_dim(parts, params, statistic_set.total, stat_id)
+                - statistic.value
+            )
+            for stat_id, statistic in enumerate(statistic_set.multi_dim)
+        ]
+    )
+
+
+class TestVectorisedResidual:
+    @given(masked_models())
+    def test_property_equals_the_per_statistic_loop(self, model):
+        statistic_set, poly, params, _ = model
+        solver = MirrorDescentSolver(poly)
+        errors = solver.constraint_errors(params)["multi_dim"]
+        reference = _reference_multi_dim_errors(poly, params, statistic_set)
+        assert errors.shape == reference.shape
+        np.testing.assert_allclose(
+            errors, reference, rtol=1e-12, atol=1e-12 * statistic_set.total
+        )
+        one_dim = max(
+            (float(e.max()) for e in solver.constraint_errors(params)["one_dim"])
+        )
+        worst = max([one_dim, *reference.tolist()]) / statistic_set.total
+        assert solver.max_constraint_error(params) == pytest.approx(worst, rel=1e-12)
+
+    def test_residual_after_a_solve(self, small_statistics):
+        poly = CompressedPolynomial(small_statistics)
+        solver = MirrorDescentSolver(poly, max_iterations=5)
+        params, report = solver.solve()
+        reference = _reference_multi_dim_errors(poly, params, small_statistics)
+        np.testing.assert_allclose(
+            solver.constraint_errors(params)["multi_dim"], reference, rtol=1e-12
+        )
+        assert report.final_error == solver.max_constraint_error(params)

@@ -175,3 +175,68 @@ class TestComponents:
         }
         for row, stats in enumerate(component.term_stats):
             assert products[row] == pytest.approx(expected[stats])
+
+
+#: every statistic configuration used above, plus the empty one
+FIXTURES = [
+    [],
+    [("a", (0, 2), "b", (1, 3))],
+    [("a", (0, 2), "b", (1, 3)), ("c", (0, 1), "d", (2, 4))],
+    [("a", (0, 3), "b", (1, 4)), ("b", (2, 5), "c", (0, 2))],
+    [("a", (0, 3), "b", (0, 1)), ("b", (4, 5), "c", (0, 2))],
+    [("a", (1, 2), "c", (3, 4))],
+    [
+        ("a", (0, 3), "b", (1, 4)),
+        ("b", (2, 5), "c", (0, 2)),
+        ("b", (0, 3), "d", (1, 3)),
+    ],
+]
+
+
+class TestIndexesFromCsr:
+    """``stat_terms`` and the solver's delta plan are derived from the
+    CSR layout with numpy; the per-term tuples they used to be built
+    from remain the reference."""
+
+    @pytest.mark.parametrize("stats", FIXTURES)
+    def test_stat_terms_equal_the_tuple_built_index(self, schema, stats):
+        components, _ = build_components(make_set(schema, 80, stats))
+        for component in components:
+            expected: dict[int, list[int]] = {}
+            for term, term_stats in enumerate(component.term_stats):
+                for stat in term_stats:
+                    expected.setdefault(stat, []).append(term)
+            assert set(component.stat_terms) == set(expected)
+            for stat, rows in expected.items():
+                assert component.stat_terms[stat].dtype == np.int64
+                assert component.stat_terms[stat].tolist() == rows
+
+    @pytest.mark.parametrize("stats", FIXTURES)
+    def test_delta_plan_equals_the_tuple_built_plan(self, schema, stats):
+        from repro.core.polynomial import CompressedPolynomial
+        from repro.core.solver import MirrorDescentSolver
+
+        poly = CompressedPolynomial(make_set(schema, 80, stats))
+        plan = MirrorDescentSolver(poly)._build_delta_plan()
+        assert len(plan) == poly.num_deltas
+        sentinel = poly.num_deltas
+        extended = np.append(np.random.default_rng(3).random(sentinel) * 3, 2.0)
+        for stat_id, (component_index, rows, others) in enumerate(plan):
+            component = poly.components[component_index]
+            assert component_index == poly.component_of_stat(stat_id)
+            assert rows.tolist() == component.stat_terms[stat_id].tolist()
+            expected = [
+                [other for other in component.term_stats[term] if other != stat_id]
+                for term in rows.tolist()
+            ]
+            kept = [[o for o in row if o != sentinel] for row in others.tolist()]
+            assert kept == expected
+            # Padding multiplies by exactly 1.0, wherever it sits.
+            width = max(map(len, expected), default=0)
+            padded = np.full((len(expected), max(width, 1)), sentinel)
+            for index, row in enumerate(expected):
+                padded[index, : len(row)] = row
+            np.testing.assert_array_equal(
+                np.prod(extended[others] - 1.0, axis=1),
+                np.prod(extended[padded] - 1.0, axis=1),
+            )
