@@ -20,10 +20,13 @@ bench-smoke:
 # same-box A/B — `make bench-e2e OUT=/tmp/parent.json` in a checkout of
 # the parent commit, `make bench-e2e OUT=/tmp/change.json` in the change,
 # then `make bench-e2e-compare PARENT=/tmp/parent.json CHANGE=/tmp/change.json`.
+# WORKLOAD= / SEED= narrow a run to one workload / one seed (≈ 15 s), which
+# is what the >= 10 alternating parent / change pairs behind a claim cost.
 N ?= 3
 OUT ?= bench_e2e/results/runs.json
 bench-e2e:
-	$(PYTHON) -m bench_e2e run --repeat $(N) --out $(OUT)
+	$(PYTHON) -m bench_e2e run --repeat $(N) --out $(OUT) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED))
 
 bench-e2e-compare:
 	@test -n "$(PARENT)" -a -n "$(CHANGE)" || \

@@ -594,11 +594,12 @@ class ShardedSummary:
         parallel: bool | None = None,
         use_arena: bool = True,
     ) -> list[MergedEstimate]:
-        """Merged estimates for a batch in one arena pass.
+        """Merged estimates for a batch through the arena.
 
-        The default route evaluates every query across every live shard
-        in a single set of matrix operations over the
-        :class:`~repro.core.arena.ShardArena`.  ``use_arena=False``
+        The default route runs each query through the one-query kernel
+        of the :class:`~repro.core.arena.ShardArena`, which evaluates
+        every shard at once from the folded constants (batched answers
+        are bit-equal to single ones).  ``use_arena=False``
         falls back to per-shard engine evaluation; there,
         ``parallel`` (default: when the machine has more than one core)
         fans the shard passes across the summary's persistent thread
@@ -681,9 +682,9 @@ class ShardedSummary:
     ) -> dict[tuple, MergedEstimate]:
         """Merged GROUP BY COUNT(*): the union of shard groups, with
         per-label expectations summed and variances added.  The default
-        route batches every (shard, group combination) through one
-        arena gradient pass; ``use_arena=False`` walks shards one by
-        one."""
+        route takes each group combination's value vector over every
+        shard from one arena gradient pass; ``use_arena=False`` walks
+        shards one by one."""
         if use_arena:
             positions = [self.schema.position(attr) for attr in attrs]
             results = self.arena.group_by(

@@ -29,7 +29,7 @@ class Domain:
         sequence is the integer index used throughout the model.
     """
 
-    __slots__ = ("name", "_labels", "_index")
+    __slots__ = ("name", "_labels", "_index", "_numeric_weights")
 
     def __init__(self, name: str, labels: Sequence) -> None:
         labels = list(labels)
@@ -45,6 +45,9 @@ class Domain:
         self.name = name
         self._labels = labels
         self._index = index
+        #: Filled by ``repro.query.linear.numeric_weights`` on first use
+        #: (labels never change, so neither does the SUM/AVG vector).
+        self._numeric_weights = None
 
     @property
     def size(self) -> int:

@@ -195,18 +195,23 @@ def conjunction_from_conditions(
 def numeric_weights(domain: Domain) -> np.ndarray:
     """Numeric value of every label — the weight vector turning a SUM
     over an attribute into a linear query.  Bucket labels contribute
-    their midpoint (the standard histogram estimator)."""
-    weights = np.empty(domain.size, dtype=float)
-    for index, label in enumerate(domain.labels):
-        if isinstance(label, Bucket):
-            weights[index] = label.midpoint
-        elif isinstance(label, bool) or not isinstance(label, (int, float)):
-            raise QueryError(
-                f"attribute {domain.name!r} is not numeric; cannot SUM/AVG "
-                f"over label {label!r}"
-            )
-        else:
-            weights[index] = float(label)
+    their midpoint (the standard histogram estimator).  Computed once
+    per domain; the array handed out is read-only."""
+    weights = domain._numeric_weights
+    if weights is None:
+        weights = np.empty(domain.size, dtype=float)
+        for index, label in enumerate(domain.labels):
+            if isinstance(label, Bucket):
+                weights[index] = label.midpoint
+            elif isinstance(label, bool) or not isinstance(label, (int, float)):
+                raise QueryError(
+                    f"attribute {domain.name!r} is not numeric; cannot SUM/AVG "
+                    f"over label {label!r}"
+                )
+            else:
+                weights[index] = float(label)
+        weights.setflags(write=False)
+        domain._numeric_weights = weights
     return weights
 
 

@@ -180,7 +180,7 @@ def schemas(draw, max_attrs=4, max_size=6):
 @st.composite
 def relations(draw, schema_strategy=None, max_rows=200):
     """Random relations (rows drawn uniformly, some skew via seed)."""
-    schema = draw(schema_strategy or schemas())
+    schema = draw(schemas() if schema_strategy is None else schema_strategy)
     num_rows = draw(st.integers(10, max_rows))
     seed = draw(st.integers(0, 2**31 - 1))
     generator = np.random.default_rng(seed)
@@ -193,14 +193,14 @@ def relations(draw, schema_strategy=None, max_rows=200):
 
 
 @st.composite
-def relations_with_stats(draw, max_stats=4):
+def relations_with_stats(draw, max_stats=4, schema_strategy=None):
     """A relation plus a set of measured (consistent) 2D statistics.
 
     Statistics are disjoint within each attribute pair (rejection-
     sampled), overlapping freely across pairs — the structural setting
     of Theorem 4.1.
     """
-    relation = draw(relations())
+    relation = draw(relations(schema_strategy))
     schema = relation.schema
     num_stats = draw(st.integers(0, max_stats))
     chosen: list = []

@@ -1,28 +1,47 @@
 """Tests for the contiguous cross-shard evaluation kernel
 (:class:`repro.core.arena.ShardArena`).
 
-The arena is a pure re-layout of the fitted shard parameters: every
-query answered through it must match the legacy per-shard engine path
+The arena folds the fitted shard parameters into constants once and
+redoes, per query, only the factors a mask constrains: every query
+answered through it must match the per-shard engine path
 (``use_arena=False``) to floating-point noise — COUNT, GROUP BY, SUM
-and AVG, with and without attribute-partitioned pruning.  The lifecycle
-pieces (lazy build, ``warm``, hot-swap rebuild, pickling, the
-persistent fanout pool's deterministic shutdown) are covered here too.
+and AVG, with and without attribute-partitioned pruning
+(``TestKernelDifferential`` is the Hypothesis form of that claim).  The
+folded constants must never go stale or race (``TestFoldedConstants``),
+and the lifecycle pieces (lazy build, ``warm``, hot-swap rebuild,
+pickling, the persistent fanout pool's deterministic shutdown) are
+covered here too.
 """
 
 from __future__ import annotations
 
 import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.api import SummaryStore
 from repro.core.arena import ShardArena
+from repro.core.polynomial import CompressedPolynomial
 from repro.core.sharding import ShardedSummary
+from repro.core.summary import EntropySummary
 from repro.data.domain import integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError
-from repro.stats.predicates import Conjunction, RangePredicate
+from repro.ingest import IngestPipeline
+from repro.serve import ServeConfig, SummaryServer
+from repro.stats.predicates import (
+    Conjunction,
+    RangePredicate,
+    conjunction_from_masks,
+)
+from repro.stats.statistic import StatisticSet, range_statistic_2d
+from tests.conftest import parameters_for, relations_with_stats, schemas
 from tests.test_sharding import _fit
 
 
@@ -48,6 +67,12 @@ def round_robin(relation):
 @pytest.fixture(scope="module")
 def by_attribute(relation):
     return _fit(relation, num_shards=3, by="B")
+
+
+@pytest.fixture(scope="module")
+def by_component(relation):
+    """Range-sharded on an attribute that sits inside a component."""
+    return _fit(relation, num_shards=3, by="B", pairs=[("A", "B")], budget=6)
 
 
 @pytest.fixture(scope="module", params=["round_robin", "by_attribute"])
@@ -146,14 +171,25 @@ class TestArenaEquivalence:
         """A predicate confined to one owned range zeroes the other
         shards' polynomials — implicit pruning, same result as the
         legacy explicit skip."""
-        schema = by_attribute.schema
-        low, high = by_attribute.owned_ranges[0]
-        predicate = Conjunction(schema, {"B": RangePredicate(low, high)})
-        via_arena = by_attribute.estimate(predicate)
-        legacy = by_attribute.estimate(predicate, use_arena=False)
+        self._check_pruned(by_attribute)
+
+    def test_pruned_shards_are_exactly_zero_inside_a_component(self, by_component):
+        self._check_pruned(by_component)
+
+    @staticmethod
+    def _check_pruned(sharded):
+        low, high = sharded.owned_ranges[0]
+        predicate = Conjunction(sharded.schema, {"B": RangePredicate(low, high)})
+        via_arena = sharded.estimate(predicate)
+        legacy = sharded.estimate(predicate, use_arena=False)
         assert via_arena.expectation == pytest.approx(
             legacy.expectation, rel=1e-9, abs=1e-9
         )
+        masks = predicate.attribute_masks()
+        per_shard = sharded.arena._masked_values(masks)
+        assert per_shard[0] > 0.0 and not per_shard[1:].any()
+        numerators = sharded.arena._gradient_numerators(0, masks)
+        assert numerators[0].any() and not numerators[1:].any()
 
     def test_schema_mismatch_raises(self, sharded):
         other = Schema([integer_domain("Z", 3)])
@@ -246,3 +282,298 @@ class TestArenaLifecycle:
         assert loaded.estimate(predicate).expectation == pytest.approx(
             sharded.estimate(predicate).expectation, rel=1e-9
         )
+
+
+# ----------------------------------------------------------------------
+# The kernel's entry checks
+# ----------------------------------------------------------------------
+
+class TestMaskValidation:
+    """The arena used to trust mask shapes: a 1-long mask broadcast over
+    the whole attribute, a short one died inside numpy, and a mask on an
+    unknown position was ignored."""
+
+    BAD = [
+        ({0: np.array([True])}, "mask for attribute 0 has shape"),
+        ({0: np.array([False])}, "mask for attribute 0 has shape"),
+        ({1: np.ones(3, dtype=bool)}, "mask for attribute 1 has shape"),
+        ({99: np.ones(4, dtype=bool)}, "attribute 99: no such position"),
+        ({-1: np.ones(3, dtype=bool)}, "attribute -1: no such position"),
+    ]
+
+    @pytest.mark.parametrize("masks, message", BAD)
+    def test_every_path_rejects_malformed_masks(self, by_attribute, masks, message):
+        arena = by_attribute.arena
+        with pytest.raises(QueryError, match=message):
+            arena.estimate_masks_batch([{}, masks])
+        with pytest.raises(QueryError, match=message):
+            arena.group_by([2], masks)
+        with pytest.raises(QueryError, match=message):
+            arena.sum_estimate(2, np.arange(3.0), masks)
+
+    def test_well_formed_masks_still_answer(self, by_attribute):
+        masks = {0: [True, False, True, False]}  # any boolean sequence
+        (expectation, _), = by_attribute.arena.estimate_masks_batch([masks])
+        assert 0.0 < expectation < by_attribute.total
+
+
+# ----------------------------------------------------------------------
+# Differential test against the per-shard reference
+# ----------------------------------------------------------------------
+
+@st.composite
+def sharded_models(draw):
+    """2-3 shards over one random schema, each with its own random
+    statistic set (so an attribute can be free in one shard and inside a
+    component in another) and random positive parameters — with α = 0
+    entries, as ``migrated`` / ``pad_parameters`` leave for padded domain
+    values, and non-zero α outside the owned ranges, which only the
+    narrowing may silence.  Layouts: round-robin, range-sharded with the
+    shard attribute free everywhere, range-sharded with it inside a
+    component."""
+    schema = draw(schemas())
+    sizes = schema.sizes()
+    layout = draw(st.sampled_from(["round_robin", "by_free", "by_component"]))
+    num_shards = draw(st.integers(2, 3))
+    by_pos = shard_by = ranges = None
+    if layout != "round_robin":
+        by_pos = draw(st.integers(0, len(sizes) - 1))
+        shard_by = schema.attribute_names[by_pos]
+        size = sizes[by_pos]
+        num_shards = min(num_shards, size)
+        cuts = sorted(
+            draw(
+                st.sets(
+                    st.integers(1, size - 1),
+                    min_size=num_shards - 1,
+                    max_size=num_shards - 1,
+                )
+            )
+        )
+        ranges = list(zip([0] + cuts, [cut - 1 for cut in cuts] + [size - 1]))
+    shards = []
+    for index in range(num_shards):
+        relation, statistic_set = draw(
+            relations_with_stats(schema_strategy=st.just(schema))
+        )
+        multi_dim = list(statistic_set.multi_dim)
+        if layout == "by_free":
+            multi_dim = [s for s in multi_dim if by_pos not in s.positions]
+        elif (
+            layout == "by_component"
+            and index == 0
+            and not any(by_pos in s.positions for s in multi_dim)
+        ):
+            low, high = sorted((by_pos, (by_pos + 1) % len(sizes)))
+            multi_dim.append(
+                range_statistic_2d(schema, low, (0, 0), high, (0, 0), 1.0)
+            )
+        statistic_set = StatisticSet.from_relation(relation, multi_dim)
+        polynomial = CompressedPolynomial(statistic_set)
+        params = draw(parameters_for(polynomial))
+        for pos in draw(st.sets(st.integers(0, len(sizes) - 1))):
+            params.alphas[pos][-1] = 0.0
+        shards.append(
+            EntropySummary(statistic_set, polynomial, params, None, f"s{index}")
+        )
+    return ShardedSummary(shards, shard_by=shard_by, ranges=ranges)
+
+
+def _random_masks(draw, summary, only=None):
+    """Non-empty value masks on a random subset of the attributes
+    (``only`` pins the shard attribute's mask)."""
+    masks = dict(only or {})
+    for pos, size in enumerate(summary.schema.sizes()):
+        if pos not in masks and draw(st.booleans()):
+            bits = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            if any(bits):
+                masks[pos] = np.array(bits, dtype=bool)
+    return masks
+
+
+def _close(actual, expected):
+    return actual == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+class TestKernelDifferential:
+    @given(sharded_models(), st.data())
+    def test_matches_the_per_shard_reference(self, summary, data):
+        schema, sizes = summary.schema, summary.schema.sizes()
+        by_pos, arena = summary.by_position, summary.arena
+        mask_sets = [{}] + [_random_masks(data.draw, summary) for _ in range(3)]
+        if by_pos is not None:
+            # A predicate that prunes every shard but one.
+            low, high = data.draw(st.sampled_from(summary.owned_ranges))
+            only = np.zeros(sizes[by_pos], dtype=bool)
+            only[data.draw(st.integers(low, high))] = True
+            mask_sets.append(_random_masks(data.draw, summary, {by_pos: only}))
+        predicates = [conjunction_from_masks(schema, masks) for masks in mask_sets]
+
+        # COUNT, one at a time and batched (bit-equal: one kernel).
+        singles = [summary.estimate(predicate) for predicate in predicates]
+        arena.clear_cache()
+        batch = summary.estimate_batch(predicates)
+        for single, batched, predicate in zip(singles, batch, predicates):
+            assert batched.expectation == single.expectation
+            assert batched.variance == single.variance
+            reference = summary.estimate(predicate, use_arena=False)
+            assert _close(single.expectation, reference.expectation)
+            assert _close(single.variance, reference.variance)
+        if by_pos is None:
+            # No masks at all: n, straight from the folded constants.
+            assert _close(singles[0].expectation, float(summary.total))
+
+        # GROUP BY on every attribute, and on two: the shard attribute as
+        # inner and as outer; the masks filter group attributes too.
+        names = schema.attribute_names
+        groupings = [(name,) for name in names]
+        other = 0 if by_pos != 0 else 1
+        pair = (names[other], names[by_pos if by_pos is not None else 1 - other])
+        groupings += [pair, pair[::-1]]
+        for attrs in groupings:
+            for predicate in predicates:
+                via_arena = summary.group_by(attrs, predicate)
+                reference = summary.group_by(attrs, predicate, use_arena=False)
+                assert set(via_arena) == set(reference)
+                for labels, expected in reference.items():
+                    assert _close(via_arena[labels].expectation, expected.expectation)
+                    assert _close(via_arena[labels].variance, expected.variance)
+
+        # SUM / AVG over every attribute, the shard attribute included.
+        for name, size in zip(names, sizes):
+            weights = np.arange(size) + 1.0
+            for predicate, count in zip(predicates, singles):
+                total = summary.sum_estimate(name, weights, predicate)
+                assert _close(
+                    total,
+                    summary.sum_estimate(name, weights, predicate, use_arena=False),
+                )
+                # AVG of the whole relation divides by n, not by COUNT.
+                rows = (
+                    summary.total if predicate.is_trivial() else count.expectation
+                )
+                if rows > 1e-6:
+                    assert _close(
+                        summary.avg_estimate(name, weights, predicate), total / rows
+                    )
+
+        # An all-False mask answers exactly 0 on every path.
+        pos = data.draw(st.integers(0, len(sizes) - 1))
+        nothing = {pos: np.zeros(sizes[pos], dtype=bool)}
+        target = (pos + 1) % len(sizes)
+        assert arena.estimate_masks_batch([nothing]) == [(0.0, 0.0)]
+        assert arena.sum_estimate(target, np.ones(sizes[target]), nothing) == 0.0
+        assert set(arena.group_by([target], nothing).values()) <= {(0.0, 0.0)}
+
+
+# ----------------------------------------------------------------------
+# The folded constants cannot go stale or race
+# ----------------------------------------------------------------------
+
+def _answers(arena, schema):
+    """COUNT / GROUP BY / SUM answers of one arena over a fixed mix."""
+    mask_sets = [
+        {} if predicate is None else predicate.attribute_masks()
+        for predicate in _predicates(schema)
+    ]
+    sizes = schema.sizes()
+    arena.clear_cache()
+    return (
+        [arena.estimate_masks_batch([masks]) for masks in mask_sets],
+        [arena.group_by([pos], masks) for masks in mask_sets for pos in (0, 1)],
+        [arena.group_by([1, 2], mask_sets[1]), arena.group_by([0, 1], mask_sets[3])],
+        [
+            arena.sum_estimate(pos, np.arange(sizes[pos]) + 1.0, masks)
+            for masks in mask_sets
+            for pos in (0, 1)
+        ],
+    )
+
+
+def _assert_arena_current(summary):
+    """The summary's own arena answers exactly like a freshly built one,
+    and like the per-shard reference."""
+    schema = summary.schema
+    assert _answers(summary.arena, schema) == _answers(ShardArena(summary), schema)
+    for predicate in _predicates(schema):
+        for attrs in (("A",), ("B",), ("C", "B")):
+            reference = summary.group_by(attrs, predicate, use_arena=False)
+            via_arena = summary.group_by(attrs, predicate)
+            assert set(via_arena) == set(reference)
+            for labels, expected in reference.items():
+                assert _close(via_arena[labels].expectation, expected.expectation)
+        for name in ("A", "B"):
+            weights = np.arange(schema.domain(name).size) + 1.0
+            assert _close(
+                summary.sum_estimate(name, weights, predicate),
+                summary.sum_estimate(name, weights, predicate, use_arena=False),
+            )
+        assert _close(
+            summary.estimate(predicate).expectation,
+            summary.estimate(predicate, use_arena=False).expectation,
+        )
+
+
+class TestFoldedConstants:
+    def test_ingest_appends_rebuild_the_constants(self, relation, by_component):
+        pipeline = IngestPipeline(by_component, relation)
+        before = _answers(by_component.arena, by_component.schema)
+        low, _ = by_component.owned_ranges[0]
+
+        # One-shard refit: the other shard objects are reused as they are.
+        report = pipeline.append([(0, low, 0), (1, low, 2)] * 20)
+        assert report.shards_refit == (0,)
+        one_shard = report.summary
+        assert one_shard.shards[1] is by_component.shards[1]
+        assert one_shard.arena is not by_component.arena
+        _assert_arena_current(one_shard)
+        assert _answers(one_shard.arena, one_shard.schema) != before
+
+        # A batch that widens the shard attribute's domain.
+        widened = pipeline.append([(0, 6, 1)] * 15 + [(2, 2, 0)] * 5).summary
+        assert widened.schema.domain("B").size == 7
+        assert widened.arena.sizes[1] == 7
+        _assert_arena_current(widened)
+        # The old summary's constants still describe the old shards.
+        assert _answers(by_component.arena, by_component.schema) == before
+
+    def test_with_shards_and_hot_reload_rebuild_the_constants(
+        self, relation, by_component, tmp_path
+    ):
+        swapped = by_component.with_shards(
+            {2: by_component.shards[2].refit(relation.sample_rows(np.arange(200)))}
+        )
+        _assert_arena_current(swapped)
+
+        store = SummaryStore(tmp_path / "models")
+        store.save(by_component, "demo")
+        server = SummaryServer(store=store, name="demo", config=ServeConfig())
+        IngestPipeline.from_store(store, "demo", relation).append([(3, 5, 2)] * 40)
+        assert server.reload() == 2
+        served = server._generation.explorer.backend.summary
+        assert served.total == by_component.total + 40
+        _assert_arena_current(served)
+
+    def test_concurrent_queries_are_bit_identical_to_serial(self, by_component):
+        arena, schema = by_component.arena, by_component.schema
+        serial = _answers(arena, schema)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(_answers, arena, schema) for _ in range(8)
+                ]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == serial for result in results)
+
+    def test_stats_report_the_folded_bytes(self, by_component, round_robin):
+        stats = by_component.arena.stats()
+        assert stats["terms"] > 0 and stats["components"] == 3
+        # Stacked α and their prefix sums alone are 2 · 8 · S · Σ size
+        # bytes; the per-term constants come on top.
+        floor = 2 * 8 * 3 * sum(by_component.schema.sizes())
+        assert stats["bytes"] > floor + 8 * stats["terms"]
+        assert round_robin.arena.stats()["bytes"] > floor  # no components
