@@ -65,9 +65,9 @@ serve-smoke:
 
 # Cluster smoke: the multi-worker tier end to end — frontend + worker
 # pool, 100 concurrent requests with a worker killed mid-run (zero
-# dropped requests), then the 1-vs-4 scaling curve gated against the
-# checked-in BENCH_cluster.json baseline.  Worker stdout/stderr lands
-# in cluster_logs/ so a failing CI run uploads diagnosable output.
+# dropped requests, worker respawned), gated against the checked-in
+# BENCH_cluster.json baseline.  Worker stdout/stderr lands in
+# cluster_logs/ so a failing CI run uploads diagnosable output.
 cluster-smoke:
 	REPRO_SCALE=small REPRO_CLUSTER_LOG_DIR=cluster_logs \
 		$(PYTHON) tools/check_bench.py run --repeat 3 \
@@ -109,6 +109,9 @@ lint:
 	fi
 	$(PYTHON) -m compileall -q src tests benchmarks examples
 	$(PYTHON) -W error::SyntaxWarning -c "import repro, repro.api, repro.plan, repro.serve, repro.chaos, repro.cli, repro.experiments"
+	@# serve/ evaluates shards through ShardArena only: no second path,
+	@# no service-floor knob, no reaching into core.inference.
+	@! grep -rnE --include='*.py' "use_arena|shard_service_ms|(from|import) +repro\.core\.inference|from +repro\.core +import.*inference" src/repro/serve/
 
 # Documentation rot check: every ```python block in README.md and
 # docs/*.md must compile, every relative link must resolve.

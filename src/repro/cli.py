@@ -219,14 +219,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "line-delimited JSON for debugging; the server always "
             "answers JSON clients either way",
         )
-        command.add_argument(
-            "--shard-service-ms",
-            type=float,
-            metavar="MS",
-            help="floor every evaluation flush at MS x resident shards — "
-            "a calibrated stand-in for per-shard service time when "
-            "sizing the multi-worker tier (default: off)",
-        )
 
     serve = commands.add_parser(
         "serve",
@@ -271,9 +263,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="shard-affine worker processes; >1 serves a sharded model "
-        "through the frontend + worker-pool tier (default 1: "
-        "single-process)",
+        help="worker processes; >1 serves a sharded model through the "
+        "frontend + worker-pool tier, which survives a worker death "
+        "(with --replicas 2, exactly) but is slower than one process — "
+        "failure isolation, not throughput (default 1: single-process)",
     )
     serve.add_argument(
         "--replicas",
@@ -702,7 +695,6 @@ def _serve_config(args, *, host: str | None = None, port: int | None = None):
         trace_ring=getattr(args, "trace_ring", 256),
         slow_query_ms=getattr(args, "slow_query_ms", None),
         slow_query_log=getattr(args, "slow_query_log", None),
-        shard_service_ms=getattr(args, "shard_service_ms", None),
     ).validated()
 
 

@@ -1,9 +1,11 @@
 """The contiguous shard arena: every shard's fitted constants, folded once.
 
-:class:`~repro.core.sharding.ShardedSummary` answers a query by
-evaluating each shard's compressed polynomial and merging.  Paper
-Sec 4.2 evaluates ``P`` with the excluded 1D variables zeroed, and
-almost none of that evaluation depends on the query.
+This is the only code that narrows a query to each shard, evaluates the
+shards and merges them: :class:`~repro.core.sharding.ShardedSummary`
+answers from one arena over all its shards, a cluster worker from one
+over the shards it owns (:class:`~repro.serve.cluster.ShardSlice`).
+Paper Sec 4.2 evaluates ``P`` with the excluded 1D variables zeroed,
+and almost none of that evaluation depends on the query.
 :class:`ShardArena` therefore restructures the *fitted* shard
 parameters once — at load, reload, or publish time; the arena is
 rebuilt whenever the shard set changes, so the constants live and die
@@ -40,6 +42,15 @@ what a single query does (≈ 0.13 ms), so no batch axis is carried —
 which makes batched answers bit-equal to single ones.  No scratch is
 shared between calls: executor threads evaluate on one arena
 concurrently.
+
+The kernel yields one value per shard, and :meth:`ShardArena.merge` is
+the one place those become per-shard ``(expectation, variance)``
+contributions and their sum.  Every entry point takes an optional shard
+*selection* — a boolean mask over the arena's shards, which the cluster
+frontend's replica router picks per query — restricting both the
+contributions summed and the labels a GROUP BY reports; partial sums
+over disjoint selections add up to the whole answer, which is all the
+frontend's merge has left to do.
 
 Results are cached on the canonical mask key (the serve layer's
 canonical predicate keys collapse to identical masks), bounded like
@@ -100,9 +111,12 @@ class _Block:
 
 
 class ShardArena:
-    """Contiguous evaluation kernel over one :class:`ShardedSummary`'s
-    fitted shards.  Rebuild (``ShardArena(summary)``) whenever the shard
-    set changes — the sharding layer does this on load, hot reload, and
+    """Contiguous evaluation kernel over one set of fitted shards: a
+    :class:`~repro.core.sharding.ShardedSummary`, or the shards one
+    cluster worker owns (:class:`~repro.serve.cluster.ShardSlice`) —
+    anything with ``shards``, ``schema``, ``by_position`` and
+    ``owned_ranges``, one shard or many.  Rebuild (``ShardArena(summary)``)
+    whenever the shard set changes — on load, hot reload, and
     delta-refresh publish."""
 
     def __init__(self, summary):
@@ -112,7 +126,6 @@ class ShardArena:
         self.sizes = schema.sizes()
         self.num_shards = S = len(shards)
         self.by_pos = summary.by_position
-        self.total = summary.total
         self.totals = np.asarray(
             [float(shard.total) for shard in shards], dtype=np.float64
         )
@@ -286,30 +299,67 @@ class ShardArena:
     # ------------------------------------------------------------------
     # COUNT
     # ------------------------------------------------------------------
-    def _merge_count(self, values: np.ndarray) -> tuple[float, float]:
-        """``(expectation, variance)`` from per-shard masked values,
-        using the quadrature merge algebra of the sharding layer
-        (per-shard Binomial variances add)."""
-        masked = np.clip(values, 0.0, None)
-        p = np.clip(masked / self.fulls, 0.0, 1.0)
-        return float(self.scales @ masked), float(self.totals @ (p * (1.0 - p)))
+    def _selected(self, selection) -> np.ndarray | None:
+        """``selection`` as an ``(S,)`` boolean mask over this arena's
+        shards (``None`` = every shard), shape-checked like a value mask."""
+        if selection is None:
+            return None
+        selection = np.asarray(selection)
+        if selection.dtype != bool or selection.shape != (self.num_shards,):
+            raise QueryError(
+                f"shard selection must be a boolean mask of shape "
+                f"({self.num_shards},), got {selection.dtype} {selection.shape}"
+            )
+        return selection
+
+    def merge(self, values: np.ndarray, selection: np.ndarray | None = None):
+        """The one merge: per-shard masked values → per-shard
+        contributions and their sum.
+
+        ``values`` is ``(S,)`` (a COUNT) or ``(S, size)`` (one column per
+        label of a GROUP BY / SUM attribute).  Every row lives in exactly
+        one shard and the shard models are fitted independently, so shard
+        ``s`` contributes the expectation ``n_s · v_s / P_s`` and the
+        Binomial variance ``n_s · p (1 − p)``, ``p = v_s / P_s``, and both
+        add.  ``selection`` keeps the selected shards' contributions only.
+        Returns ``(expectation, variance, (e_s, v_s))`` — the sums, and
+        the per-shard arrays they are the sums of.
+        """
+        column = (slice(None),) + (None,) * (values.ndim - 1)
+        values = np.maximum(values, 0.0)
+        p = np.minimum(values / self.fulls[column], 1.0)
+        expectations = values * self.scales[column]
+        variances = self.totals[column] * (p * (1.0 - p))
+        if selection is not None:
+            expectations, variances = expectations[selection], variances[selection]
+        return (
+            expectations.sum(axis=0),
+            variances.sum(axis=0),
+            (expectations, variances),
+        )
 
     @staticmethod
-    def _mask_key(masks: Mapping[int, np.ndarray]) -> tuple:
-        return tuple((pos, masks[pos].tobytes()) for pos in sorted(masks))
+    def _mask_key(masks: Mapping[int, np.ndarray], selection) -> tuple:
+        key = tuple((pos, masks[pos].tobytes()) for pos in sorted(masks))
+        return key if selection is None else (*key, selection.tobytes())
 
     def estimate_masks_batch(
-        self, masks_list: Sequence[Mapping[int, np.ndarray]]
+        self, masks_list: Sequence[Mapping[int, np.ndarray]], selection=None
     ) -> list[tuple[float, float]]:
-        """``(expectation, variance)`` per mask dict, cache-assisted."""
+        """``(expectation, variance)`` per mask dict over the selected
+        shards (default: all), cache-assisted."""
+        selection = self._selected(selection)
         out = []
         for masks in masks_list:
             masks = self._checked(masks)
-            key = self._mask_key(masks)
+            key = self._mask_key(masks, selection)
             merged = self._cache.get(key)
             if merged is None:
                 self.cache_misses += 1
-                merged = self._merge_count(self._masked_values(masks))
+                expectation, variance, _ = self.merge(
+                    self._masked_values(masks), selection
+                )
+                merged = (float(expectation), float(variance))
                 if len(self._cache) >= CACHE_SIZE:
                     self._cache.clear()
                 self._cache[key] = merged
@@ -326,33 +376,41 @@ class ShardArena:
     # ------------------------------------------------------------------
     # GROUP BY / SUM
     # ------------------------------------------------------------------
-    def _live_mask(self, base_masks: Mapping[int, np.ndarray]) -> np.ndarray:
-        """``(S,)`` — shards whose owned range meets the predicate (all
-        live when round-robin); dead shards are exactly pruned."""
+    def _live_mask(
+        self, base_masks: Mapping[int, np.ndarray], selection=None
+    ) -> np.ndarray:
+        """``(S,)`` — selected shards whose owned range meets the
+        predicate (every selected shard when round-robin); the rest are
+        exactly pruned."""
         constraint = None if self.owned is None else base_masks.get(self.by_pos)
         if constraint is None:
-            return np.ones(self.num_shards, dtype=bool)
-        return (self.owned & constraint).any(axis=1)
+            live = np.ones(self.num_shards, dtype=bool)
+        else:
+            live = (self.owned & constraint).any(axis=1)
+        return live if selection is None else live & selection
 
     def group_by(
         self,
         positions: Sequence[int],
         base_masks: Mapping[int, np.ndarray],
+        selection=None,
     ):
         """Merged GROUP BY COUNT over already-resolved schema positions.
 
         ``base_masks`` are the predicate's per-position masks; masks on
         group attributes act as filters on which labels appear (SQL's
-        filter-then-group), mirroring ``InferenceEngine.group_by`` and
-        the sharding layer's label-union merge.  Returns
-        ``{labels: (expectation, variance)}``.
+        filter-then-group), mirroring ``InferenceEngine.group_by``.  A
+        label is reported when a live selected shard may hold it, and
+        its value sums the selected shards only.  Returns
+        ``{domain indices: (expectation, variance)}``.
         """
         if not positions:
             raise QueryError("group_by needs at least one attribute")
         if len(set(positions)) != len(positions):
             raise QueryError("duplicate group-by attribute")
         masks = self._checked(base_masks)
-        live = self._live_mask(masks)
+        selection = self._selected(selection)
+        live = self._live_mask(masks, selection)
         if not live.any():
             return {}
         allowed = {pos: masks.pop(pos) for pos in positions if pos in masks}
@@ -391,10 +449,10 @@ class ShardArena:
                 row_masks[pos] = point
             # A shard that does not own the combination's value of the
             # shard attribute is exactly 0 here, like a pruned one.
-            numerators = self._gradient_numerators(inner, row_masks)
-            p = np.clip(numerators / self.fulls[:, None], 0.0, 1.0)
-            expectation = (self.scales @ numerators).tolist()
-            variance = (self.totals @ (p * (1.0 - p))).tolist()
+            expectation, variance, _ = self.merge(
+                self._gradient_numerators(inner, row_masks), selection
+            )
+            expectation, variance = expectation.tolist(), variance.tolist()
             reporting = (
                 live if by_axis is None else live & self.owned[:, combo[by_axis]]
             )
@@ -407,9 +465,11 @@ class ShardArena:
         pos: int,
         weights: np.ndarray,
         base_masks: Mapping[int, np.ndarray],
+        selection=None,
     ) -> float:
-        """Merged ``E[Σ w(A_pos)]`` over all shards — mirrors
-        ``InferenceEngine.sum_estimate`` summed with the linearity merge."""
+        """Merged ``E[Σ w(A_pos)]`` over the selected shards (default:
+        all) — ``InferenceEngine.sum_estimate`` per shard, summed by
+        linearity."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape[0] != self.sizes[pos]:
             raise QueryError(
@@ -417,10 +477,12 @@ class ShardArena:
             )
         masks = self._checked(base_masks)
         attr_mask = masks.pop(pos, None)
-        counts = self._gradient_numerators(pos, masks) * self.scales[:, None]
+        counts, _, _ = self.merge(
+            self._gradient_numerators(pos, masks), self._selected(selection)
+        )
         if attr_mask is not None:
             counts = np.where(attr_mask, counts, 0.0)
-        return float(np.sum(np.clip(counts, 0.0, None) @ weights))
+        return float(counts @ weights)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

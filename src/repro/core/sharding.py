@@ -9,7 +9,9 @@ partitions the sky: split the relation into shards, fit one
 queries by evaluating shards independently and merging.
 
 The merge algebra follows from rows belonging to exactly one shard and
-the shard models being fitted independently:
+the shard models being fitted independently; the evaluation itself —
+narrowing a query to each shard, the polynomial passes, the merge —
+lives in one place, :class:`~repro.core.arena.ShardArena`:
 
 * **COUNT** — expectations add: ``E[q] = Σ_s E_s[q]``;
 * **SUM** — same, by linearity;
@@ -26,7 +28,8 @@ Two partitioning schemes:
   into ``n`` contiguous index ranges balanced by row count; a shard
   owns every row whose value falls in its range.  Queries constraining
   the attribute then *prune*: shards whose range misses the predicate
-  contribute an exact zero and are never evaluated.
+  contribute an exact zero (and a cluster frontend never asks their
+  workers).
 
 Sharding keeps the overall model budget constant — the builder divides
 the 2D bucket budget across shards — so the summed solver work often
@@ -40,8 +43,9 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import getitem
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -51,7 +55,7 @@ from repro.core.arena import ShardArena
 from repro.core.summary import EntropySummary
 from repro.data.relation import Relation
 from repro.errors import QueryError, ReproError
-from repro.stats.predicates import Conjunction, RangePredicate, conjunction_from_masks
+from repro.stats.predicates import Conjunction, RangePredicate
 
 #: two-sided 95% normal quantile (matches repro.core.inference).
 _Z95 = 1.959963984540054
@@ -193,15 +197,6 @@ class MergedEstimate:
         )
 
 
-def _merge(estimates, total: int) -> MergedEstimate:
-    expectation = 0.0
-    variance = 0.0
-    for estimate in estimates:
-        expectation += estimate.expectation
-        variance += estimate.variance
-    return MergedEstimate(expectation, variance, total)
-
-
 # ----------------------------------------------------------------------
 # Worker-process build
 # ----------------------------------------------------------------------
@@ -238,9 +233,9 @@ class ShardedSummary:
     """One logical summary made of per-shard MaxEnt models.
 
     Build with :meth:`fit_partitions` (or, at the API layer,
-    ``SummaryBuilder(relation).shards(n, by=...)``).  Queries evaluate
-    every non-pruned shard and merge; see the module docstring for the
-    merge algebra.
+    ``SummaryBuilder(relation).shards(n, by=...)``).  Queries run
+    through the summary's :class:`~repro.core.arena.ShardArena`; see the
+    module docstring for the merge algebra.
     """
 
     def __init__(
@@ -272,13 +267,10 @@ class ShardedSummary:
         else:
             self._by_pos = schema.position(shard_by)
             self._owned = [RangePredicate(low, high) for low, high in ranges]
-        # The contiguous evaluation kernel (built lazily, or eagerly via
-        # warm()) and the persistent shard-fanout pool for the legacy
-        # per-shard path.  Both are derived state: never pickled.
+        # The evaluation kernel: derived state, built lazily (or eagerly
+        # via warm()) and never pickled.
         self._arena: ShardArena | None = None
         self._arena_lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -339,8 +331,8 @@ class ShardedSummary:
     # -- derived evaluation state ----------------------------------------
     @property
     def arena(self) -> ShardArena:
-        """The contiguous cross-shard evaluation kernel (built on first
-        use; :meth:`warm` builds it eagerly at load/publish time)."""
+        """The cross-shard evaluation kernel (built on first use;
+        :meth:`warm` builds it eagerly at load/publish time)."""
         arena = self._arena
         if arena is None:
             with self._arena_lock:
@@ -354,36 +346,9 @@ class ShardedSummary:
         self.arena
         return self
 
-    def _executor(self) -> ThreadPoolExecutor:
-        """The persistent shard-fanout pool (one per summary, created on
-        first parallel batch, shut down by :meth:`close`)."""
-        pool = self._pool
-        if pool is None:
-            with self._pool_lock:
-                pool = self._pool
-                if pool is None:
-                    pool = self._pool = ThreadPoolExecutor(
-                        max_workers=self.num_shards,
-                        thread_name_prefix="repro-shard",
-                    )
-        return pool
-
-    def close(self) -> None:
-        """Deterministically release the shard-fanout pool."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ShardedSummary":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for derived in ("_arena", "_pool", "_arena_lock", "_pool_lock"):
+        for derived in ("_arena", "_arena_lock"):
             state.pop(derived, None)
         return state
 
@@ -391,8 +356,6 @@ class ShardedSummary:
         self.__dict__.update(state)
         self._arena = None
         self._arena_lock = threading.Lock()
-        self._pool = None
-        self._pool_lock = threading.Lock()
 
     # -- introspection ---------------------------------------------------
     @property
@@ -493,57 +456,12 @@ class ShardedSummary:
         ).warm()
 
     # -- shard routing ---------------------------------------------------
-    def shard_conjunctions(
-        self, predicate: Conjunction | None
-    ) -> list[Conjunction | None]:
-        """The conjunction each shard should evaluate; ``None`` = pruned.
-
-        This is the single pruning pass shared by every query path
-        (scalar counts, group-bys, sums, and the planner's routing
-        stage): the predicate's per-attribute masks are derived *once*,
-        then only the shard attribute's mask is intersected with each
-        shard's owned range.  An empty intersection means the shard
-        provably contributes zero and is never evaluated.
-        """
-        if self._owned is None:
-            narrowed = (
-                Conjunction(self.schema, {})
-                if predicate is None or predicate.is_trivial()
-                else predicate
-            )
-            return [narrowed] * self.num_shards
-        size = self.schema.domain(self._by_pos).size
-        if predicate is None or predicate.is_trivial():
-            return [
-                Conjunction(self.schema, {self._by_pos: owned})
-                for owned in self._owned
-            ]
-        base_masks = {
-            pos: predicate.predicate_at(pos).mask(self.schema.domain(pos).size)
-            for pos in predicate.constrained_positions
-        }
-        constraint = base_masks.get(self._by_pos)
-        conjunctions: list[Conjunction | None] = []
-        for owned in self._owned:
-            owned_mask = owned.mask(size)
-            narrowed_mask = (
-                owned_mask if constraint is None else constraint & owned_mask
-            )
-            if not narrowed_mask.any():
-                conjunctions.append(None)
-                continue
-            masks = dict(base_masks)
-            masks[self._by_pos] = narrowed_mask
-            conjunctions.append(conjunction_from_masks(self.schema, masks))
-        return conjunctions
-
     def live_shards(self, predicate: Conjunction | None) -> list[int]:
-        """Indices of the shards a predicate can touch.
-
-        The planner's routing stage calls this once per query, so it
-        only intersects the shard attribute's mask with each owned
-        range — no per-shard conjunctions are built.
-        """
+        """Indices of the shards a predicate can touch — the planner's
+        routing stage (``explain``, and the cluster frontend's fan-out):
+        the shard attribute's mask against each owned range.  Evaluation
+        needs no such list: in the arena a shard the predicate misses is
+        exactly 0."""
         if self._owned is None or predicate is None or predicate.is_trivial():
             return list(range(self.num_shards))
         constraint = predicate.predicate_at(self._by_pos)
@@ -559,7 +477,7 @@ class ShardedSummary:
 
     def _query_masks(self, predicate: Conjunction | None) -> dict:
         """A predicate's per-position masks (schema-checked) for the
-        arena kernel; owned-range folding happens inside the arena."""
+        arena, which narrows them to each shard's owned range itself."""
         if predicate is None or predicate.is_trivial():
             return {}
         if predicate.schema != self.schema:
@@ -571,142 +489,38 @@ class ShardedSummary:
         """Merged estimate of ``SELECT COUNT(*) WHERE predicate``."""
         return self.estimate(predicate)
 
-    def estimate(
-        self, predicate: Conjunction | None, use_arena: bool = True
-    ) -> MergedEstimate:
-        if not use_arena:
-            estimates = [
-                shard.engine.estimate(narrowed)
-                for shard, narrowed in zip(
-                    self.shards, self.shard_conjunctions(predicate)
-                )
-                if narrowed is not None
-            ]
-            return _merge(estimates, self.total)
-        expectation, variance = self.arena.estimate_masks_batch(
-            [self._query_masks(predicate)]
-        )[0]
-        return MergedEstimate(expectation, variance, self.total)
+    def estimate(self, predicate: Conjunction | None) -> MergedEstimate:
+        return self.estimate_batch([predicate])[0]
 
     def estimate_batch(
-        self,
-        predicates: Sequence[Conjunction],
-        parallel: bool | None = None,
-        use_arena: bool = True,
+        self, predicates: Sequence[Conjunction | None]
     ) -> list[MergedEstimate]:
-        """Merged estimates for a batch through the arena.
-
-        The default route runs each query through the one-query kernel
-        of the :class:`~repro.core.arena.ShardArena`, which evaluates
-        every shard at once from the folded constants (batched answers
-        are bit-equal to single ones).  ``use_arena=False``
-        falls back to per-shard engine evaluation; there,
-        ``parallel`` (default: when the machine has more than one core)
-        fans the shard passes across the summary's persistent thread
-        pool — the numpy kernels run outside the GIL.
-        """
-        if use_arena:
-            masks_list = [
-                self._query_masks(predicate) for predicate in predicates
-            ]
-            return [
-                MergedEstimate(expectation, variance, self.total)
-                for expectation, variance in self.arena.estimate_masks_batch(
-                    masks_list
-                )
-            ]
-        predicates = [
-            predicate if predicate is not None else Conjunction(self.schema, {})
-            for predicate in predicates
-        ]
-        for predicate in predicates:
-            if predicate.schema != self.schema:
-                raise QueryError("query predicate uses a different schema")
-        # Masks are shard-invariant: compute each predicate's once and
-        # only intersect the owned range per shard.
-        base_masks = [predicate.attribute_masks() for predicate in predicates]
-        if self._owned is None:
-            owned_masks = None
-        else:
-            size = self.schema.domain(self._by_pos).size
-            owned_masks = [owned.mask(size) for owned in self._owned]
-        expectations = np.zeros(len(predicates))
-        variances = np.zeros(len(predicates))
-
-        def shard_pass(index: int):
-            live: list[int] = []
-            masks_list: list[dict] = []
-            for query_index, masks in enumerate(base_masks):
-                if owned_masks is None:
-                    live.append(query_index)
-                    masks_list.append(masks)
-                    continue
-                constraint = masks.get(self._by_pos)
-                if constraint is None:
-                    narrowed = owned_masks[index]
-                else:
-                    narrowed = constraint & owned_masks[index]
-                    if not narrowed.any():
-                        continue  # pruned: exact zero for this shard
-                shard_masks = dict(masks)
-                shard_masks[self._by_pos] = narrowed
-                live.append(query_index)
-                masks_list.append(shard_masks)
-            if not live:
-                return (), ()
-            estimates = self.shards[index].engine.estimate_masks_batch(masks_list)
-            return live, estimates
-
-        if parallel is None:
-            parallel = (os.cpu_count() or 1) > 1
-        if parallel and self.num_shards > 1:
-            # Persistent pool: constructing an executor per call costs
-            # more than the shard passes themselves on small batches.
-            passes = list(self._executor().map(shard_pass, range(self.num_shards)))
-        else:
-            passes = [shard_pass(index) for index in range(self.num_shards)]
-        for live, estimates in passes:
-            for query_index, estimate in zip(live, estimates):
-                expectations[query_index] += estimate.expectation
-                variances[query_index] += estimate.variance
+        """Merged estimates for a batch: each query runs through the
+        arena's one-query kernel, so batched answers are bit-equal to
+        single ones."""
+        masks_list = [self._query_masks(predicate) for predicate in predicates]
         return [
-            MergedEstimate(float(expectation), float(variance), self.total)
-            for expectation, variance in zip(expectations, variances)
+            MergedEstimate(expectation, variance, self.total)
+            for expectation, variance in self.arena.estimate_masks_batch(masks_list)
         ]
 
     def group_by(
         self,
         attrs: Sequence,
         predicate: Conjunction | None = None,
-        use_arena: bool = True,
     ) -> dict[tuple, MergedEstimate]:
-        """Merged GROUP BY COUNT(*): the union of shard groups, with
-        per-label expectations summed and variances added.  The default
-        route takes each group combination's value vector over every
-        shard from one arena gradient pass; ``use_arena=False`` walks
-        shards one by one."""
-        if use_arena:
-            positions = [self.schema.position(attr) for attr in attrs]
-            results = self.arena.group_by(
-                positions, self._query_masks(predicate)
-            )
-            return {
-                labels: MergedEstimate(expectation, variance, self.total)
-                for labels, (expectation, variance) in results.items()
-            }
-        merged: dict[tuple, list[float]] = {}
-        for shard, narrowed in zip(
-            self.shards, self.shard_conjunctions(predicate)
-        ):
-            if narrowed is None:
-                continue
-            for labels, estimate in shard.group_by(attrs, narrowed).items():
-                cell = merged.setdefault(labels, [0.0, 0.0])
-                cell[0] += estimate.expectation
-                cell[1] += estimate.variance
+        """Merged GROUP BY COUNT(*) over attribute labels: the union of
+        the shards' groups, expectations summed and variances added.
+        The arena keys groups by domain index; this is the one place
+        the in-process surface turns them into labels."""
+        positions = [self.schema.position(attr) for attr in attrs]
+        labels = [self.schema.domain(pos).labels for pos in positions]
+        results = self.arena.group_by(positions, self._query_masks(predicate))
         return {
-            labels: MergedEstimate(expectation, variance, self.total)
-            for labels, (expectation, variance) in merged.items()
+            tuple(map(getitem, labels, key)): MergedEstimate(
+                expectation, variance, self.total
+            )
+            for key, (expectation, variance) in results.items()
         }
 
     def sum_estimate(
@@ -714,22 +528,11 @@ class ShardedSummary:
         attr,
         weights: np.ndarray,
         predicate: Conjunction | None = None,
-        use_arena: bool = True,
     ) -> float:
         """Merged ``E[SUM(w(attr))]`` — per-shard sums add by linearity."""
-        pos = self.schema.position(attr)
-        if use_arena:
-            return self.arena.sum_estimate(
-                pos, weights, self._query_masks(predicate)
-            )
-        total = 0.0
-        for shard, narrowed in zip(
-            self.shards, self.shard_conjunctions(predicate)
-        ):
-            if narrowed is None:
-                continue
-            total += shard.engine.sum_estimate(pos, weights, narrowed)
-        return total
+        return self.arena.sum_estimate(
+            self.schema.position(attr), weights, self._query_masks(predicate)
+        )
 
     def avg_estimate(
         self,

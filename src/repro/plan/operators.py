@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import QueryError
-from repro.query.results import GroupRow, QueryResult
+from repro.query.results import QueryResult, ordered_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.planner import QueryPlan
@@ -95,16 +95,9 @@ class GroupByOp(Operator):
         query = plan.query
         predicate = plan.conjunction_or_none()
         counts = backend.group_counts(query.group_by, predicate)
-        rows = [GroupRow(labels, count) for labels, count in counts.items()]
-        if query.order == "desc":
-            rows.sort(key=lambda row: (-row.count, str(row.labels)))
-        elif query.order == "asc":
-            rows.sort(key=lambda row: (row.count, str(row.labels)))
-        else:
-            rows.sort(key=lambda row: str(row.labels))
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        return QueryResult(query, None, rows)
+        return QueryResult(
+            query, None, ordered_rows(counts, query.order, query.limit)
+        )
 
     def describe(self) -> str:
         return "GroupBy (model-side grouping, order/limit)"

@@ -28,8 +28,9 @@ class Route:
 
     ``detail`` resolves lazily: explain-only bookkeeping (live/pruned
     shard indices, per-shard term costs) is computed on first access,
-    never on the execute path — shard pruning for execution happens
-    exactly once, inside :meth:`ShardedSummary.shard_conjunctions`.
+    never on the in-process execute path — there a shard the predicate
+    misses is exactly 0 inside :class:`~repro.core.arena.ShardArena`;
+    only the cluster frontend reads ``live_shards`` to pick workers.
     """
 
     __slots__ = ("target", "batched", "cost", "cost_unit", "_detail", "_thunk")

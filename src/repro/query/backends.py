@@ -2,7 +2,7 @@
 
 :class:`SummaryBackend` serves a single :class:`EntropySummary`;
 :class:`ShardedBackend` serves a :class:`~repro.core.sharding.ShardedSummary`
-by fanning queries across the shards and merging their answers.
+through its cross-shard arena.
 """
 
 from __future__ import annotations
@@ -84,26 +84,18 @@ class ShardedBackend(Backend):
 
     Same contract as :class:`SummaryBackend` — the SQL engine and the
     Explorer cannot tell the two apart — but each call evaluates every
-    non-pruned shard of a :class:`~repro.core.sharding.ShardedSummary`
-    and combines the answers (counts add, variances add).  Batched
-    entry points fan the per-shard passes across a thread pool when
-    ``parallel`` is enabled (default: machines with more than one
-    core).
+    shard of a :class:`~repro.core.sharding.ShardedSummary` at once in
+    its :class:`~repro.core.arena.ShardArena` and merges (counts add,
+    variances add).
     """
 
     supports_sum = True
     is_exact = False
 
-    def __init__(
-        self,
-        summary: ShardedSummary,
-        rounded: bool = False,
-        parallel: bool | None = None,
-    ):
+    def __init__(self, summary: ShardedSummary, rounded: bool = False):
         self.summary = summary
         self.schema = summary.schema
         self.rounded = rounded
-        self.parallel = parallel
         self.name = summary.name
 
     def value_of(self, estimate: MergedEstimate) -> float:
@@ -122,9 +114,8 @@ class ShardedBackend(Backend):
     def estimate_many(
         self, predicates: Sequence[Conjunction]
     ) -> list[MergedEstimate]:
-        """Batched merged estimates — one vectorized pass per shard,
-        shards evaluated in parallel."""
-        return self.summary.estimate_batch(predicates, parallel=self.parallel)
+        """Batched merged estimates (bit-equal to one at a time)."""
+        return self.summary.estimate_batch(predicates)
 
     def count_many(self, predicates: Sequence[Conjunction]) -> list[float]:
         return [

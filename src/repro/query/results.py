@@ -32,6 +32,23 @@ class GroupRow:
         return f"GroupRow({self.labels!r}, {self.count:g})"
 
 
+def ordered_rows(counts, order: str | None, limit: int | None) -> list[GroupRow]:
+    """``{labels: count}`` → the output rows of a grouped query: ORDER
+    BY cnt (``"desc"`` / ``"asc"`` / None), ties and the unordered case
+    by the label tuple's string form, then LIMIT.  The one copy — the
+    in-process operator and the cluster frontend's merge both call it on
+    the same label objects, so served rows equal in-process rows in
+    order as well as in value."""
+    rows = [GroupRow(labels, count) for labels, count in counts.items()]
+    if order == "desc":
+        rows.sort(key=lambda row: (-row.count, str(row.labels)))
+    elif order == "asc":
+        rows.sort(key=lambda row: (row.count, str(row.labels)))
+    else:
+        rows.sort(key=lambda row: str(row.labels))
+    return rows if limit is None else rows[:limit]
+
+
 class QueryResult:
     """Result of one execution: a scalar or a list of group rows.
 

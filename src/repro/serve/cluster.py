@@ -1,12 +1,14 @@
 """Multi-worker serving tier: a frontend plus shard-affine workers.
 
-One :class:`~repro.serve.server.SummaryServer` is GIL-bound: every
-shard evaluation of every concurrent client competes for a single
-interpreter.  This module promotes ``serve/`` to the LSST shape —
-partition, replicate, route, degrade gracefully — without rewriting
-the stack underneath (the OrpheusDB bolt-on philosophy): the
-:class:`ClusterCoordinator` is a ``SummaryServer`` whose *evaluation*
-step fans out to worker processes instead of touching a backend.
+One :class:`~repro.serve.server.SummaryServer` is one process: a crash
+or a stall in evaluation takes every client with it.  This module
+promotes ``serve/`` to the LSST shape — partition, replicate, route,
+degrade gracefully — without rewriting the stack underneath (the
+OrpheusDB bolt-on philosophy): the :class:`ClusterCoordinator` is a
+``SummaryServer`` whose *evaluation* step fans out to worker processes
+instead of touching a backend.  What that buys is failure isolation;
+on the repo's benchmark it costs latency and CPU against one process
+(docs/serving.md has the numbers).
 
 Topology::
 
@@ -19,20 +21,24 @@ Topology::
 
 * **Sharding** — each worker process owns a balanced, contiguous slice
   of the :class:`~repro.core.sharding.ShardedSummary`'s shards (plus
-  the replicas of its neighbours' slices) and evaluates them with its
-  own models — its own arena, its own caches, its own GIL.
+  the replicas of its neighbours' slices) and evaluates them in one
+  :class:`~repro.core.arena.ShardArena` over exactly those shards
+  (:class:`ShardSlice`) — the evaluator a single process uses, so there
+  is no second copy of narrow / evaluate / merge to keep in step.
 * **Routing** — the frontend plans every query once; the planner's
   ``live_shards`` pruning picks the shards that can contribute, and a
   consistent-hash ring over the canonical cache key picks which
   replica owner answers each shard (:class:`HashRing`): repeats of a
   query land on the same worker, and a worker death only remaps the
   keys it served.
-* **Merging** — workers return *partial* aggregates over the exact
-  per-shard narrowing the single-process merge path uses
-  (:class:`ShardSlice`); the frontend combines them with the same
-  algebra (:func:`merge_partials`): COUNT/SUM expectations add,
-  variances add in quadrature, AVG is the merged ratio estimator, and
-  GROUP BY ORDER/LIMIT applies only after the global merge.
+* **Merging** — a fan-out item names the global indices of the shards
+  a worker should count; that is the arena's shard *selection*, and
+  the worker returns the arena's own merge over it.  Partial sums over
+  disjoint selections add up to the whole answer, so the frontend
+  (:func:`merge_partials`) only finishes the sum: COUNT/SUM
+  expectations add, variances add in quadrature, AVG is the merged
+  ratio estimator, and GROUP BY index keys become labels, then ORDER /
+  LIMIT, only after the global merge.
 * **Degradation** — when every owner of a live shard is dead, the
   frontend still answers: the missing shard contributes a uniform
   prior over its row count (expectation ``t/2``, variance ``t²/12``),
@@ -50,7 +56,6 @@ from __future__ import annotations
 
 import asyncio
 import bisect
-import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -64,21 +69,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.explorer import Explorer
+from repro.core.arena import ShardArena
 from repro.core.sharding import MergedEstimate, ShardedSummary
 from repro.core.summary import EntropySummary
 from repro.errors import QueryError, ReproError
+from repro.query.results import QueryResult, ordered_rows
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import (
     ServeConfig,
     SummaryServer,
     _Generation,
-    _wire_label,
     result_payload,
-)
-from repro.stats.predicates import (
-    Conjunction,
-    RangePredicate,
-    conjunction_from_masks,
 )
 
 #: Environment variable naming a directory for worker stdout/stderr
@@ -170,31 +171,33 @@ class WorkerSpec:
 
 
 class ShardSlice:
-    """The shards one worker owns, evaluated with the exact narrowing
-    and pruning of the single-process :class:`ShardedSummary` merge
-    path — a shard contributes precisely what it would have
-    contributed in one process, so the frontend's merged answers match
-    the single-process answers.
+    """The shards one worker owns — one shard, a contiguous block, or
+    any subset such as 0 and 2 — as **one**
+    :class:`~repro.core.arena.ShardArena` plus the map from global shard
+    index to arena row.  The arena is the evaluator the single-process
+    :class:`ShardedSummary` uses, so a shard contributes here exactly
+    what it contributes there; the frontend says which owned shards each
+    item should count (``shards``, global indices) and that becomes the
+    arena's shard selection.  Built once per worker generation.
     """
 
     def __init__(self, shards, indices, schema, by_pos=None, ranges=None):
         self.shards = list(shards)
         self.indices = list(indices)
         self.schema = schema
-        self.by_pos = by_pos
-        self._owned = (
-            None
-            if ranges is None
-            else [RangePredicate(low, high) for low, high in ranges]
+        self.by_position = by_pos
+        self.owned_ranges = (
+            None if ranges is None else [tuple(owned) for owned in ranges]
         )
         if len(self.shards) != len(self.indices):
             raise ReproError("need exactly one global index per owned shard")
-        if self._owned is not None and len(self._owned) != len(self.shards):
+        if ranges is not None and len(self.owned_ranges) != len(self.shards):
             raise ReproError("need exactly one owned range per owned shard")
         self._local = {
             global_index: local
             for local, global_index in enumerate(self.indices)
         }
+        self.arena = ShardArena(self)
 
     @classmethod
     def from_summary(cls, summary: ShardedSummary, indices) -> "ShardSlice":
@@ -211,110 +214,60 @@ class ShardSlice:
             ),
         )
 
-    def locals_for(self, shards) -> list[int]:
-        """Local positions of the requested global shard indices
-        (unknown indices are ignored — the frontend's assignment is
-        authoritative for what this worker should evaluate)."""
+    def locals_for(self, shards) -> np.ndarray | None:
+        """The arena selection for the requested global shard indices
+        (``None`` = every owned shard).  Unknown indices are ignored —
+        the frontend's assignment is authoritative for what this worker
+        should evaluate — so a selection of none answers exactly 0."""
         if shards is None:
-            return list(range(len(self.shards)))
-        return [
-            self._local[index] for index in shards if index in self._local
-        ]
+            return None
+        selection = np.zeros(len(self.shards), dtype=bool)
+        for index in shards:
+            local = self._local.get(index)
+            if local is not None:
+                selection[local] = True
+        return selection
 
-    def _narrowed(self, predicate, locals_) -> list:
-        """Per-shard conjunction, ``None`` = provably-zero (mirrors
-        :meth:`ShardedSummary.shard_conjunctions` for a subset)."""
-        if self._owned is None:
-            narrowed = (
-                Conjunction(self.schema, {})
-                if predicate is None or predicate.is_trivial()
-                else predicate
-            )
-            return [narrowed] * len(locals_)
-        size = self.schema.domain(self.by_pos).size
-        if predicate is None or predicate.is_trivial():
-            return [
-                Conjunction(self.schema, {self.by_pos: self._owned[local]})
-                for local in locals_
-            ]
-        base_masks = {
-            pos: predicate.predicate_at(pos).mask(self.schema.domain(pos).size)
-            for pos in predicate.constrained_positions
-        }
-        constraint = base_masks.get(self.by_pos)
-        conjunctions = []
-        for local in locals_:
-            owned_mask = self._owned[local].mask(size)
-            narrowed_mask = (
-                owned_mask if constraint is None else constraint & owned_mask
-            )
-            if not narrowed_mask.any():
-                conjunctions.append(None)
-                continue
-            masks = dict(base_masks)
-            masks[self.by_pos] = narrowed_mask
-            conjunctions.append(conjunction_from_masks(self.schema, masks))
-        return conjunctions
-
-    def count(self, predicate, shards=None) -> tuple[float, float]:
+    def count(self, masks=None, shards=None) -> tuple[float, float]:
         """Partial COUNT: summed expectation and variance over the
         requested owned shards."""
-        expectation = variance = 0.0
-        locals_ = self.locals_for(shards)
-        for local, narrowed in zip(locals_, self._narrowed(predicate, locals_)):
-            if narrowed is None:
-                continue
-            estimate = self.shards[local].engine.estimate(narrowed)
-            expectation += estimate.expectation
-            variance += estimate.variance
-        return expectation, variance
+        return self.arena.estimate_masks_batch(
+            [masks or {}], self.locals_for(shards)
+        )[0]
 
-    def sum_value(self, attr, predicate, shards=None) -> float:
+    def sum_value(self, attr, masks=None, shards=None) -> float:
         """Partial ``E[SUM(attr)]`` over the requested owned shards."""
         from repro.query.linear import numeric_weights
 
         pos = self.schema.position(attr)
-        weights = numeric_weights(self.schema.domain(pos))
-        total = 0.0
-        locals_ = self.locals_for(shards)
-        for local, narrowed in zip(locals_, self._narrowed(predicate, locals_)):
-            if narrowed is None:
-                continue
-            total += self.shards[local].engine.sum_estimate(
-                pos, weights, narrowed
-            )
-        return total
+        return self.arena.sum_estimate(
+            pos,
+            numeric_weights(self.schema.domain(pos)),
+            masks or {},
+            self.locals_for(shards),
+        )
 
-    def group(self, attrs, predicate, shards=None) -> dict:
-        """Partial GROUP BY COUNT(*): label → summed expectation over
-        the requested owned shards (no order/limit — global top-k is
-        only defined after the frontend merge)."""
+    def group(self, attrs, masks=None, shards=None) -> dict:
+        """Partial GROUP BY COUNT(*): domain-index key → summed
+        expectation over the requested owned shards.  Labels, order and
+        limit belong to the frontend: global top-k is only defined after
+        its merge."""
         positions = [self.schema.position(attr) for attr in attrs]
-        merged: dict[tuple, float] = {}
-        locals_ = self.locals_for(shards)
-        for local, narrowed in zip(locals_, self._narrowed(predicate, locals_)):
-            if narrowed is None:
-                continue
-            # Engine-level grouping keys by domain *indices* — the same
-            # keys the single-process arena route serves — so merged
-            # cluster rows are byte-identical to single-process rows.
-            for labels, estimate in (
-                self.shards[local].engine.group_by(positions, narrowed).items()
-            ):
-                key = tuple(_wire_label(label) for label in labels)
-                merged[key] = merged.get(key, 0.0) + estimate.expectation
-        return merged
+        groups = self.arena.group_by(
+            positions, masks or {}, self.locals_for(shards)
+        )
+        return {key: expectation for key, (expectation, _) in groups.items()}
 
     def __repr__(self):
         return (
             f"ShardSlice(shards={list(self.indices)}, "
-            f"by={self.shards and self.by_pos})"
+            f"by={self.by_position})"
         )
 
 
 def partial_item(plan) -> dict:
     """Wire-ready fan-out item for one frontend plan: the *canonical*
-    predicate as per-position domain-index masks (no SQL round-trip —
+    predicate as per-position domain-index lists (no SQL round-trip —
     workers evaluate exactly what the frontend planned), plus the
     aggregate shape the merge step needs."""
     query = plan.query
@@ -325,62 +278,78 @@ def partial_item(plan) -> dict:
             str(pos): np.flatnonzero(mask).tolist()
             for pos, mask in conjunction.attribute_masks().items()
         }
-    aggregate = (
-        getattr(query, "aggregate", "count") if query is not None else "count"
-    )
-    if query is not None and query.is_grouped:
-        item = {
+    if query.is_grouped:
+        return {
             "kind": "group",
             "masks": masks,
             "group_by": [str(attr) for attr in query.group_by],
         }
-    elif aggregate in ("sum", "avg"):
-        item = {"kind": aggregate, "masks": masks, "attr": query.aggregate_attr}
-    else:
-        item = {"kind": "count", "masks": masks}
-    return item
+    if query.aggregate in ("sum", "avg"):
+        return {
+            "kind": query.aggregate,
+            "masks": masks,
+            "attr": query.aggregate_attr,
+        }
+    return {"kind": "count", "masks": masks}
 
 
-def _conjunction_from_item(schema, item):
-    """Rebuild the canonical conjunction a fan-out item carries."""
-    masks = item.get("masks") or {}
-    if not masks:
-        return None
+def _item_masks(schema, item) -> dict[int, np.ndarray]:
+    """The dense value masks a fan-out item's index lists stand for.
+    The lists arrive over the wire, so every position and index is
+    range-checked first: unchecked, ``-1`` would select the last domain
+    value and anything else surface as a numpy error."""
+    sizes = schema.sizes()
     dense = {}
-    for pos_text, indices in masks.items():
-        pos = int(pos_text)
-        mask = np.zeros(schema.domain(pos).size, dtype=bool)
-        mask[np.asarray(indices, dtype=np.int64)] = True
+    for pos_text, indices in (item.get("masks") or {}).items():
+        try:
+            pos = int(pos_text)
+        except (TypeError, ValueError):
+            pos = -1
+        if not 0 <= pos < len(sizes):
+            raise QueryError(f"item mask on attribute {pos_text!r}: no such position")
+        indices = np.asarray(indices).ravel()
+        if indices.size and (
+            indices.dtype.kind not in "iu"
+            or indices.min() < 0
+            or indices.max() >= sizes[pos]
+        ):
+            raise QueryError(
+                f"item mask on attribute {pos} needs domain indices in "
+                f"[0, {sizes[pos]})"
+            )
+        mask = np.zeros(sizes[pos], dtype=bool)
+        mask[indices.astype(np.intp)] = True
         dense[pos] = mask
-    return conjunction_from_masks(schema, dense)
+    return dense
 
 
 def compute_partial(shard_slice: ShardSlice, item: dict) -> dict:
     """One worker-side partial aggregate for one fan-out item."""
     kind = item.get("kind", "count")
-    conjunction = _conjunction_from_item(shard_slice.schema, item)
+    masks = _item_masks(shard_slice.schema, item)
     shards = item.get("shards")
     if kind == "count":
-        expectation, variance = shard_slice.count(conjunction, shards)
-        return {"kind": "count", "e": float(expectation), "v": float(variance)}
+        expectation, variance = shard_slice.count(masks, shards)
+        return {"kind": "count", "e": expectation, "v": variance}
     if kind == "sum":
-        total = shard_slice.sum_value(item["attr"], conjunction, shards)
-        return {"kind": "sum", "s": float(total)}
+        return {
+            "kind": "sum",
+            "s": shard_slice.sum_value(item["attr"], masks, shards),
+        }
     if kind == "avg":
-        total = shard_slice.sum_value(item["attr"], conjunction, shards)
-        expectation, variance = shard_slice.count(conjunction, shards)
+        expectation, variance = shard_slice.count(masks, shards)
         return {
             "kind": "avg",
-            "s": float(total),
-            "e": float(expectation),
-            "v": float(variance),
+            "s": shard_slice.sum_value(item["attr"], masks, shards),
+            "e": expectation,
+            "v": variance,
         }
     if kind == "group":
-        merged = shard_slice.group(item["group_by"], conjunction, shards)
+        groups = shard_slice.group(item["group_by"], masks, shards)
         return {
             "kind": "group",
-            "labels": [list(labels) for labels in merged],
-            "counts": np.asarray(list(merged.values()), dtype=np.float64),
+            "labels": [list(key) for key in groups],
+            "counts": np.asarray(list(groups.values()), dtype=np.float64),
         }
     raise QueryError(f"unknown partial kind {kind!r}")
 
@@ -394,11 +363,12 @@ def merge_partials(
     total: int,
     rounded: bool = False,
 ) -> dict:
-    """Frontend merge: worker partials → the same wire payload the
-    single-process server produces, via the same algebra (expectations
-    and variances add; AVG is merged SUM over merged COUNT; GROUP BY
-    order/limit applies after the global merge; ``rounded`` applies
-    only here, to the merged values).
+    """Frontend merge: worker partials → the wire payload the
+    single-process server produces.  Each partial is already the arena's
+    merge over the shards one worker was asked for, so what is left is
+    to add them (expectations and variances add; AVG is merged SUM over
+    merged COUNT), turn GROUP BY index keys into labels, round, and only
+    then order and limit.
 
     ``degraded_totals`` carries the row counts of live shards no
     surviving worker covers: each contributes a uniform prior over
@@ -408,6 +378,7 @@ def merge_partials(
     for partial in partials:
         if partial.get("kind") == "error":
             raise QueryError(str(partial.get("error", "worker partial failed")))
+    query = plan.query
     kind = spec["kind"]
     if kind in ("count", "avg"):
         expectation = sum(partial["e"] for partial in partials)
@@ -416,59 +387,40 @@ def merge_partials(
             expectation += missing_total / 2.0
             variance += (missing_total * missing_total) / 12.0
         merged = MergedEstimate(expectation, variance, total)
-        count_value = (
-            float(merged.rounded) if rounded else float(merged.expectation)
-        )
+        count = float(merged.rounded) if rounded else merged.expectation
         if kind == "count":
-            low, high = merged.ci95
-            payload = {
-                "kind": "scalar",
-                "value": count_value,
-                "std": float(merged.std),
-                "ci95": [float(low), float(high)],
-            }
+            result = QueryResult(query, count, None, merged)
+        elif count <= 0:
+            raise QueryError("AVG undefined: no rows match the predicate")
         else:
-            if count_value <= 0:
-                raise QueryError("AVG undefined: no rows match the predicate")
             merged_sum = sum(partial["s"] for partial in partials)
-            payload = {"kind": "scalar", "value": float(merged_sum / count_value)}
+            result = QueryResult(query, merged_sum / count, None)
     elif kind == "sum":
-        payload = {
-            "kind": "scalar",
-            "value": float(sum(partial["s"] for partial in partials)),
-        }
+        result = QueryResult(
+            query, sum(partial["s"] for partial in partials), None
+        )
     elif kind == "group":
-        query = plan.query
-        merged_counts: dict[tuple, float] = {}
+        schema = plan.predicate.schema
+        domains = [schema.domain(attr) for attr in query.group_by]
+        by_index: dict[tuple, float] = {}
         for partial in partials:
-            counts = np.asarray(partial.get("counts", ()), dtype=np.float64)
-            for labels, count in zip(partial.get("labels", ()), counts):
-                key = tuple(labels)
-                merged_counts[key] = merged_counts.get(key, 0.0) + float(count)
-        if rounded:
-            from repro.core.inference import round_half_up
-
-            merged_counts = {
-                key: float(round_half_up(count))
-                for key, count in merged_counts.items()
-            }
-        rows = list(merged_counts.items())
-        if query.order == "desc":
-            rows.sort(key=lambda row: (-row[1], str(row[0])))
-        elif query.order == "asc":
-            rows.sort(key=lambda row: (row[1], str(row[0])))
-        else:
-            rows.sort(key=lambda row: str(row[0]))
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        payload = {
-            "kind": "rows",
-            "group_by": list(query.group_by),
-            "labels": [list(labels) for labels, _ in rows],
-            "counts": np.asarray([count for _, count in rows], dtype=np.float64),
+            for key, count in zip(
+                partial.get("labels", ()), partial.get("counts", ())
+            ):
+                key = tuple(key)
+                by_index[key] = by_index.get(key, 0.0) + float(count)
+        counts = {
+            tuple(
+                domain.label_of(index) for domain, index in zip(domains, key)
+            ): float(MergedEstimate(count, 0.0, total).rounded) if rounded else count
+            for key, count in by_index.items()
         }
+        result = QueryResult(
+            query, None, ordered_rows(counts, query.order, query.limit)
+        )
     else:
         raise QueryError(f"unknown partial kind {kind!r}")
+    payload = result_payload(result)
     if degraded_totals:
         payload["degraded"] = True
     return payload
@@ -479,24 +431,21 @@ def merge_partials(
 # ----------------------------------------------------------------------
 
 def _model_for_slice(shard_slice: ShardSlice, name: str):
-    """The slice as a servable model: a subset ``ShardedSummary`` when
-    the worker owns two or more shards (same merge semantics, own
-    arena), the bare shard otherwise."""
+    """The slice as the model behind the worker's inherited ops
+    (``ping`` / ``stats`` / ``describe`` / a direct ``query``): a subset
+    ``ShardedSummary`` when the worker owns two or more shards, the bare
+    shard otherwise.  ``partial_batch`` never touches it."""
     if len(shard_slice.shards) >= 2:
         shard_by = (
             None
-            if shard_slice.by_pos is None
-            else shard_slice.schema.attribute_names[shard_slice.by_pos]
+            if shard_slice.by_position is None
+            else shard_slice.schema.attribute_names[shard_slice.by_position]
         )
         return ShardedSummary(
             shard_slice.shards,
             name=name,
             shard_by=shard_by,
-            ranges=(
-                None
-                if shard_slice._owned is None
-                else [(owned.low, owned.high) for owned in shard_slice._owned]
-            ),
+            ranges=shard_slice.owned_ranges,
         )
     return shard_slice.shards[0]
 
@@ -593,10 +542,8 @@ class ShardWorkerServer(SummaryServer):
         return await super()._dispatch(client, request)
 
     def _compute_partials(self, shard_slice: ShardSlice, items: list) -> list:
-        began = time.perf_counter()
         self._inject_backend_chaos()
         partials = []
-        touched: set[int] = set()
         for item in items:
             try:
                 partials.append(compute_partial(shard_slice, item))
@@ -609,18 +556,6 @@ class ShardWorkerServer(SummaryServer):
                         "error": f"{type(error).__name__}: {error}",
                     }
                 )
-            shards = item.get("shards")
-            touched.update(
-                shard_slice.indices if shards is None else shards
-            )
-        ms = self.config.shard_service_ms
-        if ms:
-            owned_touched = touched.intersection(shard_slice.indices)
-            remaining = ms * len(owned_touched) / 1e3 - (
-                time.perf_counter() - began
-            )
-            if remaining > 0:
-                time.sleep(remaining)
         return partials
 
 
@@ -860,7 +795,6 @@ class ClusterCoordinator(SummaryServer):
         return [handle.port for handle in self._handles]
 
     def _worker_config_fields(self) -> dict:
-        cfg = self.config
         return dict(
             host="127.0.0.1",
             port=0,  # always ephemeral; the ready message reports it
@@ -870,7 +804,6 @@ class ClusterCoordinator(SummaryServer):
             rounded=False,  # rounding applies to merged values only
             binary=True,
             trace_ring=0,
-            shard_service_ms=cfg.shard_service_ms,
         )
 
     def _worker_spec(self, worker_id: int) -> WorkerSpec:

@@ -117,15 +117,6 @@ class ServeConfig:
     #: JSONL file the slow-query log appends to (--slow-query-log);
     #: None keeps entries only in the in-memory ring.
     slow_query_log: str | None = None
-    #: Calibrated per-shard service time in milliseconds
-    #: (--shard-service-ms); None disables.  When set, every evaluation
-    #: flush is floored at ``shard_service_ms x resident shards`` —
-    #: a deterministic stand-in for the per-shard disk/CPU service time
-    #: of summaries too large to stay hot (the LSST sizing shape).  The
-    #: cluster scaling curve (docs/serving.md) is measured under this
-    #: floor so the 1-vs-N comparison is runner-independent: each
-    #: worker pays only for the shard slice it owns.
-    shard_service_ms: float | None = None
 
     def validated(self) -> "ServeConfig":
         """Range-check every knob; errors name the CLI flag at fault."""
@@ -151,10 +142,6 @@ class ServeConfig:
             (
                 self.slow_query_ms is None or self.slow_query_ms >= 0,
                 "slow_query_ms (--slow-query-ms) must be >= 0",
-            ),
-            (
-                self.shard_service_ms is None or self.shard_service_ms >= 0,
-                "shard_service_ms (--shard-service-ms) must be >= 0",
             ),
         ]
         for ok, message in checks:
@@ -1079,24 +1066,6 @@ class SummaryServer:
             chaos.act("server.worker_kill")
             chaos.act("server.backend")
 
-    def _service_floor_s(self, generation: _Generation) -> float:
-        """Synthetic per-flush service floor: ``shard_service_ms`` times
-        the shards resident in this generation's backend.  Models the
-        per-shard service time of disk-resident summaries; a cluster
-        worker pays only for its owned slice (see docs/serving.md)."""
-        ms = self.config.shard_service_ms
-        if not ms:
-            return 0.0
-        summary = getattr(generation.explorer.backend, "summary", None)
-        return ms * getattr(summary, "num_shards", 1) / 1e3
-
-    def _pay_service_floor(self, generation: _Generation, began: float) -> None:
-        remaining = self._service_floor_s(generation) - (
-            time.perf_counter() - began
-        )
-        if remaining > 0:
-            time.sleep(remaining)
-
     def _execute_plan(self, generation: _Generation, plan):
         """The non-coalesced executor path (chaos hooks included)."""
         self._inject_backend_chaos()
@@ -1106,10 +1075,7 @@ class SummaryServer:
         """Payload of one plan outside the coalescer (executor thread).
         The override point the cluster frontend uses to fan a single
         uncoalesced query out to its workers."""
-        began = time.perf_counter()
-        result = self._execute_plan(generation, plan)
-        self._pay_service_floor(generation, began)
-        return result_payload(result)
+        return result_payload(self._execute_plan(generation, plan))
 
     def _execute_items(self, items: list) -> list:
         """One coalesced flush: group by generation, run each group
@@ -1118,7 +1084,6 @@ class SummaryServer:
         JSON-ready payloads — each unique result is serialized and
         cached exactly once here, however many waiters coalesced on it.
         """
-        began = time.perf_counter()
         self._inject_backend_chaos()
         payloads: list = [None] * len(items)
         groups: dict[int, list[int]] = {}
@@ -1146,8 +1111,6 @@ class SummaryServer:
                     (generation.version, items[index][1].cache_key), payload
                 )
                 payloads[index] = payload
-        if items:
-            self._pay_service_floor(items[0][0], began)
         return payloads
 
     # -- introspection -------------------------------------------------------

@@ -3,14 +3,14 @@
 
 The arena folds the fitted shard parameters into constants once and
 redoes, per query, only the factors a mask constrains: every query
-answered through it must match the per-shard engine path
-(``use_arena=False``) to floating-point noise — COUNT, GROUP BY, SUM
-and AVG, with and without attribute-partitioned pruning
-(``TestKernelDifferential`` is the Hypothesis form of that claim).  The
-folded constants must never go stale or race (``TestFoldedConstants``),
-and the lifecycle pieces (lazy build, ``warm``, hot-swap rebuild,
-pickling, the persistent fanout pool's deterministic shutdown) are
-covered here too.
+answered through it must match the per-shard reference walk
+(``tests/reference.py``) to floating-point noise — COUNT, GROUP BY, SUM
+and AVG, with and without attribute-partitioned pruning, over the whole
+summary and, through a cluster worker's ``ShardSlice``, over any subset
+of it (``TestKernelDifferential`` is the Hypothesis form of that claim).
+The folded constants must never go stale or race
+(``TestFoldedConstants``), and the lifecycle pieces (lazy build,
+``warm``, hot-swap rebuild, pickling) are covered here too.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.api import SummaryStore
+from repro.api import Explorer, SummaryStore
 from repro.core.arena import ShardArena
 from repro.core.polynomial import CompressedPolynomial
 from repro.core.sharding import ShardedSummary
@@ -34,14 +34,21 @@ from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError
 from repro.ingest import IngestPipeline
+from repro.plan.canonical import canonicalize_conjunction
+from repro.query.ast import CountQuery
+from repro.query.linear import numeric_weights
 from repro.serve import ServeConfig, SummaryServer
+from repro.serve.cluster import compute_partial
+from repro.serve.server import result_payload
 from repro.stats.predicates import (
     Conjunction,
     RangePredicate,
     conjunction_from_masks,
 )
 from repro.stats.statistic import StatisticSet, range_statistic_2d
+from tests import reference
 from tests.conftest import parameters_for, relations_with_stats, schemas
+from tests.test_cluster import frontend_merge, worker_slices
 from tests.test_sharding import _fit
 
 
@@ -103,66 +110,62 @@ def _predicates(schema):
 
 
 # ----------------------------------------------------------------------
-# Equivalence with the legacy per-shard path
+# Equivalence with the per-shard reference
 # ----------------------------------------------------------------------
 
+def _assert_groups_match(actual, expected):
+    """``{labels: MergedEstimate}`` against the reference's
+    ``{labels: (expectation, variance)}``."""
+    assert set(actual) == set(expected)
+    for labels, (expectation, variance) in expected.items():
+        assert _close(actual[labels].expectation, expectation)
+        assert _close(actual[labels].variance, variance)
+
+
 class TestArenaEquivalence:
+    """"legacy" in these names is the per-shard walk that used to be a
+    second evaluation path in ``core/sharding.py`` and now lives in
+    ``tests/reference.py``."""
+
     def test_count_matches_legacy(self, sharded):
         for predicate in _predicates(sharded.schema):
             via_arena = sharded.estimate(predicate)
-            legacy = sharded.estimate(predicate, use_arena=False)
-            assert via_arena.expectation == pytest.approx(
-                legacy.expectation, rel=1e-9, abs=1e-9
-            )
-            assert via_arena.variance == pytest.approx(
-                legacy.variance, rel=1e-9, abs=1e-9
-            )
+            expectation, variance = reference.count(sharded, predicate)
+            assert _close(via_arena.expectation, expectation)
+            assert _close(via_arena.variance, variance)
 
     def test_batch_matches_legacy(self, sharded):
         predicates = _predicates(sharded.schema)
-        batch = sharded.estimate_batch(predicates)
-        legacy = sharded.estimate_batch(predicates, use_arena=False)
-        for via_arena, expected in zip(batch, legacy):
-            assert via_arena.expectation == pytest.approx(
-                expected.expectation, rel=1e-9, abs=1e-9
-            )
-            assert via_arena.variance == pytest.approx(
-                expected.variance, rel=1e-9, abs=1e-9
-            )
+        for via_arena, predicate in zip(
+            sharded.estimate_batch(predicates), predicates
+        ):
+            expectation, variance = reference.count(sharded, predicate)
+            assert _close(via_arena.expectation, expectation)
+            assert _close(via_arena.variance, variance)
 
     @pytest.mark.parametrize("attrs", [("A",), ("C",), ("A", "C"), ("B",)])
     def test_group_by_matches_legacy(self, sharded, attrs):
         for predicate in (None, _predicates(sharded.schema)[3]):
-            via_arena = sharded.group_by(attrs, predicate)
-            legacy = sharded.group_by(attrs, predicate, use_arena=False)
-            assert set(via_arena) == set(legacy)
-            for labels, expected in legacy.items():
-                assert via_arena[labels].expectation == pytest.approx(
-                    expected.expectation, rel=1e-9, abs=1e-9
-                )
-                assert via_arena[labels].variance == pytest.approx(
-                    expected.variance, rel=1e-9, abs=1e-9
-                )
+            _assert_groups_match(
+                sharded.group_by(attrs, predicate),
+                reference.group_by(sharded, attrs, predicate),
+            )
 
     def test_group_by_sharding_attribute(self, by_attribute):
         """Grouping by the partitioned attribute: each shard contributes
         only the labels inside its owned range."""
-        via_arena = by_attribute.group_by(("B",))
-        legacy = by_attribute.group_by(("B",), use_arena=False)
-        assert set(via_arena) == set(legacy)
-        for labels, expected in legacy.items():
-            assert via_arena[labels].expectation == pytest.approx(
-                expected.expectation, rel=1e-9, abs=1e-9
-            )
+        _assert_groups_match(
+            by_attribute.group_by(("B",)),
+            reference.group_by(by_attribute, ("B",)),
+        )
 
     def test_sum_and_avg_match_legacy(self, sharded):
         weights = np.arange(sharded.schema.domain("A").size, dtype=float)
         for predicate in _predicates(sharded.schema):
-            via_arena = sharded.sum_estimate("A", weights, predicate)
-            legacy = sharded.sum_estimate(
-                "A", weights, predicate, use_arena=False
+            assert _close(
+                sharded.sum_estimate("A", weights, predicate),
+                reference.sum_estimate(sharded, "A", weights, predicate),
             )
-            assert via_arena == pytest.approx(legacy, rel=1e-9, abs=1e-9)
         assert sharded.avg_estimate("A", weights) == pytest.approx(
             sharded.sum_estimate("A", weights) / sharded.total, rel=1e-9
         )
@@ -170,7 +173,7 @@ class TestArenaEquivalence:
     def test_pruned_shards_contribute_exact_zero(self, by_attribute):
         """A predicate confined to one owned range zeroes the other
         shards' polynomials — implicit pruning, same result as the
-        legacy explicit skip."""
+        reference's explicit skip."""
         self._check_pruned(by_attribute)
 
     def test_pruned_shards_are_exactly_zero_inside_a_component(self, by_component):
@@ -181,10 +184,8 @@ class TestArenaEquivalence:
         low, high = sharded.owned_ranges[0]
         predicate = Conjunction(sharded.schema, {"B": RangePredicate(low, high)})
         via_arena = sharded.estimate(predicate)
-        legacy = sharded.estimate(predicate, use_arena=False)
-        assert via_arena.expectation == pytest.approx(
-            legacy.expectation, rel=1e-9, abs=1e-9
-        )
+        assert list(reference.count_parts(sharded, predicate)) == [0]
+        assert _close(via_arena.expectation, reference.count(sharded, predicate)[0])
         masks = predicate.attribute_masks()
         per_shard = sharded.arena._masked_values(masks)
         assert per_shard[0] > 0.0 and not per_shard[1:].any()
@@ -199,7 +200,7 @@ class TestArenaEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Lifecycle: build, cache, hot swap, pickling, shutdown
+# Lifecycle: build, cache, hot swap, pickling
 # ----------------------------------------------------------------------
 
 class TestArenaLifecycle:
@@ -246,30 +247,12 @@ class TestArenaLifecycle:
 
     def test_pickle_round_trip_drops_derived_state(self, relation):
         sharded = _fit(relation, num_shards=3).warm()
-        sharded.estimate_batch(
-            _predicates(sharded.schema), parallel=True, use_arena=False
-        )  # spin up the pool so there is derived state to drop
         clone = pickle.loads(pickle.dumps(sharded))
-        assert clone._arena is None and clone._pool is None
+        assert sharded._arena is not None and clone._arena is None
         original = sharded.estimate(_predicates(sharded.schema)[4])
         revived = clone.estimate(_predicates(clone.schema)[4])
         assert revived.expectation == pytest.approx(
             original.expectation, rel=1e-12
-        )
-
-    def test_close_is_deterministic_and_idempotent(self, relation):
-        with _fit(relation, num_shards=3) as sharded:
-            sharded.estimate_batch(
-                _predicates(sharded.schema)[:3], parallel=True, use_arena=False
-            )
-            pool = sharded._pool
-            assert pool is not None
-        assert sharded._pool is None
-        assert pool._shutdown  # the exit closed it
-        sharded.close()  # second close is a no-op
-        # Queries still work after close — a fresh pool spins up lazily.
-        assert sharded.estimate(None).expectation == pytest.approx(
-            float(sharded.total)
         )
 
     def test_save_load_round_trip_warms(self, relation, tmp_path):
@@ -395,58 +378,72 @@ def _close(actual, expected):
     return actual == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+def _predicates_for(summary, draw):
+    """The trivial predicate, three random ones and — on a range-sharded
+    model — one that prunes every shard but one."""
+    schema, sizes, by_pos = summary.schema, summary.schema.sizes(), summary.by_position
+    mask_sets = [{}] + [_random_masks(draw, summary) for _ in range(3)]
+    if by_pos is not None:
+        low, high = draw(st.sampled_from(summary.owned_ranges))
+        only = np.zeros(sizes[by_pos], dtype=bool)
+        only[draw(st.integers(low, high))] = True
+        mask_sets.append(_random_masks(draw, summary, {by_pos: only}))
+    return [conjunction_from_masks(schema, masks) for masks in mask_sets]
+
+
+def _groupings(summary):
+    """Every attribute alone, and a pair both ways round: the shard
+    attribute as the inner and as the outer group axis."""
+    names, by_pos = summary.schema.attribute_names, summary.by_position
+    other = 0 if by_pos != 0 else 1
+    pair = (names[other], names[by_pos if by_pos is not None else 1 - other])
+    return [(name,) for name in names] + [pair, pair[::-1]]
+
+
 class TestKernelDifferential:
     @given(sharded_models(), st.data())
     def test_matches_the_per_shard_reference(self, summary, data):
         schema, sizes = summary.schema, summary.schema.sizes()
-        by_pos, arena = summary.by_position, summary.arena
-        mask_sets = [{}] + [_random_masks(data.draw, summary) for _ in range(3)]
-        if by_pos is not None:
-            # A predicate that prunes every shard but one.
-            low, high = data.draw(st.sampled_from(summary.owned_ranges))
-            only = np.zeros(sizes[by_pos], dtype=bool)
-            only[data.draw(st.integers(low, high))] = True
-            mask_sets.append(_random_masks(data.draw, summary, {by_pos: only}))
-        predicates = [conjunction_from_masks(schema, masks) for masks in mask_sets]
+        arena = summary.arena
+        predicates = _predicates_for(summary, data.draw)
 
-        # COUNT, one at a time and batched (bit-equal: one kernel).
+        # COUNT, one at a time and batched (bit-equal: one kernel), and
+        # shard by shard: the merge's contributions are the reference's.
         singles = [summary.estimate(predicate) for predicate in predicates]
         arena.clear_cache()
         batch = summary.estimate_batch(predicates)
         for single, batched, predicate in zip(singles, batch, predicates):
             assert batched.expectation == single.expectation
             assert batched.variance == single.variance
-            reference = summary.estimate(predicate, use_arena=False)
-            assert _close(single.expectation, reference.expectation)
-            assert _close(single.variance, reference.variance)
-        if by_pos is None:
+            expectation, variance = reference.count(summary, predicate)
+            assert _close(single.expectation, expectation)
+            assert _close(single.variance, variance)
+            parts = reference.count_parts(summary, predicate)
+            _, _, contributions = arena.merge(
+                arena._masked_values(predicate.attribute_masks())
+            )
+            for index, part in enumerate(zip(*contributions)):
+                assert _close(part, parts.get(index, (0.0, 0.0)))
+        if summary.by_position is None:
             # No masks at all: n, straight from the folded constants.
             assert _close(singles[0].expectation, float(summary.total))
 
         # GROUP BY on every attribute, and on two: the shard attribute as
         # inner and as outer; the masks filter group attributes too.
-        names = schema.attribute_names
-        groupings = [(name,) for name in names]
-        other = 0 if by_pos != 0 else 1
-        pair = (names[other], names[by_pos if by_pos is not None else 1 - other])
-        groupings += [pair, pair[::-1]]
-        for attrs in groupings:
+        for attrs in _groupings(summary):
             for predicate in predicates:
-                via_arena = summary.group_by(attrs, predicate)
-                reference = summary.group_by(attrs, predicate, use_arena=False)
-                assert set(via_arena) == set(reference)
-                for labels, expected in reference.items():
-                    assert _close(via_arena[labels].expectation, expected.expectation)
-                    assert _close(via_arena[labels].variance, expected.variance)
+                _assert_groups_match(
+                    summary.group_by(attrs, predicate),
+                    reference.group_by(summary, attrs, predicate),
+                )
 
         # SUM / AVG over every attribute, the shard attribute included.
-        for name, size in zip(names, sizes):
+        for name, size in zip(schema.attribute_names, sizes):
             weights = np.arange(size) + 1.0
             for predicate, count in zip(predicates, singles):
                 total = summary.sum_estimate(name, weights, predicate)
                 assert _close(
-                    total,
-                    summary.sum_estimate(name, weights, predicate, use_arena=False),
+                    total, reference.sum_estimate(summary, name, weights, predicate)
                 )
                 # AVG of the whole relation divides by n, not by COUNT.
                 rows = (
@@ -464,6 +461,112 @@ class TestKernelDifferential:
         assert arena.estimate_masks_batch([nothing]) == [(0.0, 0.0)]
         assert arena.sum_estimate(target, np.ones(sizes[target]), nothing) == 0.0
         assert set(arena.group_by([target], nothing).values()) <= {(0.0, 0.0)}
+
+    @given(sharded_models(), st.data())
+    def test_worker_partials_match_the_reference_and_the_arena(self, summary, data):
+        """The cluster's path — ``partial_item`` → one ``compute_partial``
+        per worker over the shards routed to it → ``merge_partials`` —
+        under any shard→worker assignment: replicas (so an item asks a
+        worker for a subset of what it owns), one-shard workers,
+        non-adjacent ownership, and a dead worker whose uncovered shards
+        degrade to their uniform prior."""
+        schema, num_shards = summary.schema, summary.num_shards
+        workers = data.draw(st.integers(1, num_shards + 1))
+        assignment = data.draw(
+            st.lists(
+                st.lists(
+                    st.integers(0, workers - 1), min_size=1, max_size=3, unique=True
+                ),
+                min_size=num_shards,
+                max_size=num_shards,
+            )
+        )
+        live = set(range(workers)) - {data.draw(st.integers(0, workers))}
+        covered = {
+            shard
+            for shard, owners in enumerate(assignment)
+            if live.intersection(owners)
+        }
+        slices = worker_slices(summary, assignment)
+        planner = Explorer.attach(summary).planner
+
+        def merged(query, predicate):
+            plan = planner.plan(
+                query, predicate=canonicalize_conjunction(predicate, schema)
+            )
+            lost = [
+                summary.shards[shard].total
+                for shard in plan.route.detail["live_shards"]
+                if shard not in covered
+            ]
+            payload = frontend_merge(
+                summary, plan, assignment, live, slices=slices,
+                pick=lambda owners: data.draw(st.sampled_from(owners)),
+            )
+            assert payload.get("degraded", False) == bool(lost)
+            whole = None if lost else result_payload(planner.execute(plan))
+            return payload, lost, whole
+
+        for predicate in _predicates_for(summary, data.draw):
+            # COUNT: the covered shards' reference plus the lost shards'
+            # priors (t / 2, t² / 12); nothing lost, the whole arena's.
+            payload, lost, whole = merged(CountQuery("R"), predicate)
+            expectation, variance = reference.count(summary, predicate, covered)
+            count = expectation + sum(t / 2.0 for t in lost)
+            assert _close(payload["value"], count)
+            assert _close(
+                payload["std"] ** 2, variance + sum(t * t / 12.0 for t in lost)
+            )
+            if whole is not None:
+                assert _close(payload["value"], whole["value"])
+                assert _close(payload["ci95"], whole["ci95"])
+
+            for attrs in _groupings(summary):
+                payload, _, whole = merged(CountQuery("R", group_by=attrs), predicate)
+                groups = dict(
+                    zip(map(tuple, payload["labels"]), payload["counts"].tolist())
+                )
+                expected = reference.group_by(summary, attrs, predicate, covered)
+                assert set(groups) == set(expected)
+                for labels, (value, _) in expected.items():
+                    assert _close(groups[labels], value)
+                if whole is not None:
+                    assert payload["labels"] == whole["labels"]
+                    assert _close(payload["counts"], whole["counts"])
+
+            for name in schema.attribute_names:
+                weights = numeric_weights(schema.domain(name))
+                total = reference.sum_estimate(
+                    summary, name, weights, predicate, covered
+                )
+                payload, _, whole = merged(
+                    CountQuery("R", aggregate="sum", aggregate_attr=name), predicate
+                )
+                assert _close(payload["value"], total)
+                if whole is not None:
+                    assert _close(payload["value"], whole["value"])
+                if count > 1e-6:
+                    payload, _, whole = merged(
+                        CountQuery("R", aggregate="avg", aggregate_attr=name),
+                        predicate,
+                    )
+                    assert _close(payload["value"], total / count)
+                    if whole is not None:
+                        assert _close(payload["value"], whole["value"])
+
+        # Shards the worker does not own are not its to answer for: exactly 0.
+        shard_slice = next(iter(slices.values()))
+        unknown = {"shards": [num_shards, num_shards + 7], "masks": {}}
+        assert compute_partial(shard_slice, {"kind": "count", **unknown}) == {
+            "kind": "count", "e": 0.0, "v": 0.0,
+        }
+        name = schema.attribute_names[0]
+        assert compute_partial(
+            shard_slice, {"kind": "sum", "attr": name, **unknown}
+        ) == {"kind": "sum", "s": 0.0}
+        assert not compute_partial(
+            shard_slice, {"kind": "group", "group_by": [name], **unknown}
+        )["labels"]
 
 
 # ----------------------------------------------------------------------
@@ -497,20 +600,19 @@ def _assert_arena_current(summary):
     assert _answers(summary.arena, schema) == _answers(ShardArena(summary), schema)
     for predicate in _predicates(schema):
         for attrs in (("A",), ("B",), ("C", "B")):
-            reference = summary.group_by(attrs, predicate, use_arena=False)
-            via_arena = summary.group_by(attrs, predicate)
-            assert set(via_arena) == set(reference)
-            for labels, expected in reference.items():
-                assert _close(via_arena[labels].expectation, expected.expectation)
+            _assert_groups_match(
+                summary.group_by(attrs, predicate),
+                reference.group_by(summary, attrs, predicate),
+            )
         for name in ("A", "B"):
             weights = np.arange(schema.domain(name).size) + 1.0
             assert _close(
                 summary.sum_estimate(name, weights, predicate),
-                summary.sum_estimate(name, weights, predicate, use_arena=False),
+                reference.sum_estimate(summary, name, weights, predicate),
             )
         assert _close(
             summary.estimate(predicate).expectation,
-            summary.estimate(predicate, use_arena=False).expectation,
+            reference.count(summary, predicate)[0],
         )
 
 

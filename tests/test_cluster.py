@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Explorer, SummaryBuilder, SummaryStore
+from repro.data.binning import Bucket
 from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -46,6 +47,8 @@ from repro.serve.cluster import (
     partial_item,
 )
 from repro.serve.server import result_payload
+from repro.stats.predicates import conjunction_from_masks
+from tests import reference
 
 # ----------------------------------------------------------------------
 # Fixtures
@@ -128,41 +131,58 @@ def _close(a, b, tol=1e-6):
     return a == b
 
 
-def _frontend_merge(summary, explorer, sql, assignment, live):
+def worker_slices(summary, assignment) -> dict:
+    """One :class:`ShardSlice` per worker over the shards
+    ``assignment[shard] = [owner workers]`` gives it — what each worker
+    process builds once per generation."""
+    owned: dict[int, list] = {}
+    for shard, owners in enumerate(assignment):
+        for wid in owners:
+            owned.setdefault(wid, []).append(shard)
+    return {
+        wid: ShardSlice.from_summary(summary, shards)
+        for wid, shards in owned.items()
+    }
+
+
+def frontend_merge(
+    summary, plan, assignment, live, *, slices=None, pick=None, rounded=False
+):
     """The coordinator's routing + merge pipeline, inline (no
-    processes): route each live shard to the first live owner, compute
-    per-worker partials over one ShardSlice each, merge.  Returns the
-    merged payload.  ``assignment[shard]`` lists owner workers;
-    ``live`` is the set of live worker ids."""
-    plan = explorer.plan(sql)
+    processes): route each live shard to a live owner (``pick`` chooses
+    among them; default the first), compute one partial per worker over
+    the shards routed to it, merge.  Returns the merged payload.
+    ``live`` is the set of live worker ids; a shard none of them owns
+    degrades."""
     assert plan.route.target == "sharded"
+    if slices is None:
+        slices = worker_slices(summary, assignment)
     spec = partial_item(plan)
-    live_shards = plan.route.detail.get("live_shards", ())
     batches: dict[int, set] = {}
     degraded = []
-    for shard in live_shards:
+    for shard in plan.route.detail.get("live_shards", ()):
         owners = [wid for wid in assignment[shard] if wid in live]
         if not owners:
             degraded.append(summary.shards[shard].total)
             continue
-        batches.setdefault(owners[0], set()).add(shard)
-    workers: dict[int, list] = {}
-    for shard, owner_list in enumerate(assignment):
-        for wid in owner_list:
-            workers.setdefault(wid, []).append(shard)
-    partials = []
-    for wid, shards in batches.items():
-        shard_slice = ShardSlice.from_summary(summary, sorted(workers[wid]))
-        item = dict(spec)
-        item["shards"] = sorted(shards)
-        partials.append(compute_partial(shard_slice, item))
+        owner = owners[0] if pick is None else pick(owners)
+        batches.setdefault(owner, set()).add(shard)
+    partials = [
+        compute_partial(slices[wid], {**spec, "shards": sorted(shards)})
+        for wid, shards in batches.items()
+    ]
     return merge_partials(
         plan,
         spec,
         partials,
         degraded_totals=degraded,
         total=summary.total,
+        rounded=rounded,
     )
+
+
+def _frontend_merge(summary, explorer, sql, assignment, live):
+    return frontend_merge(summary, explorer.plan(sql), assignment, live)
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +296,19 @@ class TestMergeMath:
                 total=summary.total,
             )
 
+    def test_rounding_applies_to_the_merged_values(self, summary):
+        """``--rounded``: workers ship unrounded partials; the frontend
+        rounds what the single process rounds — the merged COUNT, AVG's
+        denominator, each merged group — and nothing earlier."""
+        rounded = Explorer.attach(summary, rounded=True)
+        for sql in QUERIES:
+            plan = rounded.plan(sql)
+            merged = frontend_merge(
+                summary, plan, [[0], [1], [0], [1]], {0, 1}, rounded=True
+            )
+            single = result_payload(rounded.planner.execute(plan))
+            assert _close(_norm(merged), _norm(single)), sql
+
     def test_group_merge_applies_order_and_limit_globally(
         self, summary, explorer, single_payloads
     ):
@@ -302,12 +335,75 @@ class TestShardSlice:
         none_e, none_v = shard_slice.count(None, shards=[3])
         assert (none_e, none_v) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("indices", [[2], [0, 2], [3, 1], [0, 1, 2, 3]])
+    def test_any_ownership_is_one_arena(self, summary, indices):
+        """One shard, non-adjacent shards, any order: one arena per
+        slice, answering what the per-shard reference answers."""
+        shard_slice = ShardSlice.from_summary(summary, indices)
+        assert shard_slice.arena.num_shards == len(indices)
+        masks = {0: np.array([True, False, True])}
+        predicate = conjunction_from_masks(summary.schema, masks)
+        assert shard_slice.count(masks) == pytest.approx(
+            reference.count(summary, predicate, indices), rel=1e-9
+        )
+        asked = indices[:1]
+        assert shard_slice.count(masks, shards=asked + [17]) == pytest.approx(
+            reference.count(summary, predicate, asked), rel=1e-9
+        )
+        assert shard_slice.sum_value("hour", masks, asked) == pytest.approx(
+            reference.sum_estimate(
+                summary, "hour", np.arange(16.0), predicate, asked
+            ),
+            rel=1e-9,
+        )
+        groups = shard_slice.group(["state", "hour"], masks, asked)
+        expected = reference.group_by(summary, ["state", "hour"], predicate, asked)
+        states = summary.schema.domain("state")
+        assert {
+            (states.label_of(state), hour): count
+            for (state, hour), count in groups.items()
+        } == pytest.approx({key: e for key, (e, _) in expected.items()}, rel=1e-9)
+
     def test_slice_requires_aligned_metadata(self, summary):
         with pytest.raises(ReproError, match="one global index"):
             ShardSlice(
                 summary.shards[:2], [0], summary.schema,
                 by_pos=summary.by_position,
             )
+
+
+class TestItemValidation:
+    """A fan-out item's index lists arrive over the wire and used to be
+    densified unchecked: ``-1`` selected the last domain value, anything
+    else surfaced as numpy's ``IndexError`` / ``ValueError`` text."""
+
+    BAD = [
+        ({"0": [-1]}, r"attribute 0 needs domain indices in \[0, 3\)"),
+        ({"0": [0, 3]}, r"attribute 0 needs domain indices in \[0, 3\)"),
+        ({"1": [16]}, r"attribute 1 needs domain indices in \[0, 16\)"),
+        ({"1": [1.5]}, r"attribute 1 needs domain indices in \[0, 16\)"),
+        ({"1": ["CA"]}, r"attribute 1 needs domain indices in \[0, 16\)"),
+        ({"99": [0]}, "attribute '99': no such position"),
+        ({"-1": [0]}, "attribute '-1': no such position"),
+        ({"x": [0]}, "attribute 'x': no such position"),
+    ]
+
+    @pytest.mark.parametrize("masks, message", BAD)
+    @pytest.mark.parametrize("kind", ["count", "sum", "avg", "group"])
+    def test_out_of_range_masks_are_query_errors(self, summary, kind, masks, message):
+        shard_slice = ShardSlice.from_summary(summary, [0, 1])
+        item = {"kind": kind, "masks": masks, "attr": "hour", "group_by": ["state"]}
+        with pytest.raises(QueryError, match=message):
+            compute_partial(shard_slice, item)
+
+    def test_in_range_masks_still_answer(self, summary):
+        shard_slice = ShardSlice.from_summary(summary, [0, 1])
+        partial = compute_partial(
+            shard_slice, {"kind": "count", "masks": {"0": [2], "1": []}}
+        )
+        assert partial == {"kind": "count", "e": 0.0, "v": 0.0}  # hour IN ()
+        partial = compute_partial(shard_slice, {"kind": "count", "masks": {"0": [2]}})
+        assert partial["e"] > 0.0
 
 
 class TestHashRing:
@@ -372,6 +468,30 @@ class TestClusterServing:
                 got = client.call("query", sql=sql)["result"]
                 assert _close(_norm(got), _norm(single_payloads[sql])), sql
 
+    def test_a_bad_item_fails_alone(self, cluster, summary):
+        """Over the real wire to a real worker: the malformed items of a
+        ``partial_batch`` come back as ``error`` partials, the rest of
+        the batch is answered."""
+        good = {"kind": "count", "masks": {"0": [0]}}
+        bad = [
+            {"kind": "count", "masks": {"0": [-1]}},
+            {"kind": "count", "masks": {"0": [3]}},
+            {"kind": "count", "masks": {"99": [0]}},
+            {"kind": "count", "masks": {"x": [0]}},
+        ]
+        with ServeClient(port=cluster.worker_ports()[0]) as client:
+            partials = client.call(
+                "partial_batch", items=[good, *bad, good]
+            )["partials"]
+        assert [partial["kind"] for partial in partials] == [
+            "count", "error", "error", "error", "error", "count",
+        ]
+        assert all(
+            partial["error"].startswith("QueryError: item mask")
+            for partial in partials[1:5]
+        )
+        assert partials[0] == partials[5] and partials[0]["e"] > 0.0
+
     def test_stats_reports_cluster_shape(self, cluster):
         with ServeClient(port=cluster.port) as client:
             stats = client.stats()
@@ -428,6 +548,129 @@ class TestClusterServing:
             sql = "SELECT COUNT(*) FROM R WHERE hour >= 1"
             got = client.call("query", sql=sql)["result"]
             assert "degraded" not in got
+
+
+# ----------------------------------------------------------------------
+# GROUP BY labels: one fixture, every surface, literal expectations
+# ----------------------------------------------------------------------
+
+STATES = ["CA", "NY", "TX", "WA"]
+FARES = ["[0, 10)", "[10, 20)", "[20, 30)", "[30, 40]"]
+
+#: (statement, the same query in the fluent API, the labelled rows both
+#: must return, in order).  Sharded GROUP BY used to return domain
+#: indices (``(0,)`` for ``('CA',)``) on every surface alike, so the
+#: surfaces agreed and the parity tests passed; these expectations are
+#: literals for that reason.
+LABELLED = [
+    (
+        "SELECT state, COUNT(*) FROM R GROUP BY state",
+        lambda query: query.group_by("state"),
+        [(s,) for s in STATES],
+    ),
+    (
+        "SELECT state, COUNT(*) FROM R GROUP BY state ORDER BY cnt DESC LIMIT 3",
+        lambda query: query.group_by("state").order("desc").limit(3),
+        [("CA",), ("NY",), ("TX",)],
+    ),
+    (
+        "SELECT fare, COUNT(*) FROM R WHERE state = 'NY' "
+        "GROUP BY fare ORDER BY cnt ASC",
+        lambda query: query.where(state="NY").group_by("fare").order("asc"),
+        [(f,) for f in reversed(FARES)],
+    ),
+    (
+        "SELECT state, fare, COUNT(*) FROM R GROUP BY state, fare",
+        lambda query: query.group_by("state", "fare"),
+        [(s, f) for s in STATES for f in FARES],
+    ),
+    (
+        "SELECT fare, state, COUNT(*) FROM R WHERE state IN ('TX', 'WA') "
+        "GROUP BY fare, state",
+        lambda query: query.where(state__in=("TX", "WA")).group_by("fare", "state"),
+        [(f, s) for f in FARES for s in ("TX", "WA")],
+    ),
+]
+
+
+def _labelled_relation() -> Relation:
+    """State and fare frequencies 4 : 3 : 2 : 1, independent and exact,
+    so every ORDER BY cnt has one right answer on any model."""
+    schema = Schema(
+        [
+            Domain("state", STATES),
+            Domain(
+                "fare",
+                [Bucket(low, low + 10, closed_right=low == 30) for low in range(0, 40, 10)],
+            ),
+        ]
+    )
+    skew = np.repeat(np.arange(4), [4, 3, 2, 1])
+    state, fare = np.meshgrid(skew, skew, indexing="ij")
+    return Relation(schema, [np.tile(state.ravel(), 8), np.tile(fare.ravel(), 8)])
+
+
+def _rows(result) -> list:
+    """An in-process result in the wire's row shape: labels as the wire
+    spells them (a ``Bucket`` as its string), then the count."""
+    return [
+        [label if isinstance(label, str) else str(label) for label in row.labels]
+        + [row.count]
+        for row in result.rows
+    ]
+
+
+class TestLabelledGroupBy:
+    @pytest.fixture(scope="class", params=["state", "fare"])
+    def surfaces(self, request):
+        """surface -> the rows of every ``LABELLED`` case, for one model
+        sharded by the string attribute and one by the bucketed one."""
+        relation = _labelled_relation()
+        builder = SummaryBuilder(relation).pairs(("state", "fare")).per_pair_budget(4)
+        unsharded = Explorer.attach(builder.iterations(40).fit())
+        sharded = builder.shards(2, by=request.param, workers=1).fit()
+        explorer = Explorer.attach(sharded)
+
+        statements = [sql for sql, _, _ in LABELLED]
+        found = {
+            "unsharded": [_rows(unsharded.sql(sql)) for sql in statements],
+            "sql": [_rows(explorer.sql(sql)) for sql in statements],
+            "fluent": [
+                _rows(fluent(explorer.query()).run()) for _, fluent, _ in LABELLED
+            ],
+        }
+        config = ServeConfig(port=0, window_ms=0.5, cache_size=0)
+        with ServerThread(SummaryServer(sharded, config=config)) as server:
+            for protocol in ("json", "binary"):
+                with ServeClient(port=server.port, protocol=protocol) as client:
+                    found[protocol] = [
+                        client.query(sql)["rows"] for sql in statements
+                    ]
+        coordinator = ClusterCoordinator(sharded, workers=2, config=config)
+        with ServerThread(coordinator) as server:
+            with ServeClient(port=server.port) as client:
+                found["cluster"] = [client.query(sql)["rows"] for sql in statements]
+        return found
+
+    @pytest.mark.parametrize(
+        "surface", ["unsharded", "sql", "fluent", "json", "binary", "cluster"]
+    )
+    @pytest.mark.parametrize("case", range(len(LABELLED)))
+    def test_rows_carry_labels_in_order(self, surfaces, surface, case):
+        rows = surfaces[surface][case]
+        assert [tuple(row[:-1]) for row in rows] == LABELLED[case][2]
+        if surface != "unsharded":  # another model: same labels, other counts
+            counts = [row[-1] for row in rows]
+            expected = [row[-1] for row in surfaces["sql"][case]]
+            assert counts == pytest.approx(expected, rel=1e-9)
+
+    def test_counts_are_the_relations(self, surfaces):
+        """The expectations above are not vacuous: the groups carry the
+        4 : 3 : 2 : 1 frequencies the relation was built with."""
+        rows = surfaces["cluster"][0]
+        assert [row[-1] for row in rows] == pytest.approx(
+            [320.0, 240.0, 160.0, 80.0], rel=0.02
+        )
 
 
 class TestClusterReload:

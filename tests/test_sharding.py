@@ -34,6 +34,7 @@ from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import ReproError
 from repro.stats.predicates import Conjunction, RangePredicate
+from tests import reference
 from tests.conftest import relations
 
 
@@ -232,21 +233,13 @@ class TestMergeMath:
         ]
         sharded_1d.clear_cache()
         batch = sharded_1d.estimate_batch(predicates)
-        fallback = sharded_1d.estimate_batch(
-            predicates, parallel=False, use_arena=False
-        )
-        threaded = sharded_1d.estimate_batch(
-            predicates, parallel=True, use_arena=False
-        )
-        for predicate, merged, per_shard, via_threads in zip(
-            predicates, batch, fallback, threaded
-        ):
+        for predicate, merged in zip(predicates, batch):
             single = sharded_1d.estimate(predicate)
-            assert merged.expectation == pytest.approx(single.expectation)
-            assert merged.variance == pytest.approx(single.variance)
-            assert per_shard.expectation == pytest.approx(single.expectation)
-            assert per_shard.variance == pytest.approx(single.variance)
-            assert via_threads.expectation == pytest.approx(single.expectation)
+            assert merged.expectation == single.expectation
+            assert merged.variance == single.variance
+            expectation, variance = reference.count(sharded_1d, predicate)
+            assert merged.expectation == pytest.approx(expectation)
+            assert merged.variance == pytest.approx(variance)
 
     @settings(max_examples=8, deadline=None)
     @given(data=relations(max_rows=120), seed=st.integers(0, 10_000))
@@ -279,16 +272,18 @@ class TestPruning:
         return _fit(relation, num_shards=2, by="B")
 
     def test_point_query_touches_one_shard(self, relation, by_sharded):
-        # The legacy per-shard path materializes pruning as "engine never
-        # called"; the arena folds owned ranges into the masks instead
-        # (covered by tests/test_arena.py).
-        by_sharded.clear_cache()
+        # The router sends it to one shard, and in the arena — which
+        # folds the owned ranges into its constants instead of skipping
+        # shards — every other shard's contribution is exactly zero.
         predicate = Conjunction(relation.schema, {"B": RangePredicate.point(0)})
-        by_sharded.estimate(predicate, use_arena=False)
-        touched = [
-            shard.engine.cache_misses > 0 for shard in by_sharded.shards
-        ]
-        assert touched.count(True) == 1
+        assert by_sharded.live_shards(predicate) == [0]
+        assert list(reference.count_parts(by_sharded, predicate)) == [0]
+        arena = by_sharded.arena
+        _, _, (expectations, variances) = arena.merge(
+            arena._masked_values(predicate.attribute_masks())
+        )
+        assert expectations[0] > 0.0
+        assert not expectations[1:].any() and not variances[1:].any()
 
     def test_pruned_shards_contribute_zero(self, relation, full_1d, by_sharded):
         schema = relation.schema
