@@ -112,6 +112,11 @@ lint:
 	@# serve/ evaluates shards through ShardArena only: no second path,
 	@# no service-floor knob, no reaching into core.inference.
 	@! grep -rnE --include='*.py' "use_arena|shard_service_ms|(from|import) +repro\.core\.inference|from +repro\.core +import.*inference" src/repro/serve/
+	@# The fan-out is a scatter/gather on the flush thread over kept
+	@# channels, and a worker answers partial_batch on its event loop:
+	@# no thread pool, no executor hop around _compute_partials.
+	@! grep -nE "ThreadPoolExecutor|_fanout_pool" src/repro/serve/cluster.py
+	@! grep -Pzo "run_in_executor\([^)]*_compute_partials" src/repro/serve/cluster.py
 
 # Documentation rot check: every ```python block in README.md and
 # docs/*.md must compile, every relative link must resolve.

@@ -35,7 +35,8 @@ multiplication — padded domains carry α = 0, so nothing may divide.
 GROUP BY and SUM use the gradient trick of
 :meth:`CompressedPolynomial.masked_gradient` on the same products:
 leave the attribute's own factors out, ``np.bincount`` the coefficients
-onto the distinct ranges' ends, one ``cumsum``.  Batches and
+onto the distinct ranges' ends, one ``cumsum`` (and the row sums of those
+numerators are the COUNT, so an AVG is one pass: ``sum_and_count``).  Batches and
 multi-attribute GROUP BY combinations loop this one-query kernel — on
 the 8-shard, 22 023-term benchmark model a batch of 64 costs per query
 what a single query does (≈ 0.13 ms), so no batch axis is carried —
@@ -460,6 +461,22 @@ class ShardArena:
                 results[combo + (v,)] = (expectation[v], variance[v])
         return results
 
+    def _weighted_numerators(self, pos, weights, base_masks):
+        """``(weights, numerators)`` behind SUM / AVG of attribute
+        ``pos``: the ``(S, size)`` gradient numerators under the other
+        attributes' masks, zeroed where the predicate excludes the value."""
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape[0] != self.sizes[pos]:
+            raise QueryError(
+                f"need one weight per domain value of attribute {pos}"
+            )
+        masks = self._checked(base_masks)
+        attr_mask = masks.pop(pos, None)
+        numerators = self._gradient_numerators(pos, masks)
+        if attr_mask is not None:
+            numerators = np.where(attr_mask, numerators, 0.0)
+        return weights, numerators
+
     def sum_estimate(
         self,
         pos: int,
@@ -470,19 +487,28 @@ class ShardArena:
         """Merged ``E[Σ w(A_pos)]`` over the selected shards (default:
         all) — ``InferenceEngine.sum_estimate`` per shard, summed by
         linearity."""
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape[0] != self.sizes[pos]:
-            raise QueryError(
-                f"need one weight per domain value of attribute {pos}"
-            )
-        masks = self._checked(base_masks)
-        attr_mask = masks.pop(pos, None)
-        counts, _, _ = self.merge(
-            self._gradient_numerators(pos, masks), self._selected(selection)
-        )
-        if attr_mask is not None:
-            counts = np.where(attr_mask, counts, 0.0)
+        weights, numerators = self._weighted_numerators(pos, weights, base_masks)
+        counts, _, _ = self.merge(numerators, self._selected(selection))
         return float(counts @ weights)
+
+    def sum_and_count(
+        self,
+        pos: int,
+        weights: np.ndarray,
+        base_masks: Mapping[int, np.ndarray],
+        selection=None,
+    ) -> tuple[float, float, float]:
+        """``(E[Σ w(A_pos)], COUNT expectation, COUNT variance)`` in one
+        pass — what an AVG needs.  Every term carries exactly one factor
+        of the attribute (free shards included), so a shard's numerators
+        summed over the values the predicate allows *are* its masked
+        value: the row sums merge to :meth:`estimate_masks_batch`'s
+        answer without a second walk over the same masked prefixes."""
+        weights, numerators = self._weighted_numerators(pos, weights, base_masks)
+        selection = self._selected(selection)
+        counts, _, _ = self.merge(numerators, selection)
+        expectation, variance, _ = self.merge(numerators.sum(axis=1), selection)
+        return float(counts @ weights), float(expectation), float(variance)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

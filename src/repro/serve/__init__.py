@@ -15,7 +15,8 @@ same shared structures:
   ``(store version, canonical predicate key)``;
 * :class:`AdmissionController` / :class:`ServerSaturated` —
   backpressure with ``Retry-After`` hints;
-* :class:`ServeClient` / :class:`ServerBusy` — the synchronous client;
+* :class:`ServeClient` / :class:`ServerBusy` / :class:`TransportError`
+  — the synchronous client (reconnects after a dropped connection);
 * :class:`StoreWatcher` — auto hot-reload when the ingest pipeline
   publishes a newer store version (``repro serve --watch``);
 * :func:`run_load` / :class:`LoadReport` — the closed-loop load
@@ -32,7 +33,12 @@ See ``docs/serving.md`` for the lifecycle and tuning guide.
 from repro.serve import wire
 from repro.serve.admission import AdmissionController, ServerSaturated
 from repro.serve.cache import TTLCache
-from repro.serve.client import ServeClient, ServeError, ServerBusy
+from repro.serve.client import (
+    ServeClient,
+    ServeError,
+    ServerBusy,
+    TransportError,
+)
 from repro.serve.cluster import (
     ClusterCoordinator,
     ShardWorkerServer,
@@ -65,6 +71,7 @@ __all__ = [
     "SummaryServer",
     "WorkerSpec",
     "TTLCache",
+    "TransportError",
     "WireError",
     "WireVersionError",
     "result_payload",

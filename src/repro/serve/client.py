@@ -1,13 +1,25 @@
 """A small synchronous client for the serve protocols.
 
 Used by the test suite, the CLI (``repro ping`` / ``repro bench-serve``)
-and the load generator.  One client owns one TCP connection and sends
-one request at a time::
+and the load generator.  One client owns one TCP connection::
 
     with ServeClient(port=9876) as client:
         client.ping()
         payload = client.query("SELECT COUNT(*) FROM R WHERE x >= 3")
         print(payload["value"])
+
+``call`` is ``receive(send(...))``.  The two halves are public so a
+caller holding several clients can write every request before it blocks
+on the first reply — the cluster frontend's scatter/gather over its
+workers (:mod:`repro.serve.cluster`) — instead of one thread per
+connection.
+
+A transport failure — refused connect, EOF, short read, socket error,
+timeout, framing error — raises :class:`TransportError` *after closing
+the socket*, so the next call reconnects: a client outlives a dropped
+connection (and a timeout between a frame's header and its body cannot
+leave the next call reading mid-frame).  An ``ok: false`` *answer*
+(400 / 503) raises plain :class:`ServeError` and keeps the connection.
 
 The default transport is the length-prefixed binary protocol
 (:mod:`repro.serve.wire`); pass ``protocol="json"`` for the
@@ -49,7 +61,8 @@ def backoff_delay(attempt: int, hint: float, rng: random.Random) -> float:
 
 
 class ServeError(ReproError):
-    """The server answered ``ok: false`` (or the transport failed).
+    """The server answered ``ok: false`` (:class:`TransportError`, the
+    subclass: it did not answer at all).
 
     The server's backpressure fields ride along as attributes, so
     callers never re-parse ``payload``: ``retry_after`` (seconds, or
@@ -64,6 +77,12 @@ class ServeError(ReproError):
         hint = self.payload.get("retry_after")
         self.retry_after = float(hint) if hint is not None else None
         self.scope = self.payload.get("scope")
+
+
+class TransportError(ServeError):
+    """No answer: the connection could not be made, or failed before a
+    reply arrived.  The client has closed its socket; the next call
+    reconnects."""
 
 
 class ServerBusy(ServeError):
@@ -134,12 +153,28 @@ class ServeClient:
                     (self.host, self.port), timeout=self.timeout
                 )
             except OSError as error:
-                raise ServeError(
+                raise TransportError(
                     f"transport error: cannot connect to "
                     f"{self.host}:{self.port}: {error}"
                 ) from error
             self._file = self._sock.makefile("rb")
         return self
+
+    def _dropped(self, message: str) -> TransportError:
+        """Close the failed connection (the next call reconnects) and
+        build the error to raise."""
+        self.close()
+        return TransportError(message)
+
+    def _closed_by_server(self) -> TransportError:
+        return self._dropped(
+            f"server {self.host}:{self.port} closed the connection"
+        )
+
+    def _failed(self, error: Exception) -> TransportError:
+        return self._dropped(
+            f"transport error talking to {self.host}:{self.port}: {error}"
+        )
 
     def close(self) -> None:
         if self._file is not None:
@@ -159,27 +194,47 @@ class ServeClient:
     def call(self, op: str, **fields) -> dict:
         """Send one request, return the raw response envelope.
 
-        Raises :class:`ServerBusy` on 503 and :class:`ServeError` on
-        any other ``ok: false`` answer.
+        Raises :class:`ServerBusy` on 503, :class:`ServeError` on any
+        other ``ok: false`` answer and :class:`TransportError` when no
+        answer arrived.
         """
+        return self.receive(self.send(op, **fields))
+
+    def send(self, op: str, **fields) -> int:
+        """Write one request (connecting first if need be); returns the
+        request id :meth:`receive` takes."""
         self.connect()
         if self._chaos is not None and self._chaos.decide(
             "client.drop_connection"
         ):
             # Injected client-side drop: tear the connection down and
             # surface a transport error, exactly like a flaky network.
-            self.close()
-            raise ServeError(
+            raise self._dropped(
                 f"chaos: injected client-side connection drop to "
                 f"{self.host}:{self.port}"
             )
         self._next_id += 1
         request_id = self._next_id
         self._calls_total.labels(op=op).inc()
-        if self.protocol == "binary":
-            response = self._roundtrip_binary(op, request_id, fields)
-        else:
-            response = self._roundtrip_json(op, request_id, fields)
+        try:
+            if self.protocol == "binary":
+                data = wire.encode_request({"op": op, **fields}, request_id)
+            else:
+                request = {"id": request_id, "op": op, **fields}
+                data = json.dumps(request).encode() + b"\n"
+            self._socket().sendall(data)
+        except (OSError, ValueError, wire.WireError) as error:
+            raise self._failed(error) from error
+        return request_id
+
+    def receive(self, request_id: int) -> dict:
+        """Block for the reply to ``request_id`` (at most
+        :attr:`timeout` seconds per socket read) and return its
+        envelope, or raise as :meth:`call` does."""
+        try:
+            response = self._read_reply(request_id)
+        except (OSError, ValueError, wire.WireError) as error:
+            raise self._failed(error) from error
         if response.get("ok"):
             return response
         status = int(response.get("status", 0))
@@ -195,56 +250,49 @@ class ServeClient:
             )
         raise ServeError(message, status=status, payload=response)
 
-    def _roundtrip_json(self, op: str, request_id: int, fields: dict) -> dict:
-        request = {"id": request_id, "op": op, **fields}
-        try:
-            self._sock.sendall(json.dumps(request).encode() + b"\n")
+    def _socket(self) -> socket.socket:
+        """The connected socket, brought up to the current
+        :attr:`timeout` (assign it to change later calls' waits)."""
+        sock = self._sock
+        if sock is None:
+            raise TransportError(f"not connected to {self.host}:{self.port}")
+        if sock.gettimeout() != self.timeout:
+            sock.settimeout(self.timeout)
+        return sock
+
+    def _read_reply(self, request_id: int) -> dict:
+        self._socket()
+        if self.protocol == "json":
             while True:
                 line = self._file.readline()
                 if not line:
-                    raise ServeError(
-                        f"server {self.host}:{self.port} closed the connection"
-                    )
+                    raise self._closed_by_server()
                 response = json.loads(line)
                 if response.get("id") in (request_id, None):
                     return response
-        except (OSError, ValueError) as error:
-            raise ServeError(
-                f"transport error talking to {self.host}:{self.port}: {error}"
-            ) from error
+        while True:
+            header = self._read_frame_bytes(wire.HEADER_SIZE)
+            opcode, length, reply_id = wire.decode_header(header)
+            body = self._read_frame_bytes(length)
+            # The server echoes our id in the low 32 bits and rides
+            # its trace-id hint in the spare upper bits.
+            echo_id, trace_hint = wire.split_trace_hint(reply_id)
+            if echo_id == request_id:
+                response = wire.unpackb(body)
+                if trace_hint and "trace" not in response:
+                    response["trace"] = format(trace_hint, "016x")
+                return response
+            if echo_id == 0 and opcode == wire.OP_ERROR:
+                # Connection-level error: the server is about to
+                # close; there will be no frame with our id.
+                self.close()
+                return wire.unpackb(body)
 
     def _read_frame_bytes(self, count: int) -> bytes:
         data = self._file.read(count)
         if data is None or len(data) != count:
-            raise ServeError(
-                f"server {self.host}:{self.port} closed the connection"
-            )
+            raise self._closed_by_server()
         return data
-
-    def _roundtrip_binary(self, op: str, request_id: int, fields: dict) -> dict:
-        request = {"op": op, **fields}
-        try:
-            self._sock.sendall(wire.encode_request(request, request_id))
-            while True:
-                header = self._read_frame_bytes(wire.HEADER_SIZE)
-                opcode, length, reply_id = wire.decode_header(header)
-                body = self._read_frame_bytes(length)
-                # The server echoes our id in the low 32 bits and rides
-                # its trace-id hint in the spare upper bits.
-                echo_id, trace_hint = wire.split_trace_hint(reply_id)
-                if echo_id == request_id:
-                    response = wire.unpackb(body)
-                    if trace_hint and "trace" not in response:
-                        response["trace"] = format(trace_hint, "016x")
-                    return response
-                if echo_id == 0 and opcode == wire.OP_ERROR:
-                    # Connection-level error: the server is about to
-                    # close; there will be no frame with our id.
-                    return wire.unpackb(body)
-        except (OSError, ValueError, wire.WireError) as error:
-            raise ServeError(
-                f"transport error talking to {self.host}:{self.port}: {error}"
-            ) from error
 
     # -- convenience wrappers ----------------------------------------------
     def query(

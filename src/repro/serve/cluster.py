@@ -31,6 +31,15 @@ Topology::
   replica owner answers each shard (:class:`HashRing`): repeats of a
   query land on the same worker, and a worker death only remaps the
   keys it served.
+* **Fan-out** — a scatter/gather on the thread that runs the flush
+  (:meth:`ClusterCoordinator._exchange`): write every worker's
+  ``partial_batch`` request, then read the replies in turn, so workers
+  compute concurrently while that one thread blocks in ``recv``.
+  Connections are kept — an idle list of :class:`ServeClient` channels
+  per worker *incarnation*, checked out for a round so no two flushes
+  share a socket — and a worker answers on its event loop, not in an
+  executor: it has one client and a partial is a GIL-bound fraction of
+  a millisecond, so ``ping`` / ``stats`` just wait behind a batch.
 * **Merging** — a fan-out item names the global indices of the shards
   a worker should count; that is the arena's shard *selection*, and
   the worker returns the arena's own merge over it.  Partial sums over
@@ -39,13 +48,16 @@ Topology::
   expectations add, variances add in quadrature, AVG is the merged
   ratio estimator, and GROUP BY index keys become labels, then ORDER /
   LIMIT, only after the global merge.
-* **Degradation** — when every owner of a live shard is dead, the
-  frontend still answers: the missing shard contributes a uniform
-  prior over its row count (expectation ``t/2``, variance ``t²/12``),
-  the bounds widen accordingly, and the payload carries
+* **Degradation** — a worker that cannot be reached (even on a fresh
+  connection, within the round's one ``worker_timeout`` deadline) is
+  suspected and its shards go to their next live owner; an *answered*
+  error fails its plans and leaves the worker live.  When every owner
+  of a live shard is gone the frontend still answers: the shard
+  contributes a uniform prior over its row count (expectation ``t/2``,
+  variance ``t²/12``), the bounds widen, and the payload carries
   ``degraded: true``.  Requests are never dropped; the monitor thread
   respawns dead workers and the ``repro_cluster_*`` metrics record
-  every death, respawn, and degraded answer.
+  every death, respawn, reconnect and degraded answer.
 
 Everything client-facing is inherited unchanged: admission control,
 coalescing, the versioned result cache, hot reload (``reload`` fans
@@ -63,7 +75,6 @@ import queue as queue_module
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +84,10 @@ from repro.core.arena import ShardArena
 from repro.core.sharding import MergedEstimate, ShardedSummary
 from repro.core.summary import EntropySummary
 from repro.errors import QueryError, ReproError
+from repro.obs import sample_value
+from repro.query.linear import numeric_weights
 from repro.query.results import QueryResult, ordered_rows
-from repro.serve.client import ServeClient, ServeError
+from repro.serve.client import ServeClient, ServeError, TransportError
 from repro.serve.server import (
     ServeConfig,
     SummaryServer,
@@ -228,36 +241,6 @@ class ShardSlice:
                 selection[local] = True
         return selection
 
-    def count(self, masks=None, shards=None) -> tuple[float, float]:
-        """Partial COUNT: summed expectation and variance over the
-        requested owned shards."""
-        return self.arena.estimate_masks_batch(
-            [masks or {}], self.locals_for(shards)
-        )[0]
-
-    def sum_value(self, attr, masks=None, shards=None) -> float:
-        """Partial ``E[SUM(attr)]`` over the requested owned shards."""
-        from repro.query.linear import numeric_weights
-
-        pos = self.schema.position(attr)
-        return self.arena.sum_estimate(
-            pos,
-            numeric_weights(self.schema.domain(pos)),
-            masks or {},
-            self.locals_for(shards),
-        )
-
-    def group(self, attrs, masks=None, shards=None) -> dict:
-        """Partial GROUP BY COUNT(*): domain-index key → summed
-        expectation over the requested owned shards.  Labels, order and
-        limit belong to the frontend: global top-k is only defined after
-        its merge."""
-        positions = [self.schema.position(attr) for attr in attrs]
-        groups = self.arena.group_by(
-            positions, masks or {}, self.locals_for(shards)
-        )
-        return {key: expectation for key, (expectation, _) in groups.items()}
-
     def __repr__(self):
         return (
             f"ShardSlice(shards={list(self.indices)}, "
@@ -324,32 +307,37 @@ def _item_masks(schema, item) -> dict[int, np.ndarray]:
 
 
 def compute_partial(shard_slice: ShardSlice, item: dict) -> dict:
-    """One worker-side partial aggregate for one fan-out item."""
+    """One worker-side partial aggregate for one fan-out item: the
+    arena's own merge over the owned shards the item names.  GROUP BY
+    keys stay domain indices — labels, order and limit belong to the
+    frontend, because a global top-k is only defined after its merge."""
     kind = item.get("kind", "count")
-    masks = _item_masks(shard_slice.schema, item)
-    shards = item.get("shards")
+    arena, schema = shard_slice.arena, shard_slice.schema
+    masks = _item_masks(schema, item)
+    selection = shard_slice.locals_for(item.get("shards"))
     if kind == "count":
-        expectation, variance = shard_slice.count(masks, shards)
+        [(expectation, variance)] = arena.estimate_masks_batch([masks], selection)
         return {"kind": "count", "e": expectation, "v": variance}
-    if kind == "sum":
-        return {
-            "kind": "sum",
-            "s": shard_slice.sum_value(item["attr"], masks, shards),
-        }
-    if kind == "avg":
-        expectation, variance = shard_slice.count(masks, shards)
-        return {
-            "kind": "avg",
-            "s": shard_slice.sum_value(item["attr"], masks, shards),
-            "e": expectation,
-            "v": variance,
-        }
+    if kind in ("sum", "avg"):
+        pos = schema.position(item["attr"])
+        weights = numeric_weights(schema.domain(pos))
+        if kind == "sum":
+            total = arena.sum_estimate(pos, weights, masks, selection)
+            return {"kind": "sum", "s": total}
+        total, expectation, variance = arena.sum_and_count(
+            pos, weights, masks, selection
+        )
+        return {"kind": "avg", "s": total, "e": expectation, "v": variance}
     if kind == "group":
-        groups = shard_slice.group(item["group_by"], masks, shards)
+        positions = [schema.position(attr) for attr in item["group_by"]]
+        groups = arena.group_by(positions, masks, selection)
         return {
             "kind": "group",
             "labels": [list(key) for key in groups],
-            "counts": np.asarray(list(groups.values()), dtype=np.float64),
+            "counts": np.asarray(
+                [expectation for expectation, _ in groups.values()],
+                dtype=np.float64,
+            ),
         }
     raise QueryError(f"unknown partial kind {kind!r}")
 
@@ -457,16 +445,15 @@ class ShardWorkerServer(SummaryServer):
     an ingest publish propagates through the pool with the ordinary
     ``reload`` op."""
 
-    def __init__(self, spec: WorkerSpec, *, config=None, chaos=None):
+    def __init__(self, spec: WorkerSpec, *, config=None):
+        # No chaos injector: ``partial_batch`` runs on the event loop,
+        # where ``FaultInjector.act`` (which may sleep) must never be.
         self._spec = spec
         self.slice: ShardSlice | None = None
         if spec.store_root is not None:
             super().__init__(
-                store=spec.store_root,
-                name=spec.name,
-                version=spec.version,
+                store=spec.store_root, name=spec.name, version=spec.version,
                 config=config,
-                chaos=chaos,
             )
         else:
             shards = [
@@ -474,21 +461,12 @@ class ShardWorkerServer(SummaryServer):
                 for document, arrays in spec.payloads
             ]
             schema = shards[0].schema
+            by_pos = None if spec.shard_by is None else schema.position(spec.shard_by)
             self.slice = ShardSlice(
-                shards,
-                list(spec.indices),
-                schema,
-                by_pos=(
-                    None
-                    if spec.shard_by is None
-                    else schema.position(spec.shard_by)
-                ),
-                ranges=spec.ranges,
+                shards, list(spec.indices), schema, by_pos=by_pos, ranges=spec.ranges
             )
-            model = _model_for_slice(
-                self.slice, f"{spec.name}:w{spec.worker_id}"
-            )
-            super().__init__(model, config=config, chaos=chaos)
+            model = _model_for_slice(self.slice, f"{spec.name}:w{spec.worker_id}")
+            super().__init__(model, config=config)
 
     def _load_generation(self, version=None, tag=None) -> _Generation:
         record, summary = self._store.load_with_record(
@@ -521,28 +499,28 @@ class ShardWorkerServer(SummaryServer):
 
     async def _dispatch(self, client: str, request: dict) -> dict:
         if request.get("op") == "partial_batch":
+            # Inline on the event loop, not in an executor (module
+            # docstring, *Fan-out*); busy_us times exactly this block.
+            began = time.perf_counter()
             items = request.get("items")
             if not isinstance(items, (list, tuple)) or not items:
                 raise QueryError(
                     "partial_batch op needs a non-empty 'items' list"
                 )
             self._requests_total.labels(op="partial_batch").inc(len(items))
-            shard_slice = self.slice  # pin: reloads must not swap mid-batch
             version = self.version
-            loop = asyncio.get_running_loop()
-            partials = await loop.run_in_executor(
-                None, self._compute_partials, shard_slice, list(items)
-            )
+            partials = self._compute_partials(self.slice, items)
             return {
                 "ok": True,
                 "status": 200,
                 "partials": partials,
                 "version": version,
+                "busy_us": (time.perf_counter() - began) * 1e6,
             }
         return await super()._dispatch(client, request)
 
-    def _compute_partials(self, shard_slice: ShardSlice, items: list) -> list:
-        self._inject_backend_chaos()
+    @staticmethod
+    def _compute_partials(shard_slice: ShardSlice, items) -> list:
         partials = []
         for item in items:
             try:
@@ -613,24 +591,19 @@ def _worker_main(spec: WorkerSpec, config_fields: dict, ready_queue) -> None:
 # The frontend
 # ----------------------------------------------------------------------
 
+@dataclass(eq=False)
 class _WorkerHandle:
     """Frontend-side state of one worker process."""
 
-    __slots__ = (
-        "worker_id", "indices", "process", "host", "port", "alive",
-        "death_counted",
-    )
-
-    def __init__(self, worker_id: int, indices):
-        self.worker_id = worker_id
-        self.indices = tuple(indices)
-        self.process = None
-        self.host = "127.0.0.1"
-        self.port = 0
-        self.alive = False
-        #: One death increment per process incarnation, wherever the
-        #: death is first noticed (kill_worker, fan-out, or monitor).
-        self.death_counted = False
+    worker_id: int
+    indices: tuple
+    process: object = None
+    host: str = "127.0.0.1"
+    port: int = 0
+    alive: bool = False
+    #: One death increment per process incarnation, wherever the death
+    #: is first noticed (kill_worker, fan-out, or monitor).
+    death_counted: bool = False
 
 
 class ClusterCoordinator(SummaryServer):
@@ -744,15 +717,20 @@ class ClusterCoordinator(SummaryServer):
                     "lower --workers or raise --replicas"
                 )
         self._handles = [
-            _WorkerHandle(wid, sorted(owned[wid])) for wid in range(workers)
+            _WorkerHandle(wid, tuple(sorted(owned[wid]))) for wid in range(workers)
         ]
         self._ctx = multiprocessing.get_context("spawn")
         self._ready_queue = None
         self._ready_buffer: dict[int, int] = {}
-        self._fanout_pool: ThreadPoolExecutor | None = None
         self._monitor: threading.Thread | None = None
         self._pool_shutdown = threading.Event()
         self._pool_lock = threading.Lock()
+        self._channels_lock = threading.Lock()
+        #: Idle kept channels per worker *incarnation*, keyed by its
+        #: port: a respawn binds a new port, so a dead process's socket
+        #: can never answer for its successor.  An entry exists from the
+        #: incarnation's ready message until it is killed or replaced.
+        self._channels: dict[int, list[ServeClient]] = {}  # guarded-by: _channels_lock
         self._cluster_workers = self.metrics.gauge(
             "repro_cluster_workers", "Live worker processes in the pool."
         )
@@ -773,6 +751,16 @@ class ClusterCoordinator(SummaryServer):
             "repro_cluster_fanout_seconds",
             "Frontend fan-out + merge latency per evaluation flush.",
         )
+        self._worker_busy_seconds = self.metrics.histogram(
+            "repro_cluster_worker_busy_seconds",
+            "Worker-reported time per partial_batch call (decoded request "
+            "to computed partials); fan-out minus this is routing and wire.",
+        )
+        self._reconnects = self.metrics.counter(
+            "repro_cluster_channel_reconnects_total",
+            "Kept worker channels found dead and replaced by a fresh "
+            "connection to the same incarnation.",
+        )
         self._partial_calls = self.metrics.counter(
             "repro_cluster_partial_calls_total",
             "partial_batch calls sent to workers, by outcome.",
@@ -785,10 +773,6 @@ class ClusterCoordinator(SummaryServer):
         )
 
     # -- pool construction -------------------------------------------------
-    @property
-    def _summary(self):
-        return self._generation.explorer.backend.summary
-
     def worker_ports(self) -> list[int]:
         """Bound port of each worker (0 = not started); every port is
         ephemeral — the pool never claims fixed ports."""
@@ -808,42 +792,26 @@ class ClusterCoordinator(SummaryServer):
 
     def _worker_spec(self, worker_id: int) -> WorkerSpec:
         handle = self._handles[worker_id]
-        summary = self._summary
+        summary = self._generation.explorer.backend.summary
         log_path = None
         if self._worker_log_dir:
             os.makedirs(self._worker_log_dir, exist_ok=True)
-            log_path = os.path.join(
-                self._worker_log_dir, f"worker-{worker_id}.log"
-            )
-        if self._store is not None:
-            return WorkerSpec(
-                worker_id=worker_id,
-                indices=handle.indices,
-                shard_by=summary.shard_by,
-                ranges=None,
-                name=self._name,
-                payloads=None,
-                store_root=str(self._store.root),
-                version=self._desired_version,
-                parent_pid=os.getpid(),
-                log_path=log_path,
-            )
-        ranges = summary.owned_ranges
+            log_path = os.path.join(self._worker_log_dir, f"worker-{worker_id}.log")
+        store_backed = self._store is not None
+        ranges = None if store_backed else summary.owned_ranges
         return WorkerSpec(
             worker_id=worker_id,
             indices=handle.indices,
             shard_by=summary.shard_by,
-            ranges=(
-                None
-                if ranges is None
-                else tuple(tuple(ranges[index]) for index in handle.indices)
+            ranges=None if ranges is None else tuple(
+                tuple(ranges[index]) for index in handle.indices
             ),
-            name=summary.name,
-            payloads=tuple(
+            name=self._name if store_backed else summary.name,
+            payloads=None if store_backed else tuple(
                 summary.shards[index].to_payload() for index in handle.indices
             ),
-            store_root=None,
-            version=None,
+            store_root=str(self._store.root) if store_backed else None,
+            version=self._desired_version,  # None without a store
             parent_pid=os.getpid(),
             log_path=log_path,
         )
@@ -891,15 +859,13 @@ class ClusterCoordinator(SummaryServer):
         deadline = time.monotonic() + _BOOT_TIMEOUT_S
         try:
             for handle in self._handles:
-                handle.port = self._await_ready(handle.worker_id, deadline)
-                handle.alive = True
+                self._admit(handle, deadline)
         except ReproError:
             self._stop_pool()
             raise
         self._cluster_workers.set(self._pool_size)
         self._monitor = threading.Thread(
-            target=self._monitor_main, name="repro-cluster-monitor",
-            daemon=True,
+            target=self._monitor_main, name="repro-cluster-monitor", daemon=True
         )
         self._monitor.start()
 
@@ -911,6 +877,7 @@ class ClusterCoordinator(SummaryServer):
             self._monitor = None
         for handle in self._handles:
             handle.alive = False
+            self._close_channels(handle.port)
             process = handle.process
             if process is None:
                 continue
@@ -923,18 +890,10 @@ class ClusterCoordinator(SummaryServer):
         if self._ready_queue is not None:
             self._ready_queue.close()
             self._ready_queue = None
-        pool = self._fanout_pool
-        self._fanout_pool = None
-        if pool is not None:
-            pool.shutdown(wait=False)
         self._cluster_workers.set(0)
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
-        self._fanout_pool = ThreadPoolExecutor(
-            max_workers=max(self._pool_size, 2),
-            thread_name_prefix="repro-cluster-fanout",
-        )
         await loop.run_in_executor(None, self._start_pool)
         await super().start()
 
@@ -943,11 +902,81 @@ class ClusterCoordinator(SummaryServer):
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self._stop_pool)
 
+    # -- worker channels ---------------------------------------------------
+    def _admit(self, handle: _WorkerHandle, deadline: float) -> None:
+        """Wait for the handle's new incarnation to answer ready, then
+        route to it."""
+        port = self._await_ready(handle.worker_id, deadline)
+        with self._channels_lock:
+            self._channels[port] = []
+        handle.port = port
+        handle.alive = True
+
+    def _close_channels(self, port: int) -> None:
+        """Forget an incarnation: close its idle channels now; the ones
+        in use are closed when their round returns them."""
+        with self._channels_lock:
+            idle = self._channels.pop(port, ())
+        for channel in idle:
+            channel.close()
+
+    def _exchange(self, op: str, requests: dict) -> dict:
+        """One scatter/gather round on the calling thread (module
+        docstring, *Fan-out*).  ``requests``: worker id → fields of its
+        ``op`` request; returns worker id → response envelope, or the
+        :class:`ServeError` that ended the call — a
+        :class:`TransportError` only if a fresh connection failed too
+        (``partial_batch`` and ``reload`` are idempotent, so a kept
+        channel found dead is retried once)."""
+        deadline = time.monotonic() + self._worker_timeout
+
+        def remaining() -> float:
+            return max(deadline - time.monotonic(), 1e-3)
+
+        calls = []
+        for wid, fields in requests.items():
+            handle = self._handles[wid]
+            port = handle.port
+            with self._channels_lock:
+                idle = self._channels.get(port)
+                channel = idle.pop() if idle else None
+            kept = channel is not None
+            if not kept:
+                channel = ServeClient(handle.host, port)
+            channel.timeout = remaining()
+            try:
+                sent = channel.send(op, **fields)
+            except TransportError as error:
+                sent = error
+            calls.append((wid, port, channel, kept, sent))
+        replies = {}
+        for wid, port, channel, kept, sent in calls:
+            try:
+                try:
+                    if isinstance(sent, TransportError):
+                        raise sent
+                    channel.timeout = remaining()
+                    reply = channel.receive(sent)
+                except TransportError:
+                    if not kept:
+                        raise
+                    self._reconnects.inc()
+                    channel.timeout = remaining()
+                    reply = channel.call(op, **requests[wid])
+            except ServeError as error:
+                reply = error
+            replies[wid] = reply
+            with self._channels_lock:
+                idle = self._channels.get(port)
+                if idle is not None and not isinstance(reply, TransportError):
+                    idle.append(channel)
+                    continue
+            channel.close()
+        return replies
+
     # -- worker liveness ---------------------------------------------------
     def _live_workers(self) -> set[int]:
-        return {
-            handle.worker_id for handle in self._handles if handle.alive
-        }
+        return {handle.worker_id for handle in self._handles if handle.alive}
 
     def _monitor_main(self) -> None:
         """Respawn loop: notices dead worker processes, spawns fresh
@@ -974,10 +1003,8 @@ class ClusterCoordinator(SummaryServer):
                     # Suspected from a failed fan-out call but the
                     # process lives: probe and re-admit.
                     try:
-                        with ServeClient(
-                            handle.host, handle.port, timeout=2.0
-                        ) as client:
-                            client.ping()
+                        with ServeClient(handle.host, handle.port, timeout=2.0) as c:
+                            c.ping()
                     except (ServeError, OSError):
                         pass
                     else:
@@ -988,11 +1015,9 @@ class ClusterCoordinator(SummaryServer):
         old = handle.process
         if old is not None:
             old.join(timeout=1.0)
+        self._close_channels(handle.port)
         handle.process = self._spawn_process(handle.worker_id)
-        handle.port = self._await_ready(
-            handle.worker_id, time.monotonic() + _BOOT_TIMEOUT_S
-        )
-        handle.alive = True
+        self._admit(handle, time.monotonic() + _BOOT_TIMEOUT_S)
         handle.death_counted = False
         self._respawns.inc()
         self._cluster_workers.set(len(self._live_workers()))
@@ -1018,6 +1043,7 @@ class ClusterCoordinator(SummaryServer):
             self._cluster_workers.set(len(self._live_workers()))
             if handle.process is not None:
                 handle.process.kill()
+            self._close_channels(handle.port)
             return handle.worker_id
 
     # -- hot reload --------------------------------------------------------
@@ -1028,23 +1054,13 @@ class ClusterCoordinator(SummaryServer):
         the pool converges instead of serving mixed generations."""
         target = super().reload(version=version, tag=tag)
         self._desired_version = target
-
-        def _reload_worker(handle: _WorkerHandle):
-            try:
-                with ServeClient(
-                    handle.host, handle.port, timeout=self._worker_timeout
-                ) as client:
-                    client.reload(version=target)
-            except (ServeError, OSError):
+        live = {wid: {"version": target} for wid in self._live_workers()}
+        for wid, reply in self._exchange("reload", live).items():
+            if isinstance(reply, ServeError):
                 try:
-                    self.kill_worker(handle.worker_id)
+                    self.kill_worker(wid)
                 except ReproError:
                     pass  # already dead; the monitor handles it
-
-        pool = self._fanout_pool
-        handles = [handle for handle in self._handles if handle.alive]
-        if pool is not None and handles:
-            list(pool.map(_reload_worker, handles))
         return target
 
     # -- the fan-out evaluation path ---------------------------------------
@@ -1069,139 +1085,114 @@ class ClusterCoordinator(SummaryServer):
             groups.setdefault(id(generation), []).append(index)
         for indices in groups.values():
             generation = items[indices[0]][0]
-            fanout: list[int] = []
+            fanout = []
             for index in indices:
                 plan = items[index][1]
-                if plan.route.target != "sharded":
-                    # Contradictions (EmptyOp) and defensive fallbacks
-                    # run on the frontend's resident planning model.
-                    try:
-                        result = generation.explorer.planner.execute(plan)
-                    except Exception as error:
-                        payloads[index] = error
-                    else:
-                        payload = result_payload(result)
-                        self.cache.put(
-                            (generation.version, plan.cache_key), payload
-                        )
-                        payloads[index] = payload
-                else:
+                if plan.route.target == "sharded":
                     fanout.append(index)
-            if not fanout:
-                continue
-            outputs = self._fan_out(
-                generation, [items[index][1] for index in fanout]
-            )
-            for index, output in zip(fanout, outputs):
-                if not isinstance(output, BaseException):
+                    continue
+                # Contradictions (EmptyOp) and defensive fallbacks run on
+                # the frontend's resident planning model.
+                try:
+                    payloads[index] = result_payload(
+                        generation.explorer.planner.execute(plan)
+                    )
+                except Exception as error:
+                    payloads[index] = error
+            if fanout:
+                outputs = self._fan_out(
+                    generation, [items[index][1] for index in fanout]
+                )
+                for index, output in zip(fanout, outputs):
+                    payloads[index] = output
+            for index in indices:
+                if not isinstance(payloads[index], BaseException):
                     self.cache.put(
                         (generation.version, items[index][1].cache_key),
-                        output,
+                        payloads[index],
                     )
-                payloads[index] = output
         self._fanout_seconds.observe(time.perf_counter() - began)
         return payloads
-
-    def _call_worker(
-        self, handle: _WorkerHandle, batch: dict, specs: list, version: int
-    ) -> dict:
-        """One ``partial_batch`` round-trip; returns plan-position →
-        partial.  Raises on transport failure (the caller reroutes the
-        worker's shards)."""
-        positions = sorted(batch)
-        items = []
-        for position in positions:
-            item = dict(specs[position])
-            item["shards"] = sorted(batch[position])
-            items.append(item)
-        with ServeClient(
-            handle.host, handle.port, timeout=self._worker_timeout
-        ) as client:
-            response = client.call("partial_batch", items=items)
-        if response.get("version") != version:
-            self._version_skew_total.inc()
-        partials = response.get("partials") or []
-        if len(partials) != len(positions):
-            raise ServeError(
-                f"worker {handle.worker_id} answered {len(partials)} "
-                f"partials for {len(positions)} items"
-            )
-        return dict(zip(positions, partials))
 
     def _fan_out(self, generation, plans: list) -> list:
         """Evaluate one flush's sharded plans across the pool."""
         version = generation.version
         summary = generation.explorer.backend.summary
         specs = [partial_item(plan) for plan in plans]
+        keys = [repr(plan.cache_key) for plan in plans]
         partials: list[list] = [[] for _ in plans]
         degraded: list[set] = [set() for _ in plans]
         live = self._live_workers()
         pending: dict[int, dict[int, set]] = {}
 
-        def _assign(position: int, shard: int, exclude: set) -> None:
-            candidates = [
-                wid
-                for wid in self._ring.preferred(
-                    repr(plans[position].cache_key), self._owners[shard]
-                )
-                if wid in live and wid not in exclude
-            ]
-            if not candidates:
+        def _assign(position: int, shard: int) -> None:
+            owners = self._ring.preferred(keys[position], self._owners[shard])
+            owner = next((wid for wid in owners if wid in live), None)
+            if owner is None:
                 degraded[position].add(shard)
-                return
-            pending.setdefault(candidates[0], {}).setdefault(
-                position, set()
-            ).add(shard)
+            else:
+                pending.setdefault(owner, {}).setdefault(position, set()).add(shard)
 
         for position, plan in enumerate(plans):
             for shard in plan.route.detail.get("live_shards", ()):
-                _assign(position, shard, exclude=set())
+                _assign(position, shard)
 
-        excluded: set[int] = set()
-        pool = self._fanout_pool
         while pending:
             current, pending = pending, {}
-            futures = {}
+            requests = {}
             for wid, batch in current.items():
-                handle = self._handles[wid]
-                if pool is not None:
-                    futures[wid] = pool.submit(
-                        self._call_worker, handle, batch, specs, version
-                    )
-            for wid, future in futures.items():
-                try:
-                    answered = future.result()
-                except (ServeError, OSError, ReproError):
+                items = [
+                    {**specs[position], "shards": sorted(batch[position])}
+                    for position in sorted(batch)
+                ]
+                requests[wid] = {"items": items}
+            replies = self._exchange("partial_batch", requests)
+            for wid, reply in replies.items():
+                positions = sorted(current[wid])
+                if not isinstance(reply, ServeError):
+                    answered = reply.get("partials") or ()
+                    if len(answered) != len(positions):
+                        reply = TransportError(
+                            f"worker {wid} answered {len(answered)} "
+                            f"partials for {len(positions)} items"
+                        )
+                if isinstance(reply, TransportError):
+                    # No (usable) answer: suspect the worker — the monitor
+                    # probes or respawns it — and route its shards to their
+                    # next owner still in ``live``, which only shrinks.
                     self._partial_calls.labels(outcome="failed").inc()
-                    excluded.add(wid)
-                    handle = self._handles[wid]
-                    handle.alive = False  # monitor probes / respawns
+                    self._handles[wid].alive = False
                     live.discard(wid)
                     self._cluster_workers.set(len(self._live_workers()))
-                    for position, shards in current[wid].items():
-                        for shard in shards:
-                            _assign(position, shard, exclude=excluded)
+                    for position in positions:
+                        for shard in current[wid][position]:
+                            _assign(position, shard)
+                elif isinstance(reply, ServeError):
+                    # An answered error is not a dead worker: its plans
+                    # fail with its message, it stays live.
+                    self._partial_calls.labels(outcome="error").inc()
+                    failed = {"kind": "error", "error": str(reply)}
+                    for position in positions:
+                        partials[position].append(failed)
                 else:
                     self._partial_calls.labels(outcome="ok").inc()
-                    for position, partial in answered.items():
+                    if reply.get("version") != version:
+                        self._version_skew_total.inc()
+                    if "busy_us" in reply:
+                        self._worker_busy_seconds.observe(reply["busy_us"] / 1e6)
+                    for position, partial in zip(positions, answered):
                         partials[position].append(partial)
 
         outputs: list = []
-        for position, plan in enumerate(plans):
-            if degraded[position]:
+        for plan, spec, parts, lost in zip(plans, specs, partials, degraded):
+            if lost:
                 self._degraded_total.inc()
+            priors = [summary.shards[shard].total for shard in sorted(lost)]
             try:
                 outputs.append(
                     merge_partials(
-                        plan,
-                        specs[position],
-                        partials[position],
-                        degraded_totals=[
-                            summary.shards[shard].total
-                            for shard in sorted(degraded[position])
-                        ],
-                        total=summary.total,
-                        rounded=self.config.rounded,
+                        plan, spec, parts, degraded_totals=priors,
+                        total=summary.total, rounded=self.config.rounded,
                     )
                 )
             except Exception as error:
@@ -1212,8 +1203,13 @@ class ClusterCoordinator(SummaryServer):
     def stats(self) -> dict:
         report = super().stats()
         snapshot = self.metrics.snapshot()
-        from repro.obs import sample_value
-
+        with self._channels_lock:
+            # Kept (idle) channels per worker at this instant; the ones
+            # mid-round are back before the next snapshot.
+            channels = {
+                str(handle.worker_id): len(self._channels.get(handle.port, ()))
+                for handle in self._handles
+            }
         report["cluster"] = {
             "workers": self._pool_size,
             "replicas": self._replicas,
@@ -1222,15 +1218,16 @@ class ClusterCoordinator(SummaryServer):
                 str(handle.worker_id): list(handle.indices)
                 for handle in self._handles
             },
-            "deaths": int(
-                sample_value(snapshot, "repro_cluster_worker_deaths_total")
-            ),
-            "respawns": int(
-                sample_value(snapshot, "repro_cluster_respawns_total")
-            ),
-            "degraded": int(
-                sample_value(snapshot, "repro_cluster_degraded_total")
-            ),
+            "channels": channels,
+            **{
+                key: int(sample_value(snapshot, f"repro_cluster_{family}_total"))
+                for key, family in (
+                    ("deaths", "worker_deaths"),
+                    ("respawns", "respawns"),
+                    ("degraded", "degraded"),
+                    ("reconnects", "channel_reconnects"),
+                )
+            },
         }
         return report
 

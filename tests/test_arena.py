@@ -453,6 +453,14 @@ class TestKernelDifferential:
                     assert _close(
                         summary.avg_estimate(name, weights, predicate), total / rows
                     )
+                # The one-pass AVG parts are the two-pass answers: the
+                # numerators' row sums are the masked values, with the
+                # mask on or off the aggregated attribute.
+                masks = predicate.attribute_masks()
+                assert _close(
+                    arena.sum_and_count(schema.position(name), weights, masks),
+                    (total, count.expectation, count.variance),
+                )
 
         # An all-False mask answers exactly 0 on every path.
         pos = data.draw(st.integers(0, len(sizes) - 1))
@@ -553,6 +561,27 @@ class TestKernelDifferential:
                     assert _close(payload["value"], total / count)
                     if whole is not None:
                         assert _close(payload["value"], whole["value"])
+
+            # A worker's AVG partial is one arena pass; it carries what
+            # its COUNT and SUM partials carry, whatever it was asked for.
+            masks = {
+                str(pos): np.flatnonzero(mask).tolist()
+                for pos, mask in predicate.attribute_masks().items()
+            }
+            for shard_slice in slices.values():
+                asked = data.draw(
+                    st.lists(st.sampled_from(shard_slice.indices), unique=True)
+                )
+                for name in schema.attribute_names:
+                    item = {"masks": masks, "shards": asked, "attr": name}
+                    counted, summed, averaged = (
+                        compute_partial(shard_slice, {**item, "kind": kind})
+                        for kind in ("count", "sum", "avg")
+                    )
+                    assert _close(
+                        [averaged["s"], averaged["e"], averaged["v"]],
+                        [summed["s"], counted["e"], counted["v"]],
+                    )
 
         # Shards the worker does not own are not its to answer for: exactly 0.
         shard_slice = next(iter(slices.values()))

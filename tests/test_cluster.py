@@ -17,6 +17,11 @@ Two layers:
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
+import socket
+import sys
 import threading
 import time
 
@@ -31,17 +36,21 @@ from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError, ReproError
+from repro.obs import sample_value
 from repro.serve import (
     ClusterCoordinator,
     ServeClient,
     ServeConfig,
+    ServeError,
     ServerThread,
     SummaryServer,
+    TransportError,
     run_load,
 )
 from repro.serve.cluster import (
     HashRing,
     ShardSlice,
+    ShardWorkerServer,
     compute_partial,
     merge_partials,
     partial_item,
@@ -322,17 +331,25 @@ class TestMergeMath:
         assert len(merged["labels"]) <= 3
 
 
+def _count(shard_slice, masks=None, shards=None):
+    """``(e, v)`` of a COUNT partial; ``masks`` as wire index lists."""
+    partial = compute_partial(
+        shard_slice, {"kind": "count", "masks": masks or {}, "shards": shards}
+    )
+    return partial["e"], partial["v"]
+
+
 class TestShardSlice:
     def test_slice_evaluates_only_requested_owned_shards(self, summary):
         shard_slice = ShardSlice.from_summary(summary, [0, 1])
-        full_e, full_v = shard_slice.count(None)
-        sub_e, sub_v = shard_slice.count(None, shards=[0])
-        other_e, other_v = shard_slice.count(None, shards=[1])
+        full_e, full_v = _count(shard_slice)
+        sub_e, sub_v = _count(shard_slice, shards=[0])
+        other_e, other_v = _count(shard_slice, shards=[1])
         assert full_e == pytest.approx(sub_e + other_e)
         assert full_v == pytest.approx(sub_v + other_v)
         assert 0 < sub_e < full_e
         # unknown / unowned shard indices are ignored, not an error
-        none_e, none_v = shard_slice.count(None, shards=[3])
+        none_e, none_v = _count(shard_slice, shards=[3])
         assert (none_e, none_v) == (0.0, 0.0)
 
     @pytest.mark.parametrize("indices", [[2], [0, 2], [3, 1], [0, 1, 2, 3]])
@@ -341,27 +358,39 @@ class TestShardSlice:
         slice, answering what the per-shard reference answers."""
         shard_slice = ShardSlice.from_summary(summary, indices)
         assert shard_slice.arena.num_shards == len(indices)
-        masks = {0: np.array([True, False, True])}
-        predicate = conjunction_from_masks(summary.schema, masks)
-        assert shard_slice.count(masks) == pytest.approx(
+        masks = {"0": [0, 2]}
+        predicate = conjunction_from_masks(
+            summary.schema, {0: np.array([True, False, True])}
+        )
+        assert _count(shard_slice, masks) == pytest.approx(
             reference.count(summary, predicate, indices), rel=1e-9
         )
         asked = indices[:1]
-        assert shard_slice.count(masks, shards=asked + [17]) == pytest.approx(
+        assert _count(shard_slice, masks, asked + [17]) == pytest.approx(
             reference.count(summary, predicate, asked), rel=1e-9
         )
-        assert shard_slice.sum_value("hour", masks, asked) == pytest.approx(
-            reference.sum_estimate(
-                summary, "hour", np.arange(16.0), predicate, asked
-            ),
-            rel=1e-9,
+        item = {"masks": masks, "shards": asked}
+        total = reference.sum_estimate(
+            summary, "hour", np.arange(16.0), predicate, asked
         )
-        groups = shard_slice.group(["state", "hour"], masks, asked)
+        assert compute_partial(
+            shard_slice, {"kind": "sum", "attr": "hour", **item}
+        )["s"] == pytest.approx(total, rel=1e-9)
+        # AVG: the same SUM and COUNT, from one arena pass.
+        average = compute_partial(
+            shard_slice, {"kind": "avg", "attr": "hour", **item}
+        )
+        assert (average["s"], average["e"], average["v"]) == pytest.approx(
+            (total, *reference.count(summary, predicate, asked)), rel=1e-9
+        )
+        partial = compute_partial(
+            shard_slice, {"kind": "group", "group_by": ["state", "hour"], **item}
+        )
         expected = reference.group_by(summary, ["state", "hour"], predicate, asked)
         states = summary.schema.domain("state")
         assert {
             (states.label_of(state), hour): count
-            for (state, hour), count in groups.items()
+            for (state, hour), count in zip(partial["labels"], partial["counts"])
         } == pytest.approx({key: e for key, (e, _) in expected.items()}, rel=1e-9)
 
     def test_slice_requires_aligned_metadata(self, summary):
@@ -551,6 +580,324 @@ class TestClusterServing:
 
 
 # ----------------------------------------------------------------------
+# The fan-out's channels: kept, exclusive, per incarnation
+# ----------------------------------------------------------------------
+
+def _counter(server, name, labels=None) -> float:
+    return sample_value(server.metrics.snapshot(), name, labels)
+
+
+def _worker_connections(port: int) -> float:
+    """Binary connections one worker has accepted (this probe's own
+    included)."""
+    with ServeClient(port=port) as client:
+        snapshot = client.server_metrics()["snapshot"]
+    return sample_value(
+        snapshot, "repro_connections_total", {"protocol": "binary"}
+    )
+
+
+def _cold_statements(count: int) -> list[str]:
+    ranges = [(low, high) for low in range(16) for high in range(low, 16)]
+    return [
+        f"SELECT COUNT(*) FROM R WHERE hour BETWEEN {low} AND {high}"
+        + ("" if index < len(ranges) else " AND state = 'CA'")
+        for index, (low, high) in enumerate((ranges * 2)[:count])
+    ]
+
+
+def _sharded_items(coordinator, statements) -> list:
+    generation = coordinator._generation
+    plans = [generation.explorer.plan(sql) for sql in statements]
+    assert all(plan.route.target == "sharded" for plan in plans)
+    return [(generation, plan) for plan in plans]
+
+
+def _closed_port() -> int:
+    """A port nothing listens on (bound once, then released)."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def _idle_channels(coordinator) -> dict:
+    with coordinator._channels_lock:
+        return {port: list(idle) for port, idle in coordinator._channels.items()}
+
+
+class TestChannels:
+    def test_a_cold_stream_keeps_its_connections(self, cluster):
+        """200 distinct queries, each a fan-out: every worker accepts
+        O(flush threads) connections, not one per call."""
+        statements = _cold_statements(200)
+        assert len(set(statements)) == 200
+        before = [_worker_connections(port) for port in cluster.worker_ports()]
+        with ServeClient(port=cluster.port) as client:
+            for sql in statements:
+                assert "degraded" not in client.query(sql)
+        after = [_worker_connections(port) for port in cluster.worker_ports()]
+        # One probe connection per reading, plus at most one channel per
+        # flush thread; a sequential client keeps one flush in flight.
+        assert all(b - a <= 1 + 2 for a, b in zip(before, after)), (before, after)
+        channels = cluster.stats()["cluster"]["channels"]
+        assert set(channels) == {"0", "1"}
+        # Bounded by the flush threads that can exist (the frontend
+        # loop's default executor), however much traffic came before.
+        flush_threads = min(32, (os.cpu_count() or 1) + 4)
+        assert all(1 <= count <= flush_threads for count in channels.values())
+
+    def test_concurrent_flushes_never_share_a_channel(self, cluster):
+        """Four threads fanning out disjoint plan lists get, item for
+        item, what a serial run gets: a channel is exclusive while
+        checked out, so no frame interleaves and no reply is swapped."""
+        statements = _cold_statements(120) + QUERIES
+        items = _sharded_items(cluster, statements)
+        serial = cluster._execute_items(items)
+        assert not any(isinstance(out, BaseException) for out in serial)
+        lists = [items[offset::4] for offset in range(4)]
+        results: list = [None] * 4
+        barrier = threading.Barrier(4)
+
+        def flush(slot: int) -> None:
+            barrier.wait(timeout=10)
+            results[slot] = [
+                output
+                for start in range(0, len(lists[slot]), 3)
+                for output in cluster._execute_items(lists[slot][start : start + 3])
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=flush, args=(slot,)) for slot in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for offset in range(4):
+            assert [_norm(out) for out in results[offset]] == [
+                _norm(out) for out in serial[offset::4]
+            ]
+        idle = _idle_channels(cluster)
+        assert sorted(idle) == sorted(cluster.worker_ports())
+        assert all(
+            channels and all(channel.port == port for channel in channels)
+            for port, channels in idle.items()
+        )
+
+    def test_a_killed_incarnation_takes_its_channels_with_it(self, cluster):
+        """kill_worker mid-stream with replicas=2: nothing fails, nothing
+        degrades, the dead incarnation's channels are closed and gone,
+        and after the respawn the fan-out talks to the new port."""
+        with ServeClient(port=cluster.port) as client:
+            for sql in QUERIES:
+                client.query(sql)  # both workers hold a kept channel
+            respawns = cluster.stats()["cluster"]["respawns"]
+            victim = cluster.kill_worker(0)
+            old_port = cluster.worker_ports()[victim]
+            old_channels = _idle_channels(cluster)
+            for sql in _cold_statements(60):
+                assert "degraded" not in client.query(sql)
+            assert old_port not in old_channels
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                if cluster.stats()["cluster"]["respawns"] > respawns:
+                    break
+                time.sleep(0.05)
+            new_port = cluster.worker_ports()[victim]
+            assert new_port != old_port
+            for sql in _cold_statements(60) + QUERIES:
+                assert "degraded" not in client.query(sql)
+        idle = _idle_channels(cluster)
+        assert old_port not in idle
+        assert idle[new_port] and all(
+            channel.port == new_port and channel._sock is not None
+            for channel in idle[new_port]
+        )
+
+    def test_kill_closes_the_idle_channels(self, summary):
+        coordinator = ClusterCoordinator(summary, workers=2, replicas=2)
+        with ServerThread(coordinator):
+            coordinator._execute_items(_sharded_items(coordinator, QUERIES))
+            port = coordinator.worker_ports()[1]
+            kept = _idle_channels(coordinator)[port]
+            assert kept and all(channel._sock is not None for channel in kept)
+            coordinator.kill_worker(1)
+            assert port not in _idle_channels(coordinator)
+            assert all(channel._sock is None for channel in kept)
+
+    def test_a_stale_channel_costs_one_reconnect_not_a_worker(self, cluster):
+        items = _sharded_items(cluster, QUERIES)
+        cluster._execute_items(items)
+        failed = _counter(
+            cluster, "repro_cluster_partial_calls_total", {"outcome": "failed"}
+        )
+        reconnects = cluster.stats()["cluster"]["reconnects"]
+        stale = [c for idle in _idle_channels(cluster).values() for c in idle]
+        assert len(stale) >= 2
+        for channel in stale:
+            # Under the frontend's feet: the client object still believes
+            # it is connected.
+            channel._sock.shutdown(2)
+        outputs = cluster._execute_items(items)
+        assert not any(isinstance(out, BaseException) for out in outputs)
+        assert not any("degraded" in out for out in outputs)
+        assert _counter(cluster, "repro_cluster_workers") == 2
+        assert _counter(
+            cluster, "repro_cluster_partial_calls_total", {"outcome": "failed"}
+        ) == failed
+        assert cluster.stats()["cluster"]["reconnects"] >= reconnects + 2
+        assert cluster.stats()["cluster"]["live"] == 2
+
+    def test_stop_leaves_no_socket_behind(self, summary):
+        def sockets() -> int:
+            count = 0
+            for fd in os.listdir("/proc/self/fd"):
+                with contextlib.suppress(OSError):
+                    count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+            return count
+
+        before = sockets()
+        coordinator = ClusterCoordinator(summary, workers=2, replicas=2)
+        with ServerThread(coordinator):
+            outputs = coordinator._execute_items(
+                _sharded_items(coordinator, QUERIES)
+            )
+            assert not any(isinstance(out, BaseException) for out in outputs)
+            assert sockets() > before
+            kept = [c for idle in _idle_channels(coordinator).values() for c in idle]
+            assert len(kept) >= 2
+        assert _idle_channels(coordinator) == {}
+        assert all(channel._sock is None for channel in kept)
+        assert sockets() == before
+
+    def test_one_hung_worker_costs_one_timeout(self, summary):
+        """SIGSTOP one of two workers: the round's reads share one
+        deadline, and the retry of the kept channel gets what is left of
+        it — the gather returns after ≈ one ``worker_timeout``."""
+        coordinator = ClusterCoordinator(
+            summary, workers=2, replicas=1, worker_timeout=1.0
+        )
+        with ServerThread(coordinator):
+            items = _sharded_items(coordinator, ["SELECT COUNT(*) FROM R"])
+            assert "degraded" not in coordinator._execute_items(items)[0]
+            pid = coordinator._handles[0].process.pid
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                began = time.monotonic()
+                [output] = coordinator._execute_items(items)
+                elapsed = time.monotonic() - began
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            assert output["degraded"] is True
+            assert 0.9 <= elapsed < 1.6, elapsed
+            assert coordinator.stats()["cluster"]["live"] == 1
+
+
+class _RefusingWorker(ShardWorkerServer):
+    """A worker that answers every ``partial_batch`` with an error."""
+
+    async def _dispatch(self, client, request):
+        if request.get("op") == "partial_batch":
+            raise QueryError("stub worker refuses partial_batch")
+        return await super()._dispatch(client, request)
+
+
+@contextlib.contextmanager
+def _in_process_pool(coordinator, worker_classes):
+    """Workers as in-process server threads behind a coordinator that
+    was never started — the stub-worker harness: no processes, the real
+    channels and the real ``_fan_out``."""
+    with contextlib.ExitStack() as stack:
+        for handle, worker_class in zip(coordinator._handles, worker_classes):
+            worker = worker_class(
+                coordinator._worker_spec(handle.worker_id),
+                config=ServeConfig(**coordinator._worker_config_fields()),
+            )
+            stack.enter_context(ServerThread(worker))
+            coordinator._ready_buffer[handle.worker_id] = worker.port
+            coordinator._admit(handle, time.monotonic() + 1)
+        try:
+            yield coordinator
+        finally:
+            for handle in coordinator._handles:
+                coordinator._close_channels(handle.port)
+
+
+class TestFailureKinds:
+    """A transport failure makes a worker suspect; an answered error is
+    an answer."""
+
+    def test_an_answered_error_fails_the_plans_not_the_worker(self, summary):
+        coordinator = ClusterCoordinator(summary, workers=2, replicas=1)
+        with _in_process_pool(coordinator, [_RefusingWorker, ShardWorkerServer]):
+            # hour <= 3 lives on worker 0's shards, hour >= 12 on worker 1's.
+            refused, answered, both = coordinator._execute_items(
+                _sharded_items(
+                    coordinator,
+                    [
+                        "SELECT COUNT(*) FROM R WHERE hour <= 3",
+                        "SELECT COUNT(*) FROM R WHERE hour >= 12",
+                        "SELECT COUNT(*) FROM R",
+                    ],
+                )
+            )
+            for output in (refused, both):
+                assert isinstance(output, QueryError)
+                assert "stub worker refuses partial_batch" in str(output)
+            assert answered["value"] > 0 and "degraded" not in answered
+            assert coordinator._handles[0].alive
+            assert _counter(
+                coordinator,
+                "repro_cluster_partial_calls_total",
+                {"outcome": "error"},
+            ) == 1
+            assert _counter(coordinator, "repro_cluster_degraded_total") == 0
+            # the channel that carried the refusal went back to its list
+            port = coordinator.worker_ports()[0]
+            assert len(_idle_channels(coordinator)[port]) == 1
+
+    def test_a_transport_failure_reroutes_and_suspects(self, summary):
+        coordinator = ClusterCoordinator(summary, workers=2, replicas=2)
+        with _in_process_pool(coordinator, [ShardWorkerServer] * 2):
+            items = _sharded_items(coordinator, QUERIES)
+            expected = coordinator._execute_items(items)
+            # Worker 0 vanishes: nothing listens on its port any more, so
+            # the kept channel fails and so does the fresh connection.
+            silent = _closed_port()
+            handle = coordinator._handles[0]
+            for channel in _idle_channels(coordinator)[handle.port]:
+                channel.close()
+                channel.port = silent
+            outputs = coordinator._execute_items(items)
+            assert [_norm(out) for out in outputs] == [_norm(out) for out in expected]
+            assert not handle.alive
+            assert _counter(coordinator, "repro_cluster_workers") == 1
+            assert _counter(
+                coordinator,
+                "repro_cluster_partial_calls_total",
+                {"outcome": "failed"},
+            ) >= 1
+
+    def test_exchange_reports_what_ended_each_call(self, summary):
+        coordinator = ClusterCoordinator(summary, workers=2, replicas=1)
+        with _in_process_pool(coordinator, [_RefusingWorker, ShardWorkerServer]):
+            item = {"kind": "count", "masks": {}}
+            replies = coordinator._exchange(
+                "partial_batch", {0: {"items": [item]}, 1: {"items": [item]}}
+            )
+            assert isinstance(replies[0], ServeError)
+            assert not isinstance(replies[0], TransportError)
+            assert replies[1]["partials"][0]["kind"] == "count"
+            assert replies[1]["busy_us"] > 0
+
+
+# ----------------------------------------------------------------------
 # GROUP BY labels: one fixture, every surface, literal expectations
 # ----------------------------------------------------------------------
 
@@ -724,6 +1071,55 @@ class TestClusterReload:
             assert not errors
             assert before == pytest.approx(600, abs=2)
             assert after == pytest.approx(900, abs=2)
+
+
+    def test_reload_rides_the_channels_and_replaces_a_refusing_worker(
+        self, versioned_store, monkeypatch
+    ):
+        coordinator = ClusterCoordinator(
+            store=versioned_store,
+            name="demo",
+            version=1,
+            workers=2,
+            replicas=2,
+            config=ServeConfig(port=0, window_ms=0.5, cache_size=0),
+        )
+        with ServerThread(coordinator):
+            coordinator._execute_items(_sharded_items(coordinator, QUERIES))
+            ports = coordinator.worker_ports()
+            connections = _worker_connections(ports[0])
+            exchange = coordinator._exchange
+
+            def skewed(op, requests):
+                # Worker 1 is asked for a version the store does not
+                # have, so it answers its reload with a real error.
+                if op == "reload":
+                    requests = {**requests, 1: {"version": 999}}
+                return exchange(op, requests)
+
+            monkeypatch.setattr(coordinator, "_exchange", skewed)
+            assert coordinator.reload() == 2
+            # Worker 0 reloaded, over the channel it already had: only
+            # this ping and the two metric probes connected to it.
+            with ServeClient(port=ports[0]) as client:
+                assert client.ping() == {"version": 2}
+            assert _worker_connections(ports[0]) - connections == 2
+            # Worker 1 was killed, and comes back at the target version.
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                stats = coordinator.stats()["cluster"]
+                if stats["respawns"] >= 1 and stats["live"] == 2:
+                    break
+                time.sleep(0.05)
+            assert coordinator.stats()["cluster"]["deaths"] == 1
+            assert coordinator.worker_ports()[1] != ports[1]
+            with ServeClient(port=coordinator.worker_ports()[1]) as client:
+                assert client.ping() == {"version": 2}
+            [output] = coordinator._execute_items(
+                _sharded_items(coordinator, ["SELECT COUNT(*) FROM R"])
+            )
+            assert output["value"] == pytest.approx(900, abs=2)
+            assert "degraded" not in output
 
 
 class TestValidation:

@@ -10,6 +10,7 @@ trace ids and their own queue-wait spans.
 
 import json
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -348,6 +349,22 @@ class TestRenderTop:
         assert "evaluate" in out
         assert "requests" in out
 
+    def test_cluster_line_splits_the_fan_out(self):
+        """On a ``--workers`` frontend: fan-out minus the workers' own
+        busy time is routing and wire; absent on a single process."""
+        assert "cluster" not in render_top(self._snapshot())
+        registry = MetricsRegistry()
+        registry.gauge("repro_cluster_workers", "").set(2)
+        registry.histogram("repro_cluster_fanout_seconds", "").observe(0.001)
+        busy = registry.histogram("repro_cluster_worker_busy_seconds", "")
+        busy.observe(0.0002)
+        busy.observe(0.0004)
+        out = render_top({**self._snapshot(), **registry.snapshot()})
+        assert "cluster workers 2" in out
+        assert "fan-out mean ms 1.000" in out
+        assert "worker busy 0.300" in out
+        assert "routing+wire 0.700" in out
+
     def test_qps_from_delta(self):
         first = self._snapshot()
         second = json.loads(json.dumps(first))
@@ -390,9 +407,13 @@ class TestClientObservability:
         )
         monkeypatch.setattr(
             client,
-            "_roundtrip_binary",
-            lambda op, request_id, fields: dict(busy_envelope),
-            raising=False,
+            "_sock",
+            SimpleNamespace(
+                sendall=lambda data: None, gettimeout=lambda: client.timeout
+            ),
+        )
+        monkeypatch.setattr(
+            client, "_read_reply", lambda request_id: dict(busy_envelope)
         )
         monkeypatch.setattr("time.sleep", lambda _s: None)
         with pytest.raises(ServerBusy) as caught:

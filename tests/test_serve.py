@@ -38,7 +38,9 @@ from repro.serve import (
     ServerThread,
     SummaryServer,
     TTLCache,
+    TransportError,
     run_load,
+    wire,
 )
 from repro.serve.client import backoff_delay
 from repro.serve.loadgen import default_workload
@@ -729,6 +731,136 @@ class TestClientBackoff:
         with pytest.raises(ServerBusy):
             client.query("SELECT COUNT(*) FROM R")
         assert sleeps == []  # no retry budget, no sleeping
+
+
+class _ScriptedServer:
+    """A raw-socket ``ping`` server whose n-th connection follows the
+    n-th script: ``"drop"`` closes without answering (binary: after half
+    a frame header), ``"stall"`` answers a frame header and never the
+    body, ``"serve"`` answers every ping (later connections too)."""
+
+    REPLY = {"ok": True, "status": 200, "result": "pong", "version": 7}
+
+    def __init__(self, *scripts: str):
+        self._scripts = list(scripts)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self.connections = 0
+        self._release = threading.Event()
+        self._thread = threading.Thread(target=self._main, daemon=True)
+        self._thread.start()
+
+    def close(self) -> None:
+        self._release.set()
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept()
+        self._listener.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+    def _main(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            script = self._scripts.pop(0) if self._scripts else "serve"
+            self.connections += 1
+            threading.Thread(
+                target=self._connection, args=(conn, script), daemon=True
+            ).start()
+
+    def _connection(self, conn, script: str) -> None:
+        with conn, conn.makefile("rb") as reader:
+            while True:
+                first = reader.peek(1)[:1]
+                if not first:
+                    return
+                if first == wire.MAGIC[:1]:
+                    header = reader.read(wire.HEADER_SIZE)
+                    _, length, request_id = wire.decode_header(header)
+                    reader.read(length)
+                    frame = wire.encode_frame(wire.OP_REPLY, request_id, self.REPLY)
+                    if script == "drop":
+                        frame = frame[: wire.HEADER_SIZE // 2]
+                    elif script == "stall":
+                        frame = frame[: wire.HEADER_SIZE]
+                else:
+                    request = json.loads(reader.readline())
+                    frame = json.dumps({**self.REPLY, "id": request["id"]}).encode()
+                    if script == "drop":
+                        frame = b""
+                    elif script == "serve":
+                        frame += b"\n"
+                conn.sendall(frame)
+                if script == "drop":
+                    return
+                if script == "stall":
+                    self._release.wait(10)
+                    return
+
+
+class TestClientReconnects:
+    """A transport failure closes the socket, so the client's next call
+    reconnects; an ``ok: false`` *answer* keeps the connection."""
+
+    @pytest.mark.parametrize("protocol", ["binary", "json"])
+    def test_a_dropped_connection_costs_one_call(self, protocol):
+        server = _ScriptedServer("drop")
+        client = ServeClient(port=server.port, protocol=protocol)
+        try:
+            with pytest.raises(TransportError):
+                client.ping()
+            assert client._sock is None
+            for _ in range(3):
+                assert client.ping() == {"version": 7}
+            assert server.connections == 2  # one reconnect, then kept
+        finally:
+            client.close()
+            server.close()
+
+    @pytest.mark.parametrize("protocol", ["binary", "json"])
+    def test_a_timeout_mid_reply_does_not_leave_the_stream_unaligned(
+        self, protocol
+    ):
+        """Header (binary) or half a line (JSON) arrives, the rest never
+        does: the timeout closes the socket instead of leaving the next
+        call to read the tail of this reply."""
+        server = _ScriptedServer("stall")
+        client = ServeClient(port=server.port, protocol=protocol, timeout=0.2)
+        try:
+            with pytest.raises(TransportError, match="timed out"):
+                client.ping()
+            assert client._sock is None
+            assert client.ping() == {"version": 7}
+        finally:
+            client.close()
+            server.close()
+
+    @pytest.mark.parametrize("protocol", ["binary", "json"])
+    def test_an_answered_error_keeps_the_connection(self, summary, protocol):
+        server = SummaryServer(summary, config=ServeConfig(window_ms=0.5))
+        with ServerThread(server):
+            with ServeClient(port=server.port, protocol=protocol) as client:
+                sock = client._sock
+                with pytest.raises(ServeError) as caught:
+                    client.call("no-such-op")
+                assert not isinstance(caught.value, TransportError)
+                assert caught.value.status == 400
+                assert client._sock is sock
+                assert client.ping() == {"version": 0}
+
+    def test_send_and_receive_are_the_halves_of_call(self, summary):
+        """Two clients, both requests written before either reply is
+        read — the cluster frontend's scatter/gather in miniature."""
+        server = SummaryServer(summary, config=ServeConfig(window_ms=0.5))
+        with ServerThread(server):
+            with ServeClient(port=server.port) as a, ServeClient(
+                port=server.port, protocol="json"
+            ) as b:
+                sent = [(client, client.send("ping")) for client in (a, b)]
+                replies = [client.receive(rid) for client, rid in reversed(sent)]
+                assert [reply["result"] for reply in replies] == ["pong", "pong"]
+                assert a.call("ping")["ok"]
 
 
 class TestTTLOverTheWire:
