@@ -117,6 +117,10 @@ lint:
 	@# no thread pool, no executor hop around _compute_partials.
 	@! grep -nE "ThreadPoolExecutor|_fanout_pool" src/repro/serve/cluster.py
 	@! grep -Pzo "run_in_executor\([^)]*_compute_partials" src/repro/serve/cluster.py
+	@# The coalescer flushes by group commit — when idle, or when the
+	@# flush in flight completes: no timer, and no window to tune.
+	@! grep -n "call_later" src/repro/serve/coalescer.py
+	@! grep -rnI "window_ms" src/
 
 # Documentation rot check: every ```python block in README.md and
 # docs/*.md must compile, every relative link must resolve.

@@ -76,7 +76,6 @@ def _config() -> ServeConfig:
     return ServeConfig(
         port=0,
         cache_size=0,
-        window_ms=20.0,
         max_queue=512,
         max_inflight_per_client=32,
     )

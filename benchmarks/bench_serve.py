@@ -7,10 +7,12 @@ engine cannot memoize internally) — the server with request coalescing
 and the shared TTL result cache sustains **at least 2x** the
 throughput of the same server with both turned off, because
 
-* same-canonical-key requests inside one ~2 ms window are answered by
-  one execution instead of one per client,
-* distinct queries inside a window flush through the planner's batched
-  executor as one vectorized pass,
+* same-canonical-key requests are answered by one execution instead of
+  one per client, whether they land in one batch or join the key's
+  flush in flight,
+* distinct queries that arrive while a flush is in flight collect and
+  go through the planner's batched executor together as the next flush
+  (group commit: an idle server flushes a lone miss at once),
 * within the TTL, repeats across *all* clients and sessions are served
   from the cache without touching the backend at all.
 
@@ -85,7 +87,7 @@ def test_coalescing_throughput_speedup(store):
     )
     coalesced = _drive(
         summary,
-        ServeConfig(window_ms=2.0),
+        ServeConfig(),
         requests,
     )
 
@@ -176,7 +178,7 @@ def test_stage_breakdown():
         "SELECT SUM(hour) FROM R WHERE state = 'NY'",
     ]
     server = SummaryServer(
-        summary, config=ServeConfig(window_ms=2.0, cache_size=0)
+        summary, config=ServeConfig(cache_size=0)
     )
     with ServerThread(server):
         report = run_load(
@@ -243,7 +245,7 @@ def test_serve_smoke():
         "SELECT COUNT(*) FROM R GROUP BY state",
         "SELECT SUM(hour) FROM R WHERE state = 'NY'",
     ]
-    server = SummaryServer(summary, config=ServeConfig(window_ms=2.0))
+    server = SummaryServer(summary, config=ServeConfig())
     with ServerThread(server):
         report = run_load(
             server.host,

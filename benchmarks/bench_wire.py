@@ -95,7 +95,7 @@ def test_binary_protocol_speedup():
     requests = 200 if active_scale().name == "small" else 400
     qps_floor = _serve_smoke_floor()
     server = SummaryServer(
-        _summary(), config=ServeConfig(window_ms=1.0, cache_ttl=None)
+        _summary(), config=ServeConfig(cache_ttl=None)
     )
     with ServerThread(server) as running:
         # Warm the shared cache once so every leg measures the serving
@@ -199,7 +199,7 @@ def test_round_trip_equivalence():
     """Both protocols answer the whole workload identically — the
     throughput above is not bought with a different answer."""
     server = SummaryServer(
-        _summary(), config=ServeConfig(window_ms=1.0, cache_ttl=None)
+        _summary(), config=ServeConfig(cache_ttl=None)
     )
     with ServerThread(server) as running:
         with ServeClient(port=running.port) as binary:

@@ -166,12 +166,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def add_serve_tuning(command):
         """The serving-layer knobs shared by serve and bench-serve."""
         command.add_argument(
-            "--window-ms",
-            type=float,
-            default=2.0,
-            help="coalescing window in milliseconds (default 2.0)",
-        )
-        command.add_argument(
             "--max-batch",
             type=int,
             default=64,
@@ -682,7 +676,6 @@ def _serve_config(args, *, host: str | None = None, port: int | None = None):
     return ServeConfig(
         host=host if host is not None else args.host,
         port=port if port is not None else args.port,
-        window_ms=args.window_ms,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         max_inflight_per_client=args.max_inflight,
@@ -748,11 +741,7 @@ def _cmd_serve(args) -> int:
 
     async def run():
         await server.start()
-        mode = (
-            f"coalescing {config.window_ms:g} ms"
-            if config.coalesce
-            else "no coalescing"
-        )
+        mode = "coalescing" if config.coalesce else "no coalescing"
         workers = getattr(args, "workers", 1) or 1
         if workers > 1:
             mode += f", {workers} workers"
@@ -832,7 +821,6 @@ def _cmd_bench_serve(args) -> int:
         "name": "bench-serve",
         "summary": server.label,
         "coalesce": config.coalesce,
-        "window_ms": config.window_ms,
         "protocol": args.protocol,
         "pipeline": args.pipeline,
         "workload_queries": len(workload),

@@ -19,10 +19,13 @@ off (the ≤5% overhead budget the serve benchmark gates).
 
 Coalescing makes one span *shared*: N same-key requests waiting on one
 flush each keep their own trace (distinct ids, their own
-``coalesce_wait`` span) but attach the **same** ``evaluate`` span
-object — same ``span_id``, same duration — because only one evaluation
-happened.  That is the provenance story: a trace tells you which
-execution answered you, not just how long you waited.
+``coalesce_wait`` span) but see the **same** ``evaluate`` span — same
+``span_id`` — because only one evaluation happened.  That is the
+provenance story: a trace tells you which execution answered you, not
+just how long you waited.  Each waiter records a *view* of that span
+(:meth:`Span.within`) clipped to its own submit → resolve interval, so
+a request that joined a flush mid-flight is charged only for the part
+it waited through and its stages never sum to more than its own time.
 """
 
 from __future__ import annotations
@@ -75,6 +78,19 @@ class Span:
         self.duration_s = time.perf_counter() - self._t0
         return self
 
+    def within(self, start: float, end: float) -> "Span":
+        """The part of this finished span inside ``[start, end]``
+        (``time.perf_counter`` seconds): a view with the same name, id
+        and meta whose duration is the overlap.  The span is untouched."""
+        view = Span.__new__(Span)
+        view.name, view.span_id, view.meta = self.name, self.span_id, self.meta
+        view._t0 = min(max(self._t0, start), end)
+        view.started_s = self.started_s + (view._t0 - self._t0)
+        view.duration_s = max(
+            min(self._t0 + self.duration_s, end) - view._t0, 0.0
+        )
+        return view
+
     def to_dict(self) -> dict:
         out = {
             "name": self.name,
@@ -126,14 +142,26 @@ class Trace:
             self.spans.append(entry)
 
     def begin(self, name: str, **meta) -> Span:
-        """Open a span the caller finishes with :meth:`attach`."""
+        """Open a span the caller finishes with :meth:`attach_wait`."""
         return Span(name, **meta)
 
-    def attach(self, entry: Span | None) -> None:
-        """Append a finished span — possibly one *shared* with other
-        traces (the coalesced-evaluate case)."""
-        if entry is not None:
-            self.spans.append(entry)
+    def attach_wait(self, wait: Span, shared) -> None:
+        """Finish ``wait`` — one request's submit → resolve interval on
+        the coalescer — and split it between the ``shared`` flush spans
+        that answered it and pure queueing.  Each distinct flush span is
+        attached as a view clipped to the part of the interval that no
+        earlier flush already covers; ``wait`` keeps the rest, so the
+        views and the wait sum to exactly the interval."""
+        wait.finish()
+        cursor, end = wait._t0, wait._t0 + wait.duration_s
+        distinct = {entry.span_id: entry for entry in shared}.values()
+        for entry in sorted(distinct, key=lambda entry: entry._t0):
+            view = entry.within(cursor, end)
+            cursor = max(cursor, view._t0 + view.duration_s)
+            wait.duration_s -= view.duration_s
+            self.spans.append(view)
+        wait.duration_s = max(wait.duration_s, 0.0)
+        self.spans.append(wait)
 
     def to_dict(self) -> dict:
         return {

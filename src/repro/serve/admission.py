@@ -44,18 +44,19 @@ class ServerSaturated(ReproError):
 class AdmissionController:
     """Counts in-flight work and rejects past the configured bounds.
 
-    ``flush_window`` (seconds) sizes the ``Retry-After`` hint: the
-    coalescer drains roughly one batch per window, so a full queue
-    clears in about ``depth × window / max_batch`` — the hint rounds
-    that up pessimistically (one window per queued request) so a
-    well-behaved client backs off enough to actually get in.
+    The ``Retry-After`` hint is the backlog times the observed service
+    time per request (an EWMA fed by :meth:`observe`), never less than
+    ``retry_floor`` seconds per request.  It is pessimistic on purpose
+    — the backlog is served as if one request at a time — so a
+    well-behaved client backs off enough to actually get in, and a slow
+    backend produces honest, larger hints.
     """
 
     def __init__(
         self,
         max_queue: int = 64,
         max_inflight_per_client: int = 16,
-        flush_window: float = 0.002,
+        retry_floor: float = 0.002,
         metrics: MetricsRegistry | None = None,
     ):
         if max_queue < 1:
@@ -67,11 +68,10 @@ class AdmissionController:
             )
         self.max_queue = int(max_queue)
         self.max_inflight_per_client = int(max_inflight_per_client)
-        self.flush_window = float(flush_window)
-        # EWMA of observed service time: the hint starts from the
-        # window (optimistic) and adapts as completions stream in, so
-        # a slow backend produces honest, larger Retry-After values.
-        self._service_ewma = self.flush_window
+        self.retry_floor = float(retry_floor)
+        # EWMA of observed service time: starts at the floor
+        # (optimistic) and adapts as completions stream in.
+        self._service_ewma = self.retry_floor
         self._lock = threading.Lock()
         self._depth = 0
         self._per_client: dict[str, int] = {}
@@ -103,12 +103,12 @@ class AdmissionController:
             )
 
     def _retry_after(self, backlog: int) -> float:  # repro: holds[_lock]
-        """Seconds until the backlog plausibly drains (>= one window).
+        """Seconds until the backlog plausibly drains (>= the floor).
 
         Both callers sit inside :meth:`acquire`'s ``with self._lock``
         block — the EWMA read here is guarded by that caller-held lock.
         """
-        per_request = max(self.flush_window, self._service_ewma)
+        per_request = max(self.retry_floor, self._service_ewma)
         return round(max(per_request, backlog * per_request), 4)
 
     # -- admission --------------------------------------------------------

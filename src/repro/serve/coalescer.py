@@ -1,27 +1,30 @@
-"""Request coalescing: many concurrent clients, one vectorized pass.
+"""Request coalescing by group commit: flush when idle, batch while busy.
 
-The paper's query path makes batching almost free — a batch of counting
-queries is one vectorized polynomial evaluation (PR 3's
-``execute_batch``), so N concurrent clients asking N questions should
-cost roughly one question.  The :class:`Coalescer` turns that into a
-serving-side mechanism:
+The paper's query path makes batching cheap — a batch of counting
+queries goes through the planner's batched executor in one flush — but
+a miss should never *wait* for company that may not come.  The
+:class:`Coalescer` therefore batches only what concurrency already
+queued, the way a database commits a group of transactions:
 
-* requests arriving within a **window** (default ~2 ms) collect into
-  one batch;
-* requests carrying the same **key** (the plan's canonical cache key)
-  *dedup*: one execution answers all of them;
-* a batch also flushes early when it reaches ``max_batch`` distinct
-  keys, bounding worst-case queueing under load;
-* the flush runs ``run_batch`` (typically
-  ``Planner.execute_many`` via the server's thread executor) once for
-  the whole batch and fans results back to every waiter.
+* **idle** — a key that arrives while no flush is in flight is flushed
+  on the next turn of the event loop (``loop.call_soon``), together
+  with everything else submitted in that turn (a pipelined batch's
+  misses, say); a lone miss pays one loop turn, not a timer;
+* **busy** — while a flush is in flight, new keys collect and flush
+  the moment it completes, so the wait is exactly the observed
+  concurrency;
+* **size** — a collecting batch also flushes early when it reaches
+  ``max_batch`` distinct keys, bounding worst-case queueing under load;
+* **single-flight** — requests carrying the same **key** (the plan's
+  canonical cache key) share one execution, whether they land in the
+  same batch or the key's flush is already in flight.
 
-The class is asyncio-native and generic: keys are any hashable, items
-are opaque, ``run_batch`` maps a list of unique items to a list of
-results.  Tests drive it with plain integers and a spy function.
-Counters live in the shared :class:`~repro.obs.MetricsRegistry`
-(flushes labelled by what triggered them), read back through the
-attribute properties the stats endpoint and benchmarks use.
+A flush runs ``run_batch`` (typically ``Planner.execute_many`` via the
+server's thread executor) once for its unique items and fans results
+back to every waiter.  The class is asyncio-native and generic: keys
+are any hashable, items are opaque.  Counters live in the shared
+:class:`~repro.obs.MetricsRegistry` (flushes labelled ``idle`` /
+``busy`` / ``size`` / ``drain`` by what triggered them).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.obs import MetricsRegistry
 
 
 class Coalescer:
-    """Micro-batching queue with same-key dedup.
+    """Group-commit micro-batching with same-key single-flight.
 
     ``run_batch`` receives the **unique** items of a batch (first
     submission wins per key) and must return one result per item, in
@@ -46,20 +49,18 @@ class Coalescer:
         self,
         run_batch: Callable[[list], Awaitable[Sequence]],
         *,
-        window: float = 0.002,
         max_batch: int = 64,
         metrics: MetricsRegistry | None = None,
     ):
-        if window < 0:
-            raise ReproError(f"window must be >= 0, got {window}")
         if max_batch < 1:
             raise ReproError(f"max_batch must be >= 1, got {max_batch}")
         self.run_batch = run_batch
-        self.window = float(window)
         self.max_batch = int(max_batch)
-        # key -> (item, [futures waiting on it])
+        # key -> (item, [futures waiting on it]): collecting, and in a
+        # flush that has not resolved yet (the single-flight table).
         self._pending: dict[Hashable, tuple[object, list[asyncio.Future]]] = {}
-        self._timer: asyncio.TimerHandle | None = None
+        self._in_flight: dict[Hashable, tuple[object, list[asyncio.Future]]] = {}
+        self._idle_flush_queued = False
         self._flush_tasks: set[asyncio.Task] = set()
         self._closed = False
         # -- counters (stats endpoint / bench) --
@@ -73,7 +74,7 @@ class Coalescer:
         )
         self._flushes = self.metrics.counter(
             "repro_coalescer_flushes_total",
-            "Batches flushed, by trigger (size, window, drain).",
+            "Batches flushed, by trigger (idle, busy, size, drain).",
             ("reason",),
         )
         self._largest_batch = self.metrics.gauge(
@@ -85,57 +86,55 @@ class Coalescer:
     async def submit(self, key: Hashable, item) -> object:
         """Enqueue ``item`` under ``key``; resolves with its result.
 
-        Submissions sharing a key within one window share one
-        execution and therefore one result object.
+        A submission whose key is already collecting or in flight
+        shares that execution and therefore its result object.
         """
         if self._closed:
             raise ReproError("coalescer is closed")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._submitted.inc()
-        entry = self._pending.get(key)
+        entry = self._in_flight.get(key) or self._pending.get(key)
         if entry is not None:
             self._coalesced.inc()
             entry[1].append(future)
         else:
             self._pending[key] = (item, [future])
             if len(self._pending) >= self.max_batch:
-                self._flush_now(loop, reason="size")
-            elif self._timer is None:
-                self._timer = loop.call_later(
-                    self.window, self._flush_on_window, loop
-                )
+                self._flush(loop, "size")
+            elif not self._in_flight and not self._idle_flush_queued:
+                self._idle_flush_queued = True
+                loop.call_soon(self._flush_when_idle, loop)
         return await future
 
     # -- flushing ---------------------------------------------------------
-    def _flush_on_window(self, loop) -> None:
-        self._timer = None
-        if self._pending:
-            self._flush_now(loop, reason="window")
+    def _flush_when_idle(self, loop) -> None:
+        self._idle_flush_queued = False
+        # A size flush may have started since; its completion takes
+        # what is still collecting.
+        if self._pending and not self._in_flight:
+            self._flush(loop, "idle")
 
-    def _flush_now(self, loop, reason: str = "drain") -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        batch = self._pending
-        self._pending = {}
+    def _flush(self, loop, reason: str) -> None:
+        batch, self._pending = self._pending, {}
+        self._in_flight.update(batch)
         self._flushes.labels(reason=reason).inc()
         self._largest_batch.set_max(len(batch))
-        task = loop.create_task(self._run(batch))
+        task = loop.create_task(self._run(loop, batch))
         self._flush_tasks.add(task)
         task.add_done_callback(self._flush_tasks.discard)
 
-    async def _run(self, batch: dict) -> None:
+    async def _run(self, loop, batch: dict) -> None:
         items = [item for item, _ in batch.values()]
         try:
             results = await self.run_batch(items)
         except BaseException as error:
-            for _, futures in batch.values():
-                for future in futures:
-                    if not future.cancelled():
-                        future.set_exception(error)
-            return
-        for (_, futures), result in zip(batch.values(), results):
+            results = [error] * len(batch)
+        # No await from here on: a key leaves the single-flight table in
+        # the same step that answers its waiters, so a later submission
+        # either joined this flush or starts a fresh one.
+        for key, result in zip(batch, results):
+            _, futures = self._in_flight.pop(key)
             for future in futures:
                 if future.cancelled():
                     continue
@@ -146,13 +145,16 @@ class Coalescer:
                     future.set_exception(result)
                 else:
                     future.set_result(result)
+        if self._pending:
+            self._flush(loop, "busy")
 
     async def drain(self) -> None:
         """Flush pending work and wait for every in-flight flush to
         finish — waiters must hold answers before the loop goes away."""
-        if self._pending:
-            self._flush_now(asyncio.get_running_loop())
-        while self._flush_tasks:
+        loop = asyncio.get_running_loop()
+        while self._pending or self._flush_tasks:
+            if self._pending:
+                self._flush(loop, "drain")
             await asyncio.gather(
                 *list(self._flush_tasks), return_exceptions=True
             )
@@ -175,13 +177,9 @@ class Coalescer:
     def flushes(self) -> int:
         return int(self._flushes.total())
 
-    @property
-    def flushes_by_size(self) -> int:
-        return int(self._flushes.labels(reason="size").value)
-
-    @property
-    def flushes_by_window(self) -> int:
-        return int(self._flushes.labels(reason="window").value)
+    def flushes_by(self, reason: str) -> int:
+        """Flushes triggered by ``reason`` (idle, busy, size, drain)."""
+        return int(self._flushes.labels(reason=reason).value)
 
     @property
     def largest_batch(self) -> int:
@@ -194,14 +192,16 @@ class Coalescer:
         del snapshot
         submitted, flushes = self.submitted, self.flushes
         return {
-            "window_ms": self.window * 1e3,
             "max_batch": self.max_batch,
             "pending": len(self._pending),
+            "in_flight": len(self._in_flight),
             "submitted": submitted,
             "coalesced": self.coalesced,
             "flushes": flushes,
-            "flushes_by_size": self.flushes_by_size,
-            "flushes_by_window": self.flushes_by_window,
+            "flushes_by_reason": {
+                reason: self.flushes_by(reason)
+                for reason in ("idle", "busy", "size", "drain")
+            },
             "largest_batch": self.largest_batch,
             "mean_batch": (
                 round((submitted - len(self._pending)) / flushes, 2)
@@ -212,6 +212,5 @@ class Coalescer:
 
     def __repr__(self):
         return (
-            f"Coalescer(window={self.window * 1e3:g}ms, "
-            f"max_batch={self.max_batch}, flushes={self.flushes})"
+            f"Coalescer(max_batch={self.max_batch}, flushes={self.flushes})"
         )

@@ -7,10 +7,11 @@ asyncio TCP server speaking newline-delimited JSON, hosting many named
 sessions over one shared backend loaded from a
 :class:`~repro.api.store.SummaryStore`, with
 
-* **request coalescing** — queries arriving within a ~2 ms window
-  flush through the planner's batched executor as *one* vectorized
-  pass, and same-canonical-key requests are answered by one execution
-  (:mod:`repro.serve.coalescer`);
+* **request coalescing** — group commit: a miss on an idle server
+  flushes on the next event-loop turn, misses that arrive while a flush
+  is in flight go together through the planner's batched executor the
+  moment it completes, and same-canonical-key requests are answered by
+  one execution, in flight or not (:mod:`repro.serve.coalescer`);
 * a **shared result cache** — TTL + LRU keyed on ``(store version,
   canonical predicate key)``, shared across sessions and clients
   (:mod:`repro.serve.cache`);
@@ -82,9 +83,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; bound port on server.port after start()
-    #: Coalescing window (--window-ms): how long the first request of a
-    #: batch waits for company.  Latency floor under light load.
-    window_ms: float = 2.0
     #: Distinct canonical keys that force an early flush (--max-batch).
     max_batch: int = 64
     #: Global admitted-but-unfinished bound (--max-queue).
@@ -121,7 +119,6 @@ class ServeConfig:
     def validated(self) -> "ServeConfig":
         """Range-check every knob; errors name the CLI flag at fault."""
         checks = [
-            (self.window_ms >= 0, "window_ms (--window-ms) must be >= 0"),
             (self.max_batch >= 1, "max_batch (--max-batch) must be >= 1"),
             (self.max_queue >= 1, "max_queue (--max-queue) must be >= 1"),
             (
@@ -386,7 +383,6 @@ class SummaryServer:
         self.admission = AdmissionController(
             max_queue=self.config.max_queue,
             max_inflight_per_client=self.config.max_inflight_per_client,
-            flush_window=max(self.config.window_ms, 0.5) / 1e3,
             metrics=self.metrics,
         )
         if self.config.watch_interval is not None and self._store is None:
@@ -471,7 +467,6 @@ class SummaryServer:
         if self.config.coalesce:
             self.coalescer = Coalescer(
                 self._run_flush,
-                window=self.config.window_ms / 1e3,
                 max_batch=self.config.max_batch,
                 metrics=self.metrics,
             )
@@ -662,7 +657,7 @@ class SummaryServer:
                 "status": 503,
                 "error": str(fault),
                 "scope": "chaos",
-                "retry_after": max(self.config.window_ms / 1e3, 0.05),
+                "retry_after": 0.05,
             }
         except (QueryError, ReproError) as error:
             self._errors_total.labels(op=op).inc()
@@ -681,9 +676,10 @@ class SummaryServer:
 
     def _finish_trace(self, trace: Trace, response: dict) -> None:
         """Fold one finished request's spans into the stage histograms
-        and park the trace in the ring.  A coalesced evaluate span is
-        attributed to *every* waiter on purpose: each request really did
-        spend that time in the evaluate stage, which is what makes the
+        and park the trace in the ring.  Every waiter of a coalesced
+        flush records its own view of the shared evaluate span — the
+        part of the flush it actually waited through (see
+        :meth:`~repro.obs.Trace.attach_wait`) — which is what makes the
         per-stage means sum to the end-to-end mean."""
         trace.status = response.get("status")
         if "cached" in response:
@@ -891,18 +887,7 @@ class SummaryServer:
                 )
                 payload = evaluated.payload
                 if wait is not None:
-                    wait.finish()
-                    if evaluated.span is not None:
-                        # The wait bracketed the whole submit→resolve
-                        # interval; carve the shared evaluation out so
-                        # coalesce_wait reports pure queueing and the
-                        # per-stage durations sum to the request's
-                        # end-to-end time instead of double-counting.
-                        wait.duration_s = max(
-                            wait.duration_s - evaluated.span.duration_s, 0.0
-                        )
-                        trace.attach(evaluated.span)
-                    trace.attach(wait)
+                    trace.attach_wait(wait, [evaluated.span])
             else:
                 loop = asyncio.get_running_loop()
                 with stage_span("evaluate"):
@@ -992,30 +977,11 @@ class SummaryServer:
                         for _, key, plan in misses
                     )
                 )
-                seen_spans: set[int] = set()
-                longest_evaluate = 0.0
                 for (index, _, _), output in zip(misses, outputs):
                     payloads[index] = output.payload
-                    # A batch's misses may land in one flush or span
-                    # several; attach each distinct evaluate span once.
-                    if (
-                        trace is not None
-                        and output.span is not None
-                        and output.span.span_id not in seen_spans
-                    ):
-                        seen_spans.add(output.span.span_id)
-                        longest_evaluate = max(
-                            longest_evaluate, output.span.duration_s
-                        )
-                        trace.attach(output.span)
                 if wait is not None:
-                    wait.finish()
-                    # Flushes overlap, so subtracting the longest one
-                    # approximates the pure queueing share of the wait.
-                    wait.duration_s = max(
-                        wait.duration_s - longest_evaluate, 0.0
-                    )
-                    trace.attach(wait)
+                    # A batch's misses may land in one flush or several.
+                    trace.attach_wait(wait, [output.span for output in outputs])
             else:
                 with stage_span("evaluate"):
                     outputs = await self._run_batch(

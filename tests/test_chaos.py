@@ -308,7 +308,7 @@ class TestChaosWiring:
             "server.drop_connection", stop_s=1.0, clock=lambda: now[0]
         )
         server = SummaryServer(
-            summary, config=ServeConfig(window_ms=0.5), chaos=injector
+            summary, chaos=injector
         )
         with ServerThread(server):
             client = ServeClient(port=server.port)
@@ -328,7 +328,7 @@ class TestChaosWiring:
             "server.backend", error=True, stop_s=1.0, clock=lambda: now[0]
         )
         server = SummaryServer(
-            summary, config=ServeConfig(window_ms=0.5), chaos=injector
+            summary, chaos=injector
         )
         sql = "SELECT COUNT(*) FROM R WHERE state = 'CA'"
         with ServerThread(server):
@@ -349,7 +349,7 @@ class TestChaosWiring:
             "server.worker_kill", error=True, stop_s=1.0, clock=lambda: now[0]
         )
         server = SummaryServer(
-            summary, config=ServeConfig(window_ms=0.5), chaos=injector
+            summary, chaos=injector
         )
         with ServerThread(server):
             with ServeClient(port=server.port) as client:
@@ -363,7 +363,7 @@ class TestChaosWiring:
         injector = _armed("server.backend", delay_s=0.08, stop_s=math.inf)
         server = SummaryServer(
             summary,
-            config=ServeConfig(window_ms=0.5, cache_size=0),
+            config=ServeConfig(cache_size=0),
             chaos=injector,
         )
         with ServerThread(server):
@@ -379,7 +379,7 @@ class TestChaosWiring:
         injector = _armed(
             "client.drop_connection", stop_s=1.0, clock=lambda: now[0]
         )
-        server = SummaryServer(summary, config=ServeConfig(window_ms=0.5))
+        server = SummaryServer(summary)
         with ServerThread(server):
             client = ServeClient(port=server.port, chaos=injector)
             try:
@@ -402,7 +402,7 @@ class TestChaosWiring:
         server = SummaryServer(
             store=store,
             name="demo",
-            config=ServeConfig(window_ms=0.5, watch_interval=0.05),
+            config=ServeConfig(watch_interval=0.05),
             chaos=injector,
         )
         with ServerThread(server):
@@ -448,7 +448,7 @@ class TestChaosWiring:
     def test_server_stats_expose_chaos_counters(self, summary):
         injector = _armed("server.backend", error=True, stop_s=math.inf)
         server = SummaryServer(
-            summary, config=ServeConfig(window_ms=0.5), chaos=injector
+            summary, chaos=injector
         )
         with ServerThread(server):
             with ServeClient(port=server.port) as client:
@@ -767,7 +767,7 @@ class TestServeIngestProperty:
             store.save(_fit(relation, "prop"), "prop")
             pipeline = IngestPipeline.from_store(store, "prop", relation)
             server = SummaryServer(
-                store=store, name="prop", config=ServeConfig(window_ms=0.5)
+                store=store, name="prop"
             )
             with ServerThread(server):
                 with ServeClient(port=server.port) as client:

@@ -248,7 +248,6 @@ class TestServeCli:
                 "--model", str(model_prefix),
                 "--clients", "2",
                 "--requests", "10",
-                "--window-ms", "1.0",
                 "--json",
             ]
         )

@@ -474,7 +474,7 @@ def cluster(summary):
         summary,
         workers=2,
         replicas=2,
-        config=ServeConfig(port=0, window_ms=0.5, cache_size=0),
+        config=ServeConfig(port=0, cache_size=0),
     )
     with ServerThread(coordinator) as running:
         yield running
@@ -986,7 +986,7 @@ class TestLabelledGroupBy:
                 _rows(fluent(explorer.query()).run()) for _, fluent, _ in LABELLED
             ],
         }
-        config = ServeConfig(port=0, window_ms=0.5, cache_size=0)
+        config = ServeConfig(port=0, cache_size=0)
         with ServerThread(SummaryServer(sharded, config=config)) as server:
             for protocol in ("json", "binary"):
                 with ServeClient(port=server.port, protocol=protocol) as client:
@@ -1035,7 +1035,7 @@ class TestClusterReload:
             version=1,
             workers=2,
             replicas=2,
-            config=ServeConfig(port=0, window_ms=0.5, cache_size=0),
+            config=ServeConfig(port=0, cache_size=0),
         )
         with ServerThread(coordinator):
             stop = threading.Event()
@@ -1082,7 +1082,7 @@ class TestClusterReload:
             version=1,
             workers=2,
             replicas=2,
-            config=ServeConfig(port=0, window_ms=0.5, cache_size=0),
+            config=ServeConfig(port=0, cache_size=0),
         )
         with ServerThread(coordinator):
             coordinator._execute_items(_sharded_items(coordinator, QUERIES))

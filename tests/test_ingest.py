@@ -448,7 +448,7 @@ class TestServingFreshness:
         server = SummaryServer(
             store=store,
             name="demo",
-            config=ServeConfig(watch_interval=0.05, window_ms=0.5),
+            config=ServeConfig(watch_interval=0.05),
         )
         pipeline = IngestPipeline.from_store(store, "demo", relation)
         with ServerThread(server):
@@ -542,7 +542,7 @@ class TestServingFreshness:
         server = SummaryServer(
             store=store,
             name="demo",
-            config=ServeConfig(watch_interval=0.05, window_ms=0.5),
+            config=ServeConfig(watch_interval=0.05),
         )
         stop = threading.Event()
         errors: list[BaseException] = []

@@ -10,6 +10,7 @@ trace ids and their own queue-wait spans.
 
 import json
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -440,7 +441,7 @@ class TestServerObservability:
     @pytest.fixture(scope="class")
     def running(self, summary):
         server = SummaryServer(
-            summary, config=ServeConfig(window_ms=1.0, trace_ring=64)
+            summary, config=ServeConfig(trace_ring=64)
         )
         with ServerThread(server) as thread:
             yield server, thread
@@ -522,7 +523,7 @@ class TestSlowQueryIntegration:
         server = SummaryServer(
             summary,
             config=ServeConfig(
-                window_ms=1.0, slow_query_ms=0.0, slow_query_log=str(path)
+                slow_query_ms=0.0, slow_query_log=str(path)
             ),
         )
         with ServerThread(server):
@@ -541,26 +542,47 @@ class TestSlowQueryIntegration:
         assert server.slow_log.stats()["recorded"] >= 1
 
 
+def _hold_flushes(server):
+    """Block every coalesced flush in the executor until the returned
+    ``gate`` is set; ``entered`` is set once a flush is in flight."""
+    gate, entered = threading.Event(), threading.Event()
+    execute = server._execute_items
+
+    def held(items):
+        entered.set()
+        assert gate.wait(timeout=10), "held flush never released"
+        return execute(items)
+
+    server._execute_items = held
+    return gate, entered
+
+
+def _until(condition, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.002)
+    return True
+
+
 class TestCoalescedTracePropagation:
     """Satellite: N same-key requests → one shared evaluate span,
-    distinct trace ids, per-request queue-wait spans."""
+    distinct trace ids, per-request queue-wait spans — and each waiter
+    charged only for the part of the flush it waited through."""
 
     def test_shared_evaluate_span(self, summary):
         clients = 4
-        server = SummaryServer(
-            summary,
-            # cache off so every request must coalesce; a wide window
-            # so all four land in one flush
-            config=ServeConfig(window_ms=60.0, cache_size=0),
-        )
+        # Cache off so every request must coalesce; the held flush keeps
+        # the first request's execution in flight until all four joined.
+        server = SummaryServer(summary, config=ServeConfig(cache_size=0))
+        gate, _ = _hold_flushes(server)
         with ServerThread(server):
-            barrier = threading.Barrier(clients)
             failures: list[BaseException] = []
 
             def one_query():
                 try:
                     with ServeClient(port=server.port) as client:
-                        barrier.wait(timeout=5)
                         client.query(SQL)
                 except BaseException as error:  # pragma: no cover
                     failures.append(error)
@@ -570,8 +592,13 @@ class TestCoalescedTracePropagation:
             ]
             for thread in threads:
                 thread.start()
+            try:
+                assert _until(lambda: server.coalescer.submitted == clients)
+            finally:
+                gate.set()
             for thread in threads:
                 thread.join(timeout=15)
+            assert not any(thread.is_alive() for thread in threads)
         assert not failures
         traces = [t for t in server.traces.traces() if t.op == "query"]
         assert len(traces) == clients
@@ -586,9 +613,76 @@ class TestCoalescedTracePropagation:
             assert len(waits) == 1, "each trace keeps its own queue wait"
             evaluate_ids.add(evaluates[0].span_id)
         assert len(evaluate_ids) == 1, (
-            "same-key requests in one flush share one evaluate span"
+            "same-key requests on one flush share one evaluate span"
         )
-        assert server.coalescer.coalesced >= clients - 1
+        assert server.coalescer.coalesced == clients - 1
+        assert server.coalescer.flushes == 1
+
+    def test_joiner_is_charged_only_for_what_it_waited_through(self, summary):
+        """A request that joins a flush mid-flight sees the shared span
+        clipped to its own submit → resolve interval: its stages sum to
+        no more than its own time, and evaluate is recorded once per
+        flush in each waiter's stages."""
+        server = SummaryServer(summary, config=ServeConfig(cache_size=0))
+        gate, entered = _hold_flushes(server)
+        holder_id, joiner_id = "0000000000000a01", "0000000000000a02"
+        latency: dict[str, float] = {}
+        failures: list[BaseException] = []
+
+        def query(trace_id):
+            try:
+                with ServeClient(port=server.port, protocol="json") as client:
+                    client.ping()  # connected: the timed call is one trip
+                    began = time.perf_counter()
+                    client.call("query", sql=SQL, trace=trace_id)
+                    latency[trace_id] = time.perf_counter() - began
+            except BaseException as error:  # pragma: no cover
+                failures.append(error)
+
+        with ServerThread(server):
+            holder = threading.Thread(target=query, args=(holder_id,))
+            joiner = threading.Thread(target=query, args=(joiner_id,))
+            holder.start()
+            try:
+                assert entered.wait(timeout=10)
+                # The flush has been in flight a while before the joiner
+                # arrives; none of that while is the joiner's.
+                time.sleep(0.05)
+                joiner.start()
+                assert _until(lambda: server.coalescer.submitted == 2)
+            finally:
+                gate.set()
+            for thread in (holder, joiner):
+                thread.join(timeout=10)
+            assert not holder.is_alive() and not joiner.is_alive()
+            snapshot = server.metrics.snapshot()
+        assert not failures
+        traces = {t.hex_id: t for t in server.traces.traces() if t.op == "query"}
+
+        def spans(trace_id, name):
+            return [s for s in traces[trace_id].spans if s.name == name]
+
+        (held,), (joined,) = spans(holder_id, "evaluate"), spans(joiner_id, "evaluate")
+        assert held.span_id == joined.span_id, "one execution answered both"
+        assert joined.duration_s < held.duration_s - 0.04
+        joiner_stages = sum(
+            s.duration_s for s in traces[joiner_id].spans if s.name != "encode"
+        )
+        assert joiner_stages <= latency[joiner_id]
+        _, evaluations, _ = histogram_stats(
+            snapshot, "repro_stage_seconds", {"stage": "evaluate"}
+        )
+        assert evaluations == 2  # the one flush, once in each waiter
+        request_s, _, _ = histogram_stats(
+            snapshot, "repro_request_seconds", {"op": "query"}
+        )
+        all_stages = sum(
+            s.duration_s
+            for trace in traces.values()
+            for s in trace.spans
+            if s.name != "encode"
+        )
+        assert all_stages <= request_s
 
 
 class TestChaosMetrics:

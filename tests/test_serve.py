@@ -95,21 +95,26 @@ def summary(relation):
 
 
 class SpyBackend(Backend):
-    """Exact answers, call counting, and an optional artificial delay."""
+    """Exact answers, call counting, an optional artificial delay, and
+    an optional ``gate``: every call blocks until the event is set, so
+    a test can hold a flush in flight for as long as it needs."""
 
     is_exact = True
 
-    def __init__(self, relation, delay: float = 0.0):
+    def __init__(self, relation, delay: float = 0.0, gate=None):
         self.inner = ExactBackend(relation)
         self.schema = relation.schema
         self.name = "spy"
         self.delay = delay
+        self.gate = gate
         self.calls = 0
         self._lock = threading.Lock()
 
     def _tick(self):
         with self._lock:
             self.calls += 1
+        if self.gate is not None:
+            assert self.gate.wait(timeout=10), "held flush never released"
         if self.delay:
             time.sleep(self.delay)
 
@@ -221,7 +226,7 @@ class TestAdmission:
 
     def test_queue_rejection_carries_retry_after(self):
         admission = AdmissionController(
-            max_queue=1, max_inflight_per_client=5, flush_window=0.01
+            max_queue=1, max_inflight_per_client=5, retry_floor=0.01
         )
         admission.acquire("a")
         with pytest.raises(ServerSaturated) as caught:
@@ -231,6 +236,28 @@ class TestAdmission:
         assert admission.rejected_queue == 1
         admission.release("a")
         admission.acquire("b")  # capacity is back
+
+    def test_slow_backend_raises_the_hint(self):
+        """The hint is backlog × observed service time: the same backlog
+        behind a 0.2 s backend must be told to wait far longer than
+        behind a 1 ms one."""
+
+        def hint(service_s):
+            admission = AdmissionController(
+                max_queue=4, max_inflight_per_client=8
+            )
+            for _ in range(20):
+                admission.observe(service_s)
+            for client in "abcd":
+                admission.acquire(client)
+            with pytest.raises(ServerSaturated) as caught:
+                admission.acquire("e")
+            return caught.value.retry_after
+
+        fast, slow = hint(0.001), hint(0.2)
+        assert fast == pytest.approx(4 * AdmissionController().retry_floor)
+        assert slow > 50 * fast
+        assert slow == pytest.approx(4 * 0.2, rel=0.05)
 
     def test_per_client_limit_is_fair(self):
         admission = AdmissionController(max_queue=10, max_inflight_per_client=1)
@@ -259,67 +286,151 @@ class TestAdmission:
 # Coalescer
 # ----------------------------------------------------------------------
 
+async def _turns(count: int = 5) -> None:
+    """Let the event loop run ``count`` turns — no clock involved."""
+    for _ in range(count):
+        await asyncio.sleep(0)
+
+
+class _HeldBatch:
+    """A ``run_batch`` spy that records each batch and blocks until
+    ``release`` is set: a flush held in flight, for as long as a test
+    needs, with no timer anywhere."""
+
+    def __init__(self, error: BaseException | None = None):
+        self.batches: list[list] = []
+        self.release = asyncio.Event()
+        self.error = error
+
+    async def __call__(self, items):
+        self.batches.append(list(items))
+        await self.release.wait()
+        if self.error is not None:
+            raise self.error
+        return [item * 2 for item in items]
+
+
 class TestCoalescer:
-    @staticmethod
-    def _spy():
-        batches = []
+    """Group commit: flush when idle, collect while a flush is in
+    flight, flush early at ``max_batch``, one execution per key."""
 
-        async def run_batch(items):
-            batches.append(list(items))
-            return [item * 2 for item in items]
-
-        return batches, run_batch
-
-    def test_flushes_by_window(self):
-        batches, run_batch = self._spy()
-
+    def test_idle_submission_flushes_alone(self):
         async def scenario():
-            coalescer = Coalescer(run_batch, window=0.02, max_batch=100)
-            return await asyncio.gather(
+            spy = _HeldBatch()
+            coalescer = Coalescer(spy, max_batch=100)
+            task = asyncio.create_task(coalescer.submit("a", 1))
+            await _turns(3)  # submit, the call_soon flush, run_batch
+            in_flight = list(spy.batches)
+            spy.release.set()
+            return coalescer, in_flight, await task
+
+        coalescer, in_flight, result = asyncio.run(scenario())
+        assert in_flight == [[1]]
+        assert result == 2
+        assert coalescer.flushes == coalescer.flushes_by("idle") == 1
+
+    def test_one_turn_is_one_flush(self):
+        async def scenario():
+            spy = _HeldBatch()
+            spy.release.set()
+            coalescer = Coalescer(spy, max_batch=100)
+            results = await asyncio.gather(
                 coalescer.submit("a", 1),
                 coalescer.submit("b", 2),
                 coalescer.submit("c", 3),
             )
+            return coalescer, spy, results
 
-        assert asyncio.run(scenario()) == [2, 4, 6]
-        # One window, one flush, one batched execution of all three.
-        assert len(batches) == 1
-        assert sorted(batches[0]) == [1, 2, 3]
+        coalescer, spy, results = asyncio.run(scenario())
+        assert results == [2, 4, 6]
+        # Submitted in one turn: one flush, one batched execution.
+        assert spy.batches == [[1, 2, 3]]
+        assert coalescer.flushes == coalescer.flushes_by("idle") == 1
 
     def test_same_key_requests_share_one_execution(self):
-        batches, run_batch = self._spy()
-
         async def scenario():
-            coalescer = Coalescer(run_batch, window=0.02, max_batch=100)
+            spy = _HeldBatch()
+            spy.release.set()
+            coalescer = Coalescer(spy, max_batch=100)
             results = await asyncio.gather(
                 *(coalescer.submit("hot", 21) for _ in range(5))
             )
-            return coalescer, results
+            return coalescer, spy, results
 
-        coalescer, results = asyncio.run(scenario())
+        coalescer, spy, results = asyncio.run(scenario())
         assert results == [42] * 5
-        assert len(batches) == 1
-        assert batches[0] == [21]  # deduped: one item executed
+        assert spy.batches == [[21]]  # deduped: one item executed
         assert coalescer.coalesced == 4
         assert coalescer.submitted == 5
 
-    def test_flushes_by_size(self):
-        batches, run_batch = self._spy()
-
+    def test_busy_submissions_collect_and_flush_once(self):
         async def scenario():
-            coalescer = Coalescer(run_batch, window=5.0, max_batch=2)
-            results = await asyncio.gather(
-                coalescer.submit("a", 1),
-                coalescer.submit("b", 2),
-            )
-            return coalescer, results
+            spy = _HeldBatch()
+            coalescer = Coalescer(spy, max_batch=100)
+            first = asyncio.create_task(coalescer.submit("a", 1))
+            await _turns()
+            later = [
+                asyncio.create_task(coalescer.submit(key, item))
+                for key, item in (("b", 2), ("c", 3))
+            ]
+            await _turns()
+            held = (list(spy.batches), coalescer.stats()["pending"])
+            spy.release.set()
+            return coalescer, spy, held, await asyncio.gather(first, *later)
 
-        coalescer, results = asyncio.run(scenario())
-        # The window is 5 seconds — only the size trigger can have
-        # flushed this fast.
-        assert results == [2, 4]
-        assert coalescer.flushes_by_size == 1
-        assert coalescer.flushes_by_window == 0
+        coalescer, spy, held, results = asyncio.run(scenario())
+        assert held == ([[1]], 2)  # collected, not flushed, while busy
+        assert results == [2, 4, 6]
+        assert spy.batches == [[1], [2, 3]]
+        assert coalescer.flushes_by("idle") == 1
+        assert coalescer.flushes_by("busy") == 1
+
+    def test_same_key_joins_the_flush_in_flight(self):
+        async def scenario():
+            spy = _HeldBatch()
+            coalescer = Coalescer(spy, max_batch=100)
+            first = asyncio.create_task(coalescer.submit("hot", 21))
+            await _turns()
+            joiner = asyncio.create_task(coalescer.submit("hot", 21))
+            await _turns()
+            pending = coalescer.stats()["pending"]
+            spy.release.set()
+            results = await asyncio.gather(first, joiner)
+            # Resolved: the key left the in-flight table, so the next
+            # submission is a fresh execution.
+            again = await coalescer.submit("hot", 21)
+            return coalescer, spy, pending, results, again
+
+        coalescer, spy, pending, results, again = asyncio.run(scenario())
+        assert pending == 0  # joined the flush instead of queueing
+        assert results == [42, 42]
+        assert coalescer.coalesced == 1
+        assert again == 42
+        assert spy.batches == [[21], [21]]
+        assert coalescer.stats()["in_flight"] == 0
+
+    def test_flushes_by_size(self):
+        async def scenario():
+            spy = _HeldBatch()
+            coalescer = Coalescer(spy, max_batch=2)
+            first = asyncio.create_task(coalescer.submit("a", 1))
+            await _turns()
+            later = [
+                asyncio.create_task(coalescer.submit(key, item))
+                for key, item in (("b", 2), ("c", 3))
+            ]
+            await _turns()
+            # The first flush is still held: only the size trigger can
+            # have started the second.
+            in_flight = list(spy.batches)
+            spy.release.set()
+            return coalescer, in_flight, await asyncio.gather(first, *later)
+
+        coalescer, in_flight, results = asyncio.run(scenario())
+        assert in_flight == [[1], [2, 3]]
+        assert results == [2, 4, 6]
+        assert coalescer.flushes_by("size") == 1
+        assert coalescer.flushes_by("busy") == 0
 
     def test_per_item_exceptions_do_not_poison_the_flush(self):
         async def run_batch(items):
@@ -329,7 +440,7 @@ class TestCoalescer:
             ]
 
         async def scenario():
-            coalescer = Coalescer(run_batch, window=0.01, max_batch=10)
+            coalescer = Coalescer(run_batch, max_batch=10)
             good = asyncio.create_task(coalescer.submit("g", "fine"))
             bad = asyncio.create_task(coalescer.submit("b", "bad"))
             results = await asyncio.gather(good, bad, return_exceptions=True)
@@ -340,26 +451,57 @@ class TestCoalescer:
         assert isinstance(bad_result, ValueError)
 
     def test_run_batch_failure_fails_all_waiters(self):
-        async def run_batch(items):
-            raise RuntimeError("executor died")
-
         async def scenario():
-            coalescer = Coalescer(run_batch, window=0.01, max_batch=10)
-            return await asyncio.gather(
-                coalescer.submit("a", 1),
-                coalescer.submit("b", 2),
-                return_exceptions=True,
-            )
+            spy = _HeldBatch(error=RuntimeError("executor died"))
+            coalescer = Coalescer(spy, max_batch=10)
+            waiters = [
+                asyncio.create_task(coalescer.submit(key, item))
+                for key, item in (("a", 1), ("b", 2))
+            ]
+            await _turns()
+            waiters.append(asyncio.create_task(coalescer.submit("a", 1)))
+            await _turns()
+            spy.release.set()
+            results = await asyncio.gather(*waiters, return_exceptions=True)
+            return coalescer, results
 
-        results = asyncio.run(scenario())
+        coalescer, results = asyncio.run(scenario())
+        assert len(results) == 3
         assert all(isinstance(result, RuntimeError) for result in results)
+        assert coalescer.coalesced == 1  # the joiner failed with them
+        assert coalescer.stats()["in_flight"] == 0
+
+    def test_close_answers_every_waiter_then_rejects(self):
+        async def scenario():
+            spy = _HeldBatch()
+            coalescer = Coalescer(spy, max_batch=10)
+            waiters = [asyncio.create_task(coalescer.submit("a", 1))]
+            await _turns()
+            waiters += [
+                asyncio.create_task(coalescer.submit(key, item))
+                for key, item in (("a", 1), ("b", 2))
+            ]
+            await _turns()
+            closing = asyncio.create_task(coalescer.close())
+            await _turns()
+            held = closing.done()
+            with pytest.raises(ReproError, match="closed"):
+                await coalescer.submit("c", 3)
+            spy.release.set()
+            await closing
+            with pytest.raises(ReproError, match="closed"):
+                await coalescer.submit("d", 4)
+            return coalescer, held, [waiter.result() for waiter in waiters]
+
+        coalescer, held, results = asyncio.run(scenario())
+        assert held is False  # close waits for the held flush
+        assert results == [2, 2, 4]
+        assert coalescer.flushes_by("drain") == 1
 
     def test_validation(self):
         async def run_batch(items):  # pragma: no cover - never runs
             return items
 
-        with pytest.raises(ReproError, match="window"):
-            Coalescer(run_batch, window=-1)
         with pytest.raises(ReproError, match="max_batch"):
             Coalescer(run_batch, max_batch=0)
 
@@ -372,7 +514,7 @@ class TestServerRoundTrip:
     @pytest.fixture(scope="class")
     def running(self, summary):
         server = SummaryServer(
-            summary, config=ServeConfig(window_ms=1.0, cache_ttl=None)
+            summary, config=ServeConfig(cache_ttl=None)
         )
         with ServerThread(server) as running:
             yield running
@@ -457,80 +599,94 @@ class TestServerRoundTrip:
         assert set(stats) >= {
             "cache", "admission", "coalescer", "requests", "errors", "reloads",
         }
-        assert stats["coalescer"]["window_ms"] == 1.0
+        assert stats["coalescer"]["max_batch"] == 64
+        assert set(stats["coalescer"]["flushes_by_reason"]) == {
+            "idle", "busy", "size", "drain",
+        }
 
 
 class TestCoalescedServing:
-    def test_same_key_concurrent_clients_cost_one_execution(self, relation):
-        """The tentpole behavior: N clients asking one question inside
-        one window -> one backend execution (spy call count)."""
-        backend = SpyBackend(relation)
-        server = SummaryServer(
-            backend,
-            # Wide window so all threads land in one batch; cache off so
-            # coalescing (not the cache) must do the dedup.
-            config=ServeConfig(window_ms=250.0, cache_size=0),
-        )
-        clients = 6
-        values = []
-        errors = []
-        barrier = threading.Barrier(clients)
+    """Batching over the wire, forced by holding the backend instead of
+    by a long timer: a flush blocks in the spy until every request the
+    test sends is on the coalescer, then is released."""
 
-        def ask():
+    @staticmethod
+    def _ask_concurrently(server, queries):
+        errors, values = [], []
+
+        def ask(sql):
             try:
                 with ServeClient(port=server.port) as client:
-                    barrier.wait()
-                    values.append(
-                        client.count("SELECT COUNT(*) FROM R WHERE state = 'CA'")
-                    )
+                    values.append(client.count(sql))
             except BaseException as error:
                 errors.append(error)
 
+        threads = [threading.Thread(target=ask, args=(sql,)) for sql in queries]
+        for thread in threads:
+            thread.start()
+        return threads, errors, values
+
+    def test_same_key_concurrent_clients_cost_one_execution(self, relation):
+        """The headline behavior: N clients asking one question while
+        its flush is in flight -> one backend execution (spy count)."""
+        gate = threading.Event()
+        backend = SpyBackend(relation, gate=gate)
+        # Cache off so coalescing (not the cache) must do the dedup.
+        server = SummaryServer(backend, config=ServeConfig(cache_size=0))
+        clients = 6
         with ServerThread(server):
-            threads = [threading.Thread(target=ask) for _ in range(clients)]
+            threads, errors, values = self._ask_concurrently(
+                server, ["SELECT COUNT(*) FROM R WHERE state = 'CA'"] * clients
+            )
+            try:
+                assert _wait_until(
+                    lambda: server.coalescer.submitted == clients
+                )
+            finally:
+                gate.set()
             for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[0]
         assert len(set(values)) == 1
         assert backend.calls == 1
         assert server.coalescer.coalesced == clients - 1
+        assert server.coalescer.flushes == 1
 
     def test_distinct_queries_one_vectorized_flush(self, relation):
-        backend = SpyBackend(relation)
-        server = SummaryServer(
-            backend, config=ServeConfig(window_ms=250.0, cache_size=0)
-        )
+        """Distinct misses that arrive while a flush is in flight travel
+        together as the next flush (group commit's busy rule)."""
+        gate = threading.Event()
+        backend = SpyBackend(relation, gate=gate)
+        server = SummaryServer(backend, config=ServeConfig(cache_size=0))
         queries = [
             "SELECT COUNT(*) FROM R WHERE hour = 0",
             "SELECT COUNT(*) FROM R WHERE hour = 1",
             "SELECT COUNT(*) FROM R WHERE hour = 2",
         ]
-        barrier = threading.Barrier(len(queries))
-        errors = []
-
-        def ask(sql):
-            try:
-                with ServeClient(port=server.port) as client:
-                    barrier.wait()
-                    client.query(sql)
-            except BaseException as error:
-                errors.append(error)
-
         with ServerThread(server):
-            threads = [
-                threading.Thread(target=ask, args=(sql,)) for sql in queries
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        assert not errors, errors[0]
-        # One flush; the spy backend's default count_many loops, so
-        # calls == distinct queries, but the flush count proves they
-        # travelled as one batch.
-        assert server.coalescer.flushes == 1
+            holder, errors, _ = self._ask_concurrently(
+                server, ["SELECT COUNT(*) FROM R WHERE hour = 3"]
+            )
+            try:
+                assert _wait_until(lambda: backend.calls == 1)  # held
+                threads, more_errors, _ = self._ask_concurrently(
+                    server, queries
+                )
+                assert _wait_until(
+                    lambda: server.coalescer.submitted == 1 + len(queries)
+                )
+            finally:
+                gate.set()
+            for thread in holder + threads:
+                thread.join(timeout=10)
+            assert not any(t.is_alive() for t in holder + threads)
+        assert not errors + more_errors, (errors + more_errors)[0]
+        # Two flushes: the held one, then the three collected behind it
+        # as one batch.  The spy's default count_many loops, so calls ==
+        # distinct queries, but the flush counts prove the batching.
+        assert server.coalescer.flushes == 2
+        assert server.coalescer.flushes_by("busy") == 1
         assert server.coalescer.largest_batch == len(queries)
 
 
@@ -540,7 +696,6 @@ class TestAdmissionOverTheWire:
         server = SummaryServer(
             backend,
             config=ServeConfig(
-                window_ms=0.0,
                 coalesce=False,
                 cache_size=0,
                 max_queue=1,
@@ -576,7 +731,6 @@ class TestAdmissionOverTheWire:
         server = SummaryServer(
             backend,
             config=ServeConfig(
-                window_ms=0.0,
                 coalesce=False,
                 cache_size=0,
                 max_queue=10,
@@ -609,7 +763,7 @@ class TestAdmissionOverTheWire:
         server = SummaryServer(
             backend,
             config=ServeConfig(
-                window_ms=0.0, coalesce=False, cache_size=0, max_queue=1
+                coalesce=False, cache_size=0, max_queue=1
             ),
         )
         errors = []
@@ -838,7 +992,7 @@ class TestClientReconnects:
 
     @pytest.mark.parametrize("protocol", ["binary", "json"])
     def test_an_answered_error_keeps_the_connection(self, summary, protocol):
-        server = SummaryServer(summary, config=ServeConfig(window_ms=0.5))
+        server = SummaryServer(summary)
         with ServerThread(server):
             with ServeClient(port=server.port, protocol=protocol) as client:
                 sock = client._sock
@@ -852,7 +1006,7 @@ class TestClientReconnects:
     def test_send_and_receive_are_the_halves_of_call(self, summary):
         """Two clients, both requests written before either reply is
         read — the cluster frontend's scatter/gather in miniature."""
-        server = SummaryServer(summary, config=ServeConfig(window_ms=0.5))
+        server = SummaryServer(summary)
         with ServerThread(server):
             with ServeClient(port=server.port) as a, ServeClient(
                 port=server.port, protocol="json"
@@ -866,7 +1020,7 @@ class TestClientReconnects:
 class TestTTLOverTheWire:
     def test_result_expires_after_ttl(self, summary):
         server = SummaryServer(
-            summary, config=ServeConfig(window_ms=0.5, cache_ttl=0.08)
+            summary, config=ServeConfig(cache_ttl=0.08)
         )
         sql = "SELECT COUNT(*) FROM R WHERE state = 'NY'"
         with ServerThread(server):
@@ -920,7 +1074,6 @@ class TestHotReload:
             store=versioned_store,
             name="demo",
             version=1,
-            config=ServeConfig(window_ms=0.5),
         )
         with ServerThread(server):
             with ServeClient(port=server.port) as client:
@@ -950,7 +1103,7 @@ class TestHotReload:
             store=versioned_store,
             name="demo",
             version=1,
-            config=ServeConfig(window_ms=1.0, cache_size=0),
+            config=ServeConfig(cache_size=0),
         )
         stop = threading.Event()
         errors = []
@@ -1022,7 +1175,7 @@ class TestWatcherErrorPaths:
         return SummaryServer(
             store=store,
             name="demo",
-            config=ServeConfig(window_ms=0.5, watch_interval=0.05),
+            config=ServeConfig(watch_interval=0.05),
         )
 
     def test_unreadable_manifest_mid_poll_then_recovery(self, tmp_path):
@@ -1093,7 +1246,7 @@ class TestServeConfig:
     @pytest.mark.parametrize(
         "overrides, flag",
         [
-            ({"window_ms": -1.0}, "--window-ms"),
+            ({"trace_ring": -1}, "--trace-ring"),
             ({"max_batch": 0}, "--max-batch"),
             ({"max_queue": 0}, "--max-queue"),
             ({"max_inflight_per_client": 0}, "--max-inflight"),
@@ -1124,7 +1277,7 @@ class TestLoadGenerator:
             explorer.plan(sql)  # raises on anything malformed
 
     def test_run_load_reports(self, summary):
-        server = SummaryServer(summary, config=ServeConfig(window_ms=1.0))
+        server = SummaryServer(summary)
         with ServerThread(server):
             report = run_load(
                 server.host,

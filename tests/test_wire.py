@@ -61,7 +61,7 @@ def summary():
 @pytest.fixture(scope="module")
 def running(summary):
     server = SummaryServer(
-        summary, config=ServeConfig(window_ms=1.0, cache_ttl=None)
+        summary, config=ServeConfig(cache_ttl=None)
     )
     with ServerThread(server) as live:
         yield live
@@ -464,7 +464,7 @@ class TestServerBinary:
 
     def test_strict_encoder_maps_to_500_on_both_protocols(self, summary):
         server = SummaryServer(
-            summary, config=ServeConfig(window_ms=1.0, cache_ttl=None)
+            summary, config=ServeConfig(cache_ttl=None)
         )
         server.stats = lambda: {"bad": object()}  # type: ignore[method-assign]
         with ServerThread(server) as live:
@@ -478,7 +478,7 @@ class TestServerBinary:
 
     def test_binary_disabled_closes_binary_clients(self, summary):
         server = SummaryServer(
-            summary, config=ServeConfig(window_ms=1.0, binary=False)
+            summary, config=ServeConfig(binary=False)
         )
         with ServerThread(server) as live:
             with pytest.raises(ServeError):

@@ -73,7 +73,6 @@ def main() -> int:
     server = SummaryServer(
         summary,
         config=ServeConfig(
-            window_ms=2.0,
             slow_query_ms=0.0,  # every request records: exercises the log
             slow_query_log=str(SLOWLOG_PATH),
         ),
