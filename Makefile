@@ -117,9 +117,11 @@ lint:
 	@# no thread pool, no executor hop around _compute_partials.
 	@! grep -nE "ThreadPoolExecutor|_fanout_pool" src/repro/serve/cluster.py
 	@! grep -Pzo "run_in_executor\([^)]*_compute_partials" src/repro/serve/cluster.py
-	@# The coalescer flushes by group commit — when idle, or when the
-	@# flush in flight completes: no timer, and no window to tune.
-	@! grep -n "call_later" src/repro/serve/coalescer.py
+	@# A miss is evaluated by the request that found it (the coalescer
+	@# is a single-flight table): no timer, no deferred flush, no batch
+	@# size or off switch to tune.  -w: call_soon_threadsafe (ServerThread's
+	@# cross-thread stop) is not a deferred flush.
+	@! grep -rnwE "call_later|call_soon|max_batch|no_coalesce" src/repro/serve/ src/repro/cli.py
 	@! grep -rnI "window_ms" src/
 
 # Documentation rot check: every ```python block in README.md and

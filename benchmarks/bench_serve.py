@@ -1,23 +1,20 @@
-"""Serving-layer acceptance: coalescing + shared cache vs naive serving.
+"""Serving-layer acceptance: the shared result cache vs no cache.
 
 The serving subsystem's performance claim: on a **repeated-workload
 mix** — the dashboard shape: 8+ concurrent clients, few distinct
 questions, heavy on GROUP BY and SUM/AVG (the query shapes the model
-engine cannot memoize internally) — the server with request coalescing
-and the shared TTL result cache sustains **at least 2x** the
-throughput of the same server with both turned off, because
-
-* same-canonical-key requests are answered by one execution instead of
-  one per client, whether they land in one batch or join the key's
-  flush in flight,
-* distinct queries that arrive while a flush is in flight collect and
-  go through the planner's batched executor together as the next flush
-  (group commit: an idle server flushes a lone miss at once),
-* within the TTL, repeats across *all* clients and sessions are served
-  from the cache without touching the backend at all.
+engine cannot memoize internally) — the server with its shared TTL
+result cache sustains **at least 1.3x** the throughput of the same
+server with the cache off (``cache_size=0``), because within the TTL,
+repeats across *all* clients and sessions are served from the cache
+without touching the backend at all.  Both legs keep single-flight
+evaluation (same-key requests in flight share one execution), which
+already answers part of the uncached leg's repeats for free — so the
+margin is the cache's alone: 1.5-2.2x (median 1.86x) over six runs
+on a 2-core box.
 
 Results append to ``BENCH_serve.json`` (p50/p95 latency, QPS, cache
-hit rate for both modes) via the shared emitter, giving the repo a
+hit rate for both legs) via the shared emitter, giving the repo a
 perf trajectory.  ``test_serve_smoke`` is the CI gate: boot on a tiny
 summary, fire 50 concurrent requests, assert zero errors and a warm
 cache.
@@ -75,55 +72,47 @@ def _drive(summary, config: ServeConfig, requests_per_client: int):
         )
 
 
-def test_coalescing_throughput_speedup(store):
-    """Acceptance: coalescing + shared cache >= 2x naive serving."""
+def test_shared_cache_throughput_speedup(store):
+    """Acceptance: the shared result cache >= 1.3x serving without one."""
     summary = store.flights_summary("Ent1&2&3", "coarse")
     requests = 40 if active_scale().name == "small" else 80
 
-    naive = _drive(
-        summary,
-        ServeConfig(coalesce=False, cache_size=0),
-        requests,
-    )
-    coalesced = _drive(
-        summary,
-        ServeConfig(),
-        requests,
-    )
+    uncached = _drive(summary, ServeConfig(cache_size=0), requests)
+    cached = _drive(summary, ServeConfig(), requests)
 
-    speedup = coalesced.qps / naive.qps
-    print(f"\ncoalescing off: {naive.describe()}")
-    print(f"coalescing on:  {coalesced.describe()}")
+    speedup = cached.qps / uncached.qps
+    print(f"\nno cache:     {uncached.describe()}")
+    print(f"shared cache: {cached.describe()}")
     print(f"throughput speedup: {speedup:.2f}x")
     REPORT.record(
         {
             "clients": CLIENTS,
             "requests_per_client": requests,
             "workload_queries": len(WORKLOAD),
-            "qps_coalesced": round(coalesced.qps, 1),
-            "qps_uncoalesced": round(naive.qps, 1),
-            "p50_ms_coalesced": round(coalesced.p50_ms, 3),
-            "p95_ms_coalesced": round(coalesced.p95_ms, 3),
-            "p50_ms_uncoalesced": round(naive.p50_ms, 3),
-            "p95_ms_uncoalesced": round(naive.p95_ms, 3),
-            "cache_hit_rate": round(coalesced.cache_hit_rate, 4),
-            "errors": coalesced.errors + naive.errors,
+            "qps_shared_cache": round(cached.qps, 1),
+            "qps_no_cache": round(uncached.qps, 1),
+            "p50_ms_shared_cache": round(cached.p50_ms, 3),
+            "p95_ms_shared_cache": round(cached.p95_ms, 3),
+            "p50_ms_no_cache": round(uncached.p50_ms, 3),
+            "p95_ms_no_cache": round(uncached.p95_ms, 3),
+            "cache_hit_rate": round(cached.cache_hit_rate, 4),
+            "errors": cached.errors + uncached.errors,
             "speedup": round(speedup, 2),
         },
         thresholds=[
-            ("speedup", ">=", 2.0),
+            ("speedup", ">=", 1.3),
             ("cache_hit_rate", ">", 0.0),
             ("errors", "==", 0),
         ],
     )
-    assert naive.errors == 0 and coalesced.errors == 0
-    assert coalesced.cache_hit_rate > 0.5, (
+    assert uncached.errors == 0 and cached.errors == 0
+    assert cached.cache_hit_rate > 0.5, (
         f"repeated workload should mostly hit the shared cache, got "
-        f"{coalesced.cache_hit_rate:.0%}"
+        f"{cached.cache_hit_rate:.0%}"
     )
-    assert speedup >= 2.0, (
-        f"coalescing+cache speedup {speedup:.2f}x < 2x "
-        f"({coalesced.qps:.0f} vs {naive.qps:.0f} q/s)"
+    assert speedup >= 1.3, (
+        f"shared-cache speedup {speedup:.2f}x < 1.3x "
+        f"({cached.qps:.0f} vs {uncached.qps:.0f} q/s)"
     )
 
 
@@ -166,7 +155,7 @@ def test_stage_breakdown():
     time — otherwise a future regression could hide in untraced code.
 
     Runs with the result cache off so every request crosses every
-    stage (plan → cache miss → coalesce → evaluate); the coverage
+    stage (plan → cache miss → evaluate); the coverage
     ratio compares per-stage totals to the dispatch-latency histogram
     over the same requests.
     """

@@ -52,9 +52,9 @@ session-oriented:
 
 5. serve a stored model to many concurrent clients with
    :mod:`repro.serve` (``python -m repro serve``): an asyncio
-   JSON-lines server with request coalescing (a miss on an idle server
-   flushes at once, misses arriving during a flush go together in the
-   next one, same-canonical-key queries share one execution), a
+   JSON-lines server with single-flight evaluation (a miss is
+   evaluated by the request that found it; same-canonical-key queries
+   in flight share one execution), a
    process-wide TTL result cache keyed on the store
    version, admission control with ``Retry-After`` backpressure, and
    ``SIGHUP``/``reload`` hot version swaps.

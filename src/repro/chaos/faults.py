@@ -10,11 +10,11 @@ the scenario runner executes through the normal ``reload`` op.
 A :class:`FaultInjector` turns the plan into decisions at the **opt-in
 hooks** wired through the stack::
 
-    server.worker_kill      SummaryServer._execute_items — the whole
-                            coalesced flush dies, like a killed worker
-    server.backend          SummaryServer._execute_items / the
-                            non-coalesced executor — slow or erroring
-                            backend calls
+    server.worker_kill      SummaryServer._execute_items — the
+                            execution dies; every waiter on it gets
+                            a 503, like a killed worker
+    server.backend          SummaryServer._execute_items — slow or
+                            erroring backend calls
     server.drop_connection  SummaryServer._serve_request — the server
                             closes the client connection unanswered
     client.drop_connection  ServeClient.call — the client's own

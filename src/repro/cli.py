@@ -166,12 +166,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def add_serve_tuning(command):
         """The serving-layer knobs shared by serve and bench-serve."""
         command.add_argument(
-            "--max-batch",
-            type=int,
-            default=64,
-            help="distinct queries that force an early flush (default 64)",
-        )
-        command.add_argument(
             "--max-queue",
             type=int,
             default=64,
@@ -194,11 +188,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
             type=float,
             default=60.0,
             help="result time-to-live in seconds (default 60)",
-        )
-        command.add_argument(
-            "--no-coalesce",
-            action="store_true",
-            help="execute each request individually (baseline mode)",
         )
         command.add_argument(
             "--rounded",
@@ -676,12 +665,10 @@ def _serve_config(args, *, host: str | None = None, port: int | None = None):
     return ServeConfig(
         host=host if host is not None else args.host,
         port=port if port is not None else args.port,
-        max_batch=args.max_batch,
         max_queue=args.max_queue,
         max_inflight_per_client=args.max_inflight,
         cache_size=args.cache_size,
         cache_ttl=args.cache_ttl,
-        coalesce=not args.no_coalesce,
         rounded=args.rounded,
         binary=getattr(args, "protocol", "binary") != "json",
         watch_interval=getattr(args, "watch", None),
@@ -741,13 +728,11 @@ def _cmd_serve(args) -> int:
 
     async def run():
         await server.start()
-        mode = "coalescing" if config.coalesce else "no coalescing"
         workers = getattr(args, "workers", 1) or 1
-        if workers > 1:
-            mode += f", {workers} workers"
+        pool = f", {workers} workers" if workers > 1 else ""
         print(
             f"serving {server.label} on {server.host}:{server.port} "
-            f"(version {server.version}, {mode}, "
+            f"(version {server.version}{pool}, "
             f"max_queue={config.max_queue}); SIGHUP reloads, Ctrl-C stops",
             flush=True,
         )
@@ -820,7 +805,6 @@ def _cmd_bench_serve(args) -> int:
     document = {
         "name": "bench-serve",
         "summary": server.label,
-        "coalesce": config.coalesce,
         "protocol": args.protocol,
         "pipeline": args.pipeline,
         "workload_queries": len(workload),

@@ -89,14 +89,14 @@ def render_top(
         f"  coalesced {int(sample_value(snapshot, 'repro_coalescer_coalesced_total'))}"
         f"  slow {int(sample_value(snapshot, 'repro_slow_queries_total'))}"
     )
-    fanout_s, flushes, _ = histogram_stats(snapshot, "repro_cluster_fanout_seconds")
-    if flushes:
-        # A --workers frontend: what a flush's fan-out costs, what the
+    fanout_s, evaluations, _ = histogram_stats(snapshot, "repro_cluster_fanout_seconds")
+    if evaluations:
+        # A --workers frontend: what an evaluation's fan-out costs, what the
         # workers spent computing, and the rest — routing and wire.
         busy_s, calls, _ = histogram_stats(
             snapshot, "repro_cluster_worker_busy_seconds"
         )
-        fanout, busy = fanout_s / flushes, busy_s / calls if calls else 0.0
+        fanout, busy = fanout_s / evaluations, busy_s / calls if calls else 0.0
         lines.append(
             f"cluster workers {int(sample_value(snapshot, 'repro_cluster_workers'))}"
             f"  fan-out mean ms {fanout * 1e3:.3f}"

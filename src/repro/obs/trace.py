@@ -17,14 +17,14 @@ task, so layers that never see the request dict — the
 is active, so library code pays one ``ContextVar.get`` when tracing is
 off (the ≤5% overhead budget the serve benchmark gates).
 
-Coalescing makes one span *shared*: N same-key requests waiting on one
-flush each keep their own trace (distinct ids, their own
-``coalesce_wait`` span) but see the **same** ``evaluate`` span — same
-``span_id`` — because only one evaluation happened.  That is the
+Single-flight makes one span *shared*: N same-key requests answered by
+one execution each keep their own trace (distinct ids; every joiner
+has its own ``coalesce_wait`` span) but see the **same** ``evaluate``
+span — same ``span_id`` — because only one evaluation happened.  That is the
 provenance story: a trace tells you which execution answered you, not
 just how long you waited.  Each waiter records a *view* of that span
 (:meth:`Span.within`) clipped to its own submit → resolve interval, so
-a request that joined a flush mid-flight is charged only for the part
+a request that joined an execution mid-flight is charged only for the part
 it waited through and its stages never sum to more than its own time.
 """
 
@@ -147,10 +147,10 @@ class Trace:
 
     def attach_wait(self, wait: Span, shared) -> None:
         """Finish ``wait`` — one request's submit → resolve interval on
-        the coalescer — and split it between the ``shared`` flush spans
-        that answered it and pure queueing.  Each distinct flush span is
+        the coalescer — and split it between the ``shared`` evaluate
+        spans that answered it and pure queueing.  Each distinct span is
         attached as a view clipped to the part of the interval that no
-        earlier flush already covers; ``wait`` keeps the rest, so the
+        earlier execution already covers; ``wait`` keeps the rest, so the
         views and the wait sum to exactly the interval."""
         wait.finish()
         cursor, end = wait._t0, wait._t0 + wait.duration_s

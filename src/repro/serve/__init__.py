@@ -9,8 +9,8 @@ same shared structures:
   versions (``SIGHUP`` or the ``reload`` op); speaks the binary
   framed protocol (:mod:`repro.serve.wire`) and line-delimited JSON
   on the same port (first-byte sniff per connection);
-* :class:`Coalescer` — micro-batching with same-canonical-key dedup,
-  flushing through the planner's batched executor;
+* :class:`Coalescer` — single-flight table: a request whose canonical
+  key is already being evaluated awaits that execution;
 * :class:`TTLCache` — the process-wide result cache keyed on
   ``(store version, canonical predicate key)``;
 * :class:`AdmissionController` / :class:`ServerSaturated` —

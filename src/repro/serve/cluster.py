@@ -13,7 +13,7 @@ on the repo's benchmark it costs latency and CPU against one process
 Topology::
 
     clients ──> ClusterCoordinator (frontend)
-                 │ parse / canonicalize / route / cache / coalesce
+                 │ parse / canonicalize / route / cache / single-flight
                  │ live_shards ∩ shard→worker assignment
                  ├──binary wire──> ShardWorkerServer 0  (shards 0,1)
                  ├──binary wire──> ShardWorkerServer 1  (shards 2,3)
@@ -31,12 +31,12 @@ Topology::
   replica owner answers each shard (:class:`HashRing`): repeats of a
   query land on the same worker, and a worker death only remaps the
   keys it served.
-* **Fan-out** — a scatter/gather on the thread that runs the flush
+* **Fan-out** — a scatter/gather on the thread that runs the evaluation
   (:meth:`ClusterCoordinator._exchange`): write every worker's
   ``partial_batch`` request, then read the replies in turn, so workers
   compute concurrently while that one thread blocks in ``recv``.
   Connections are kept — an idle list of :class:`ServeClient` channels
-  per worker *incarnation*, checked out for a round so no two flushes
+  per worker *incarnation*, checked out for a round so no two evaluations
   share a socket — and a worker answers on its event loop, not in an
   executor: it has one client and a partial is a GIL-bound fraction of
   a millisecond, so ``ping`` / ``stats`` just wait behind a batch.
@@ -60,8 +60,8 @@ Topology::
   every death, respawn, reconnect and degraded answer.
 
 Everything client-facing is inherited unchanged: admission control,
-coalescing, the versioned result cache, hot reload (``reload`` fans
-out to the pool), tracing, and both wire protocols.
+single-flight evaluation, the versioned result cache, hot reload
+(``reload`` fans out to the pool), tracing, and both wire protocols.
 """
 
 from __future__ import annotations
@@ -749,7 +749,7 @@ class ClusterCoordinator(SummaryServer):
         )
         self._fanout_seconds = self.metrics.histogram(
             "repro_cluster_fanout_seconds",
-            "Frontend fan-out + merge latency per evaluation flush.",
+            "Frontend fan-out + merge latency per evaluation.",
         )
         self._worker_busy_seconds = self.metrics.histogram(
             "repro_cluster_worker_busy_seconds",
@@ -782,7 +782,6 @@ class ClusterCoordinator(SummaryServer):
         return dict(
             host="127.0.0.1",
             port=0,  # always ephemeral; the ready message reports it
-            coalesce=False,  # the frontend already batched the flush
             cache_size=0,  # results cache lives at the frontend
             cache_ttl=None,
             rounded=False,  # rounding applies to merged values only
@@ -1064,58 +1063,44 @@ class ClusterCoordinator(SummaryServer):
         return target
 
     # -- the fan-out evaluation path ---------------------------------------
-    def _execute_single(self, generation, plan):
-        output = self._execute_items([(generation, plan)])[0]
-        if isinstance(output, BaseException):
-            raise output
-        return output
-
-    def _execute_items(self, items: list) -> list:
-        began = time.perf_counter()
-        self._inject_backend_chaos()
+    def _inject_backend_chaos(self) -> None:
+        super()._inject_backend_chaos()
         chaos = self.chaos
         if chaos is not None and chaos.decide("cluster.worker_kill") is not None:
             try:
                 self.kill_worker()
             except ReproError:
                 pass  # pool already fully down; degraded answers follow
-        payloads: list = [None] * len(items)
-        groups: dict[int, list[int]] = {}
-        for index, (generation, _) in enumerate(items):
-            groups.setdefault(id(generation), []).append(index)
-        for indices in groups.values():
-            generation = items[indices[0]][0]
-            fanout = []
-            for index in indices:
-                plan = items[index][1]
-                if plan.route.target == "sharded":
-                    fanout.append(index)
-                    continue
-                # Contradictions (EmptyOp) and defensive fallbacks run on
-                # the frontend's resident planning model.
-                try:
-                    payloads[index] = result_payload(
-                        generation.explorer.planner.execute(plan)
-                    )
-                except Exception as error:
-                    payloads[index] = error
-            if fanout:
-                outputs = self._fan_out(
-                    generation, [items[index][1] for index in fanout]
-                )
-                for index, output in zip(fanout, outputs):
-                    payloads[index] = output
-            for index in indices:
-                if not isinstance(payloads[index], BaseException):
-                    self.cache.put(
-                        (generation.version, items[index][1].cache_key),
-                        payloads[index],
-                    )
+
+    def _execute_items(self, items: list) -> list:
+        began = time.perf_counter()
+        payloads = super()._execute_items(items)
         self._fanout_seconds.observe(time.perf_counter() - began)
         return payloads
 
+    def _execute_plans(self, generation, plans: list) -> list:
+        payloads: list = [None] * len(plans)
+        fanout = []
+        for position, plan in enumerate(plans):
+            if plan.route.target == "sharded":
+                fanout.append(position)
+                continue
+            # Contradictions (EmptyOp) and defensive fallbacks run on the
+            # frontend's resident planning model.
+            try:
+                payloads[position] = result_payload(
+                    generation.explorer.planner.execute(plan)
+                )
+            except Exception as error:
+                payloads[position] = error
+        if fanout:
+            outputs = self._fan_out(generation, [plans[position] for position in fanout])
+            for position, output in zip(fanout, outputs):
+                payloads[position] = output
+        return payloads
+
     def _fan_out(self, generation, plans: list) -> list:
-        """Evaluate one flush's sharded plans across the pool."""
+        """Evaluate one execution's sharded plans across the pool."""
         version = generation.version
         summary = generation.explorer.backend.summary
         specs = [partial_item(plan) for plan in plans]

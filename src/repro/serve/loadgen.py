@@ -7,8 +7,8 @@ and retry), and reports throughput, latency quantiles, and the
 server-side cache hit rate over exactly this run.
 
 Used by ``repro bench-serve`` and ``benchmarks/bench_serve.py`` — the
-acceptance benchmark that demonstrates coalescing turning N concurrent
-clients into ~1 vectorized pass.
+acceptance benchmark that measures the shared result cache against
+serving without one.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def run_load(
 
     Each client walks the workload from its own offset (so concurrent
     clients overlap on the same queries — the repeated-workload mix
-    coalescing and the shared cache exist for), sending the next
+    single-flight and the shared cache exist for), sending the next
     request as soon as the previous answer lands.  ``protocol`` picks
     the wire format; ``pipeline`` > 1 sends that many statements per
     ``query_batch`` round trip (per-query latency is then the batch

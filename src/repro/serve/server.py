@@ -7,11 +7,10 @@ asyncio TCP server speaking newline-delimited JSON, hosting many named
 sessions over one shared backend loaded from a
 :class:`~repro.api.store.SummaryStore`, with
 
-* **request coalescing** — group commit: a miss on an idle server
-  flushes on the next event-loop turn, misses that arrive while a flush
-  is in flight go together through the planner's batched executor the
-  moment it completes, and same-canonical-key requests are answered by
-  one execution, in flight or not (:mod:`repro.serve.coalescer`);
+* **single-flight evaluation** — a miss is evaluated by the request
+  that found it, with one executor hop; a request whose canonical key
+  is already being evaluated awaits that execution instead of starting
+  a second one (:mod:`repro.serve.coalescer`);
 * a **shared result cache** — TTL + LRU keyed on ``(store version,
   canonical predicate key)``, shared across sessions and clients
   (:mod:`repro.serve.cache`);
@@ -36,7 +35,7 @@ connection's **first byte** (see :mod:`repro.serve.wire`):
       {"id": 1, "ok": true, "status": 200, "result": {"kind": "scalar", ...},
        "cached": false, "version": 3}
 
-Ops: ``query`` and ``query_batch`` (the admitted/coalesced ones),
+Ops: ``query`` and ``query_batch`` (the admitted ones),
 ``ping``, ``stats``, ``describe``, ``reload`` (optional
 ``version``/``tag``).  Errors come back with ``ok: false`` and an
 HTTP-flavored ``status`` — 400 for bad requests, 503 with
@@ -83,8 +82,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; bound port on server.port after start()
-    #: Distinct canonical keys that force an early flush (--max-batch).
-    max_batch: int = 64
     #: Global admitted-but-unfinished bound (--max-queue).
     max_queue: int = 64
     #: Per-client pipelining bound (--max-inflight).
@@ -93,8 +90,6 @@ class ServeConfig:
     cache_size: int = 2048
     #: Result time-to-live in seconds (--cache-ttl); None = no expiry.
     cache_ttl: float | None = 60.0
-    #: Micro-batching on/off (--no-coalesce turns it off).
-    coalesce: bool = True
     #: Paper-style rounding of model estimates (--rounded).
     rounded: bool = False
     #: Store-watcher poll interval in seconds (--watch); None disables.
@@ -119,7 +114,6 @@ class ServeConfig:
     def validated(self) -> "ServeConfig":
         """Range-check every knob; errors name the CLI flag at fault."""
         checks = [
-            (self.max_batch >= 1, "max_batch (--max-batch) must be >= 1"),
             (self.max_queue >= 1, "max_queue (--max-queue) must be >= 1"),
             (
                 self.max_inflight_per_client >= 1,
@@ -262,13 +256,15 @@ def _adopt_trace_id(value):
 
 
 class _Evaluated:
-    """One executed payload plus the (possibly shared) evaluate span."""
+    """One executed payload, the (possibly shared) evaluate span, and
+    the trace of the request that ran the execution."""
 
-    __slots__ = ("payload", "span")
+    __slots__ = ("payload", "span", "leader")
 
-    def __init__(self, payload, span):
+    def __init__(self, payload, span, leader):
         self.payload = payload
         self.span = span
+        self.leader = leader
 
 
 async def _read_exactly(reader, count: int):
@@ -391,7 +387,7 @@ class SummaryServer:
                 "server (start with --store/--name, not an in-memory summary)"
             )
         self.watcher: StoreWatcher | None = None
-        self.coalescer: Coalescer | None = None
+        self.coalescer = Coalescer(self._evaluate, metrics=self.metrics)
         self._server: asyncio.base_events.Server | None = None
         self.host = self.config.host
         self.port = self.config.port
@@ -463,13 +459,7 @@ class SummaryServer:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listening socket and start the coalescer."""
-        if self.config.coalesce:
-            self.coalescer = Coalescer(
-                self._run_flush,
-                max_batch=self.config.max_batch,
-                metrics=self.metrics,
-            )
+        """Bind the listening socket."""
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -484,8 +474,7 @@ class SummaryServer:
         if self.watcher is not None:
             await self.watcher.stop()
             self.watcher = None
-        if self.coalescer is not None:
-            await self.coalescer.close()
+        await self.coalescer.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -676,9 +665,9 @@ class SummaryServer:
 
     def _finish_trace(self, trace: Trace, response: dict) -> None:
         """Fold one finished request's spans into the stage histograms
-        and park the trace in the ring.  Every waiter of a coalesced
-        flush records its own view of the shared evaluate span — the
-        part of the flush it actually waited through (see
+        and park the trace in the ring.  A request that joined another's
+        execution records its own view of the shared evaluate span — the
+        part of it the request actually waited through (see
         :meth:`~repro.obs.Trace.attach_wait`) — which is what makes the
         per-stage means sum to the end-to-end mean."""
         trace.status = response.get("status")
@@ -792,26 +781,19 @@ class SummaryServer:
 
     async def _dispatch(self, client: str, request: dict) -> dict:
         op = request.get("op", "query")
-        if op == "query":
-            self.admission.acquire(client)
-            began = time.perf_counter()
-            try:
-                self._requests_total.labels(op="query").inc()
-                return await self._query(request)
-            finally:
-                self.admission.release(client)
-                # Feeds the Retry-After hint's service-time EWMA.
-                self.admission.observe(time.perf_counter() - began)
-        if op == "query_batch":
-            # One admission slot per pipelined batch: the batch is one
+        if op in ("query", "query_batch"):
+            # One admission slot per request: a pipelined batch is one
             # unit of client-side concurrency, however many statements
             # ride in it.
             self.admission.acquire(client)
             began = time.perf_counter()
             try:
+                if op == "query":
+                    return await self._query(request)
                 return await self._query_batch(request)
             finally:
                 self.admission.release(client)
+                # Feeds the Retry-After hint's service-time EWMA.
                 self.admission.observe(time.perf_counter() - began)
         self._requests_total.labels(op=_op_label(request)).inc()
         if op == "ping":
@@ -861,42 +843,14 @@ class SummaryServer:
 
     # -- the query path ------------------------------------------------------
     async def _query(self, request: dict) -> dict:
+        self._requests_total.labels(op="query").inc()
         sql = request.get("sql")
         if not isinstance(sql, str) or not sql.strip():
             raise QueryError("query op needs a non-empty 'sql' string")
-        session_name = str(request.get("session", "default"))
-        generation = self._generation  # pin: reloads must not drop us
-        explorer = generation.session(session_name)
-        plan = explorer.plan(sql)  # parse + normalize (session-cached)
-        key = (generation.version, plan.cache_key)
-        with stage_span("cache_lookup"):
-            payload = self.cache.get(key)
-        cached = payload is not None
-        trace = current_trace()
-        if not cached:
-            if self.coalescer is not None:
-                # Resolves with the JSON-ready payload: serialization
-                # and the cache put happen once per unique key in the
-                # flush, not once per coalesced waiter.  The wait span
-                # is per-request; the evaluate span inside the
-                # ``_Evaluated`` wrapper is shared by every waiter of
-                # the flush that answered this key.
-                wait = trace.begin("coalesce_wait") if trace else None
-                evaluated = await self.coalescer.submit(
-                    key, (generation, plan)
-                )
-                payload = evaluated.payload
-                if wait is not None:
-                    trace.attach_wait(wait, [evaluated.span])
-            else:
-                loop = asyncio.get_running_loop()
-                with stage_span("evaluate"):
-                    payload = await loop.run_in_executor(
-                        None, self._execute_single, generation, plan
-                    )
-                self.cache.put(key, payload)
+        answer = await self._answer(request, [sql])
+        generation, session_name, (plan,), (payload,), (cached,) = answer
         self._maybe_slow_log(
-            trace, sql=sql, plan=plan, cached=cached,
+            current_trace(), sql=sql, plan=plan, cached=cached,
             session=session_name, version=generation.version,
         )
         return {
@@ -937,24 +891,39 @@ class SummaryServer:
             self._slow_total.inc()
 
     async def _query_batch(self, request: dict) -> dict:
-        """Pipelined batch: plan every statement against one pinned
-        generation, answer cache hits immediately, and coalesce the
-        misses into the shared flush.  One response carries all
-        results, so a client round-trip amortizes across the batch."""
+        """Pipelined batch: every statement answered like ``query``
+        against one pinned generation, with one evaluation for all the
+        misses.  One response carries all results, so a client
+        round-trip amortizes across the batch."""
         sqls = request.get("sqls")
         if not isinstance(sqls, (list, tuple)) or not sqls:
             raise QueryError("query_batch op needs a non-empty 'sqls' list")
+        self._requests_total.labels(op="query_batch").inc(len(sqls))
+        if not all(isinstance(sql, str) and sql.strip() for sql in sqls):
+            raise QueryError("query_batch entries must be non-empty SQL strings")
+        generation, session_name, _, payloads, cached_flags = (
+            await self._answer(request, sqls)
+        )
+        return {
+            "ok": True,
+            "status": 200,
+            "results": payloads,
+            "cached": cached_flags,
+            "session": session_name,
+            "version": generation.version,
+        }
+
+    async def _answer(self, request: dict, sqls: list):
+        """Plan ``sqls`` in the request's session on the pinned
+        generation, answer result-cache hits, and send every miss
+        through the single-flight table — the misses no other request
+        is evaluating run here, in one executor hop; the rest await the
+        execution already in flight.  Returns ``(generation, session
+        name, plans, payloads, cached flags)``."""
         session_name = str(request.get("session", "default"))
         generation = self._generation  # pin: reloads must not drop us
         explorer = generation.session(session_name)
-        self._requests_total.labels(op="query_batch").inc(len(sqls))
-        plans = []
-        for sql in sqls:
-            if not isinstance(sql, str) or not sql.strip():
-                raise QueryError(
-                    "query_batch entries must be non-empty SQL strings"
-                )
-            plans.append(explorer.plan(sql))
+        plans = [explorer.plan(sql) for sql in sqls]  # parse + normalize
         payloads: list = [None] * len(plans)
         cached_flags = [False] * len(plans)
         misses: list[tuple[int, tuple, object]] = []
@@ -967,64 +936,55 @@ class SummaryServer:
                     cached_flags[index] = True
                 else:
                     misses.append((index, key, plan))
-        if misses:
-            trace = current_trace()
-            if self.coalescer is not None:
-                wait = trace.begin("coalesce_wait") if trace else None
-                outputs = await asyncio.gather(
-                    *(
-                        self.coalescer.submit(key, (generation, plan))
-                        for _, key, plan in misses
-                    )
-                )
-                for (index, _, _), output in zip(misses, outputs):
-                    payloads[index] = output.payload
-                if wait is not None:
-                    # A batch's misses may land in one flush or several.
-                    trace.attach_wait(wait, [output.span for output in outputs])
+        answer = (generation, session_name, plans, payloads, cached_flags)
+        if not misses:
+            return answer
+        trace = current_trace()
+        wait = trace.begin("coalesce_wait") if trace else None
+        outputs = await self.coalescer.submit_many(
+            [(key, (generation, plan)) for _, key, plan in misses]
+        )
+        evaluated = [output for output in outputs if isinstance(output, _Evaluated)]
+        if wait is not None and evaluated:
+            if all(output.leader is trace for output in evaluated):
+                # Evaluated by this request alone: nothing was waited on.
+                trace.spans.append(evaluated[0].span)
             else:
-                with stage_span("evaluate"):
-                    outputs = await self._run_batch(
-                        [(generation, plan) for _, _, plan in misses]
-                    )
-                for (index, _, _), output in zip(misses, outputs):
-                    if isinstance(output, BaseException):
-                        raise output
-                    payloads[index] = output
-        return {
-            "ok": True,
-            "status": 200,
-            "results": payloads,
-            "cached": cached_flags,
-            "session": session_name,
-            "version": generation.version,
-        }
+                # Joined another request's execution: charged only for
+                # the part of each shared span it waited through.
+                trace.attach_wait(wait, [output.span for output in evaluated])
+        for (index, _, _), output in zip(misses, outputs):
+            if isinstance(output, BaseException):
+                raise output
+            payloads[index] = output.payload
+        return answer
 
-    async def _run_batch(self, items: list) -> list:
+    async def _evaluate(self, items: list) -> list:
+        """The coalescer's ``run_batch``, awaited by the request that
+        found the misses: the one executor hop of the query path.  One
+        evaluate span times it, and every successful payload is wrapped
+        in :class:`_Evaluated` carrying that span and the evaluating
+        request's trace.  Exceptions stay unwrapped so the coalescer
+        fails only their keys' waiters."""
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._execute_items, items)
-
-    async def _run_flush(self, items: list) -> list:
-        """The coalescer's ``run_batch``: one evaluate span times the
-        whole flush, and every successful payload is wrapped in
-        :class:`_Evaluated` carrying that shared span.  Exceptions stay
-        unwrapped so the coalescer's per-item fan-out still recognizes
-        them."""
-        flush_span = Span("evaluate", batch=len(items))
+        span = Span("evaluate", batch=len(items))
         try:
-            outputs = await self._run_batch(items)
+            outputs = await loop.run_in_executor(
+                None, self._execute_items, items
+            )
         finally:
-            flush_span.finish()
+            span.finish()
+        leader = current_trace()
         return [
             output
             if isinstance(output, BaseException)
-            else _Evaluated(output, flush_span)
+            else _Evaluated(output, span, leader)
             for output in outputs
         ]
 
     def _inject_backend_chaos(self) -> None:
         """Executor-thread chaos hooks: a ``server.worker_kill`` fault
-        raises and the whole flush dies (every coalesced waiter gets a
+        raises and the execution dies (every waiter on it gets a
         retryable 503), a ``server.backend`` fault models a slow or
         erroring backend call.  No injector attached — no effect."""
         chaos = self.chaos
@@ -1032,52 +992,39 @@ class SummaryServer:
             chaos.act("server.worker_kill")
             chaos.act("server.backend")
 
-    def _execute_plan(self, generation: _Generation, plan):
-        """The non-coalesced executor path (chaos hooks included)."""
-        self._inject_backend_chaos()
-        return generation.explorer.planner.execute(plan)
-
-    def _execute_single(self, generation: _Generation, plan) -> dict:
-        """Payload of one plan outside the coalescer (executor thread).
-        The override point the cluster frontend uses to fan a single
-        uncoalesced query out to its workers."""
-        return result_payload(self._execute_plan(generation, plan))
-
     def _execute_items(self, items: list) -> list:
-        """One coalesced flush: group by generation, run each group
-        through the planner's batched executor.  A failing query maps
-        to its exception instead of poisoning the flush.  Returns
-        JSON-ready payloads — each unique result is serialized and
-        cached exactly once here, however many waiters coalesced on it.
-        """
+        """One execution (executor thread): the ``(generation, plan)``
+        misses of one request, so of one pinned generation.  Returns
+        JSON-ready payloads, a failing query mapped to its exception
+        instead of poisoning the others — each result is serialized and
+        cached exactly once here, however many requests wait on it."""
         self._inject_backend_chaos()
-        payloads: list = [None] * len(items)
-        groups: dict[int, list[int]] = {}
-        for index, (generation, _) in enumerate(items):
-            groups.setdefault(id(generation), []).append(index)
-        for indices in groups.values():
-            generation = items[indices[0]][0]
-            plans = [items[index][1] for index in indices]
-            try:
-                outputs = generation.explorer.planner.execute_many(plans)
-            except Exception:
-                # Retry singly so only the offending plan(s) fail.
-                outputs = []
-                for plan in plans:
-                    try:
-                        outputs.append(generation.explorer.planner.execute(plan))
-                    except Exception as error:
-                        outputs.append(error)
-            for index, output in zip(indices, outputs):
-                if isinstance(output, BaseException):
-                    payloads[index] = output
-                    continue
-                payload = result_payload(output)
-                self.cache.put(
-                    (generation.version, items[index][1].cache_key), payload
-                )
-                payloads[index] = payload
+        generation = items[0][0]
+        plans = [plan for _, plan in items]
+        payloads = self._execute_plans(generation, plans)
+        for plan, payload in zip(plans, payloads):
+            if not isinstance(payload, BaseException):
+                self.cache.put((generation.version, plan.cache_key), payload)
         return payloads
+
+    def _execute_plans(self, generation: _Generation, plans: list) -> list:
+        """Payloads (or exceptions) of ``plans`` through the planner's
+        batched executor; the cluster frontend overrides it to fan out."""
+        planner = generation.explorer.planner
+        try:
+            outputs = planner.execute_many(plans)
+        except Exception:
+            # Retry singly so only the offending plan(s) fail.
+            outputs = []
+            for plan in plans:
+                try:
+                    outputs.append(planner.execute(plan))
+                except Exception as error:
+                    outputs.append(error)
+        return [
+            output if isinstance(output, BaseException) else result_payload(output)
+            for output in outputs
+        ]
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> dict:
@@ -1101,14 +1048,9 @@ class SummaryServer:
                 if self._started_at is not None
                 else None
             ),
-            "coalesce": self.config.coalesce,
             "cache": self.cache.stats(snapshot),
             "admission": self.admission.stats(snapshot),
-            "coalescer": (
-                self.coalescer.stats(snapshot)
-                if self.coalescer is not None
-                else None
-            ),
+            "coalescer": self.coalescer.stats(snapshot),
             "watcher": (
                 self.watcher.stats(snapshot)
                 if self.watcher is not None
@@ -1122,7 +1064,7 @@ class SummaryServer:
     def __repr__(self):
         return (
             f"SummaryServer({self._generation.label!r}, "
-            f"{self.host}:{self.port}, coalesce={self.config.coalesce})"
+            f"{self.host}:{self.port})"
         )
 
 

@@ -258,7 +258,6 @@ class TestServeCli:
         assert report["requests"] == 20
         assert report["errors"] == 0
         assert report["qps"] > 0
-        assert report["coalesce"] is True
 
     def test_bench_serve_writes_report_file(self, model_prefix, tmp_path, capsys):
         out = tmp_path / "BENCH_cli.json"
@@ -268,7 +267,6 @@ class TestServeCli:
                 "--model", str(model_prefix),
                 "--clients", "2",
                 "--requests", "5",
-                "--no-coalesce",
                 "--out", str(out),
             ]
         )
@@ -276,7 +274,6 @@ class TestServeCli:
         import json
 
         report = json.loads(out.read_text())
-        assert report["coalesce"] is False
         assert report["requests"] == 10
         assert "report written" in capsys.readouterr().out
 

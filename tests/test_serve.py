@@ -97,7 +97,7 @@ def summary(relation):
 class SpyBackend(Backend):
     """Exact answers, call counting, an optional artificial delay, and
     an optional ``gate``: every call blocks until the event is set, so
-    a test can hold a flush in flight for as long as it needs."""
+    a test can hold an execution in flight for as long as it needs."""
 
     is_exact = True
 
@@ -114,7 +114,7 @@ class SpyBackend(Backend):
         with self._lock:
             self.calls += 1
         if self.gate is not None:
-            assert self.gate.wait(timeout=10), "held flush never released"
+            assert self.gate.wait(timeout=10), "held execution never released"
         if self.delay:
             time.sleep(self.delay)
 
@@ -294,8 +294,8 @@ async def _turns(count: int = 5) -> None:
 
 class _HeldBatch:
     """A ``run_batch`` spy that records each batch and blocks until
-    ``release`` is set: a flush held in flight, for as long as a test
-    needs, with no timer anywhere."""
+    ``release`` is set: an execution held in flight, for as long as a
+    test needs, with no timer anywhere."""
 
     def __init__(self, error: BaseException | None = None):
         self.batches: list[list] = []
@@ -311,152 +311,131 @@ class _HeldBatch:
 
 
 class TestCoalescer:
-    """Group commit: flush when idle, collect while a flush is in
-    flight, flush early at ``max_batch``, one execution per key."""
+    """Single-flight: a submission runs its new keys itself, at once;
+    a key already in flight is joined, never executed twice."""
 
     def test_idle_submission_flushes_alone(self):
         async def scenario():
             spy = _HeldBatch()
-            coalescer = Coalescer(spy, max_batch=100)
+            coalescer = Coalescer(spy)
             task = asyncio.create_task(coalescer.submit("a", 1))
-            await _turns(3)  # submit, the call_soon flush, run_batch
-            in_flight = list(spy.batches)
+            await _turns(1)  # the submitting task's first turn runs it
+            in_flight = (list(spy.batches), coalescer.stats()["in_flight"])
             spy.release.set()
             return coalescer, in_flight, await task
 
         coalescer, in_flight, result = asyncio.run(scenario())
-        assert in_flight == [[1]]
+        assert in_flight == ([[1]], 1)
         assert result == 2
-        assert coalescer.flushes == coalescer.flushes_by("idle") == 1
-
-    def test_one_turn_is_one_flush(self):
-        async def scenario():
-            spy = _HeldBatch()
-            spy.release.set()
-            coalescer = Coalescer(spy, max_batch=100)
-            results = await asyncio.gather(
-                coalescer.submit("a", 1),
-                coalescer.submit("b", 2),
-                coalescer.submit("c", 3),
-            )
-            return coalescer, spy, results
-
-        coalescer, spy, results = asyncio.run(scenario())
-        assert results == [2, 4, 6]
-        # Submitted in one turn: one flush, one batched execution.
-        assert spy.batches == [[1, 2, 3]]
-        assert coalescer.flushes == coalescer.flushes_by("idle") == 1
+        assert coalescer.flushes == 1
+        assert coalescer.stats()["in_flight"] == 0
 
     def test_same_key_requests_share_one_execution(self):
         async def scenario():
             spy = _HeldBatch()
+            coalescer = Coalescer(spy)
+            tasks = [
+                asyncio.create_task(coalescer.submit("hot", 21))
+                for _ in range(5)
+            ]
+            await _turns()
             spy.release.set()
-            coalescer = Coalescer(spy, max_batch=100)
-            results = await asyncio.gather(
-                *(coalescer.submit("hot", 21) for _ in range(5))
-            )
-            return coalescer, spy, results
+            return coalescer, spy, await asyncio.gather(*tasks)
 
         coalescer, spy, results = asyncio.run(scenario())
         assert results == [42] * 5
         assert spy.batches == [[21]]  # deduped: one item executed
         assert coalescer.coalesced == 4
         assert coalescer.submitted == 5
-
-    def test_busy_submissions_collect_and_flush_once(self):
-        async def scenario():
-            spy = _HeldBatch()
-            coalescer = Coalescer(spy, max_batch=100)
-            first = asyncio.create_task(coalescer.submit("a", 1))
-            await _turns()
-            later = [
-                asyncio.create_task(coalescer.submit(key, item))
-                for key, item in (("b", 2), ("c", 3))
-            ]
-            await _turns()
-            held = (list(spy.batches), coalescer.stats()["pending"])
-            spy.release.set()
-            return coalescer, spy, held, await asyncio.gather(first, *later)
-
-        coalescer, spy, held, results = asyncio.run(scenario())
-        assert held == ([[1]], 2)  # collected, not flushed, while busy
-        assert results == [2, 4, 6]
-        assert spy.batches == [[1], [2, 3]]
-        assert coalescer.flushes_by("idle") == 1
-        assert coalescer.flushes_by("busy") == 1
+        assert coalescer.flushes == 1
 
     def test_same_key_joins_the_flush_in_flight(self):
         async def scenario():
             spy = _HeldBatch()
-            coalescer = Coalescer(spy, max_batch=100)
+            coalescer = Coalescer(spy)
             first = asyncio.create_task(coalescer.submit("hot", 21))
             await _turns()
             joiner = asyncio.create_task(coalescer.submit("hot", 21))
             await _turns()
-            pending = coalescer.stats()["pending"]
+            held = list(spy.batches)
             spy.release.set()
             results = await asyncio.gather(first, joiner)
             # Resolved: the key left the in-flight table, so the next
             # submission is a fresh execution.
             again = await coalescer.submit("hot", 21)
-            return coalescer, spy, pending, results, again
+            return coalescer, spy, held, results, again
 
-        coalescer, spy, pending, results, again = asyncio.run(scenario())
-        assert pending == 0  # joined the flush instead of queueing
+        coalescer, spy, held, results, again = asyncio.run(scenario())
+        assert held == [[21]]  # the joiner started nothing
         assert results == [42, 42]
         assert coalescer.coalesced == 1
         assert again == 42
         assert spy.batches == [[21], [21]]
+        assert coalescer.flushes == 2
         assert coalescer.stats()["in_flight"] == 0
 
-    def test_flushes_by_size(self):
+    def test_batch_runs_only_its_new_keys(self):
         async def scenario():
             spy = _HeldBatch()
-            coalescer = Coalescer(spy, max_batch=2)
+            coalescer = Coalescer(spy)
             first = asyncio.create_task(coalescer.submit("a", 1))
             await _turns()
-            later = [
-                asyncio.create_task(coalescer.submit(key, item))
-                for key, item in (("b", 2), ("c", 3))
-            ]
+            batch = asyncio.create_task(
+                coalescer.submit_many(
+                    [("a", 1), ("b", 2), ("b", 2), ("c", 3)]
+                )
+            )
             await _turns()
-            # The first flush is still held: only the size trigger can
-            # have started the second.
-            in_flight = list(spy.batches)
+            held = list(spy.batches)
             spy.release.set()
-            return coalescer, in_flight, await asyncio.gather(first, *later)
+            return coalescer, held, await first, await batch
 
-        coalescer, in_flight, results = asyncio.run(scenario())
-        assert in_flight == [[1], [2, 3]]
-        assert results == [2, 4, 6]
-        assert coalescer.flushes_by("size") == 1
-        assert coalescer.flushes_by("busy") == 0
+        coalescer, held, first, batch = asyncio.run(scenario())
+        # One run for the batch's new keys only: "a" was in flight and
+        # the second "b" repeats the first.
+        assert held == [[1], [2, 3]]
+        assert first == 2
+        assert batch == [2, 4, 4, 6]
+        assert coalescer.submitted == 5
+        assert coalescer.coalesced == 2
+        assert coalescer.flushes == 2
 
     def test_per_item_exceptions_do_not_poison_the_flush(self):
+        bad = ValueError("bad item")
+
         async def run_batch(items):
-            return [
-                ValueError("bad item") if item == "bad" else item
-                for item in items
-            ]
+            await release.wait()
+            return [bad if item == "bad" else item for item in items]
 
         async def scenario():
-            coalescer = Coalescer(run_batch, max_batch=10)
-            good = asyncio.create_task(coalescer.submit("g", "fine"))
-            bad = asyncio.create_task(coalescer.submit("b", "bad"))
-            results = await asyncio.gather(good, bad, return_exceptions=True)
-            return results
+            coalescer = Coalescer(run_batch)
+            leader = asyncio.create_task(
+                coalescer.submit_many([("g", "fine"), ("b", "bad")])
+            )
+            await _turns()
+            joiners = [
+                asyncio.create_task(coalescer.submit(key, item))
+                for key, item in (("g", "fine"), ("b", "bad"))
+            ]
+            await _turns()
+            release.set()
+            outcomes = await leader
+            joined = await asyncio.gather(*joiners, return_exceptions=True)
+            return coalescer, outcomes, joined
 
-        good_result, bad_result = asyncio.run(scenario())
-        assert good_result == "fine"
-        assert isinstance(bad_result, ValueError)
+        release = asyncio.Event()
+        coalescer, outcomes, joined = asyncio.run(scenario())
+        assert outcomes == ["fine", bad]
+        assert joined == ["fine", bad]  # only the bad key's waiters fail
+        assert coalescer.flushes == 1
+        assert coalescer.stats()["in_flight"] == 0
 
     def test_run_batch_failure_fails_all_waiters(self):
         async def scenario():
             spy = _HeldBatch(error=RuntimeError("executor died"))
-            coalescer = Coalescer(spy, max_batch=10)
+            coalescer = Coalescer(spy)
             waiters = [
-                asyncio.create_task(coalescer.submit(key, item))
-                for key, item in (("a", 1), ("b", 2))
+                asyncio.create_task(coalescer.submit_many([("a", 1), ("b", 2)]))
             ]
             await _turns()
             waiters.append(asyncio.create_task(coalescer.submit("a", 1)))
@@ -465,22 +444,43 @@ class TestCoalescer:
             results = await asyncio.gather(*waiters, return_exceptions=True)
             return coalescer, results
 
-        coalescer, results = asyncio.run(scenario())
-        assert len(results) == 3
-        assert all(isinstance(result, RuntimeError) for result in results)
+        coalescer, (leader, joiner) = asyncio.run(scenario())
+        assert all(isinstance(result, RuntimeError) for result in leader)
+        assert isinstance(joiner, RuntimeError)
         assert coalescer.coalesced == 1  # the joiner failed with them
+        assert coalescer.stats()["in_flight"] == 0
+
+    def test_leader_cancellation_fails_its_joiners(self):
+        async def scenario():
+            spy = _HeldBatch()
+            coalescer = Coalescer(spy)
+            leader = asyncio.create_task(coalescer.submit("a", 1))
+            await _turns()
+            joiner = asyncio.create_task(coalescer.submit("a", 1))
+            await _turns()
+            leader.cancel()
+            spy.release.set()  # too late: the leader is already cancelled
+            results = await asyncio.gather(
+                leader, joiner, return_exceptions=True
+            )
+            # The table is empty again: the key runs afresh.
+            again = await coalescer.submit("a", 1)
+            return coalescer, results, again
+
+        coalescer, results, again = asyncio.run(scenario())
+        assert all(isinstance(r, asyncio.CancelledError) for r in results)
+        assert again == 2
         assert coalescer.stats()["in_flight"] == 0
 
     def test_close_answers_every_waiter_then_rejects(self):
         async def scenario():
             spy = _HeldBatch()
-            coalescer = Coalescer(spy, max_batch=10)
-            waiters = [asyncio.create_task(coalescer.submit("a", 1))]
-            await _turns()
-            waiters += [
-                asyncio.create_task(coalescer.submit(key, item))
-                for key, item in (("a", 1), ("b", 2))
+            coalescer = Coalescer(spy)
+            waiters = [
+                asyncio.create_task(coalescer.submit_many([("a", 1), ("b", 2)]))
             ]
+            await _turns()
+            waiters.append(asyncio.create_task(coalescer.submit("a", 1)))
             await _turns()
             closing = asyncio.create_task(coalescer.close())
             await _turns()
@@ -490,20 +490,12 @@ class TestCoalescer:
             spy.release.set()
             await closing
             with pytest.raises(ReproError, match="closed"):
-                await coalescer.submit("d", 4)
-            return coalescer, held, [waiter.result() for waiter in waiters]
+                await coalescer.submit("a", 1)
+            return held, [await waiter for waiter in waiters]
 
-        coalescer, held, results = asyncio.run(scenario())
-        assert held is False  # close waits for the held flush
-        assert results == [2, 2, 4]
-        assert coalescer.flushes_by("drain") == 1
-
-    def test_validation(self):
-        async def run_batch(items):  # pragma: no cover - never runs
-            return items
-
-        with pytest.raises(ReproError, match="max_batch"):
-            Coalescer(run_batch, max_batch=0)
+        held, results = asyncio.run(scenario())
+        assert held is False  # close waits for the held execution
+        assert results == [[2, 4], 2]
 
 
 # ----------------------------------------------------------------------
@@ -599,16 +591,14 @@ class TestServerRoundTrip:
         assert set(stats) >= {
             "cache", "admission", "coalescer", "requests", "errors", "reloads",
         }
-        assert stats["coalescer"]["max_batch"] == 64
-        assert set(stats["coalescer"]["flushes_by_reason"]) == {
-            "idle", "busy", "size", "drain",
-        }
+        # bench_e2e's ledger reads these three keys.
+        assert set(stats["coalescer"]) >= {"submitted", "coalesced", "flushes"}
 
 
 class TestCoalescedServing:
-    """Batching over the wire, forced by holding the backend instead of
-    by a long timer: a flush blocks in the spy until every request the
-    test sends is on the coalescer, then is released."""
+    """Single-flight over the wire, forced by holding the backend
+    instead of by a timer: the first request's execution blocks in the
+    spy until every request the test sends has joined it."""
 
     @staticmethod
     def _ask_concurrently(server, queries):
@@ -628,10 +618,10 @@ class TestCoalescedServing:
 
     def test_same_key_concurrent_clients_cost_one_execution(self, relation):
         """The headline behavior: N clients asking one question while
-        its flush is in flight -> one backend execution (spy count)."""
+        its execution is in flight -> one backend execution (spy count)."""
         gate = threading.Event()
         backend = SpyBackend(relation, gate=gate)
-        # Cache off so coalescing (not the cache) must do the dedup.
+        # Cache off so single-flight (not the cache) must do the dedup.
         server = SummaryServer(backend, config=ServeConfig(cache_size=0))
         clients = 6
         with ServerThread(server):
@@ -653,42 +643,6 @@ class TestCoalescedServing:
         assert server.coalescer.coalesced == clients - 1
         assert server.coalescer.flushes == 1
 
-    def test_distinct_queries_one_vectorized_flush(self, relation):
-        """Distinct misses that arrive while a flush is in flight travel
-        together as the next flush (group commit's busy rule)."""
-        gate = threading.Event()
-        backend = SpyBackend(relation, gate=gate)
-        server = SummaryServer(backend, config=ServeConfig(cache_size=0))
-        queries = [
-            "SELECT COUNT(*) FROM R WHERE hour = 0",
-            "SELECT COUNT(*) FROM R WHERE hour = 1",
-            "SELECT COUNT(*) FROM R WHERE hour = 2",
-        ]
-        with ServerThread(server):
-            holder, errors, _ = self._ask_concurrently(
-                server, ["SELECT COUNT(*) FROM R WHERE hour = 3"]
-            )
-            try:
-                assert _wait_until(lambda: backend.calls == 1)  # held
-                threads, more_errors, _ = self._ask_concurrently(
-                    server, queries
-                )
-                assert _wait_until(
-                    lambda: server.coalescer.submitted == 1 + len(queries)
-                )
-            finally:
-                gate.set()
-            for thread in holder + threads:
-                thread.join(timeout=10)
-            assert not any(t.is_alive() for t in holder + threads)
-        assert not errors + more_errors, (errors + more_errors)[0]
-        # Two flushes: the held one, then the three collected behind it
-        # as one batch.  The spy's default count_many loops, so calls ==
-        # distinct queries, but the flush counts prove the batching.
-        assert server.coalescer.flushes == 2
-        assert server.coalescer.flushes_by("busy") == 1
-        assert server.coalescer.largest_batch == len(queries)
-
 
 class TestAdmissionOverTheWire:
     def test_saturated_queue_rejects_with_retry_after(self, relation):
@@ -696,7 +650,6 @@ class TestAdmissionOverTheWire:
         server = SummaryServer(
             backend,
             config=ServeConfig(
-                coalesce=False,
                 cache_size=0,
                 max_queue=1,
                 max_inflight_per_client=5,
@@ -731,7 +684,6 @@ class TestAdmissionOverTheWire:
         server = SummaryServer(
             backend,
             config=ServeConfig(
-                coalesce=False,
                 cache_size=0,
                 max_queue=10,
                 max_inflight_per_client=1,
@@ -762,9 +714,7 @@ class TestAdmissionOverTheWire:
         backend = SpyBackend(relation, delay=0.1)
         server = SummaryServer(
             backend,
-            config=ServeConfig(
-                coalesce=False, cache_size=0, max_queue=1
-            ),
+            config=ServeConfig(cache_size=0, max_queue=1),
         )
         errors = []
 
@@ -1247,7 +1197,7 @@ class TestServeConfig:
         "overrides, flag",
         [
             ({"trace_ring": -1}, "--trace-ring"),
-            ({"max_batch": 0}, "--max-batch"),
+            ({"watch_interval": 0.0}, "--watch"),
             ({"max_queue": 0}, "--max-queue"),
             ({"max_inflight_per_client": 0}, "--max-inflight"),
             ({"cache_size": -1}, "--cache-size"),
