@@ -123,6 +123,10 @@ lint:
 	@# cross-thread stop) is not a deferred flush.
 	@! grep -rnwE "call_later|call_soon|max_batch|no_coalesce" src/repro/serve/ src/repro/cli.py
 	@! grep -rnI "window_ms" src/
+	@# One query evaluator: ShardArena answers every model, sharded or
+	@# not.  The polynomial's masked kernels serve the solver, the world
+	@# sampler and the test oracle, never the query path.
+	@! grep -rnwE "masked_value|masked_gradient|evaluation_parts" src/repro/core/inference.py src/repro/core/summary.py src/repro/core/sharding.py src/repro/query/ src/repro/plan/ src/repro/api/ src/repro/serve/
 
 # Documentation rot check: every ```python block in README.md and
 # docs/*.md must compile, every relative link must resolve.

@@ -123,9 +123,9 @@ def test_contradictions_short_circuit(store):
     summary = store.flights_summary("Ent1&2&3", "coarse")
     explorer = Explorer.attach(summary, cache_size=0)
 
-    engine = summary.engine
-    engine.clear_cache()
-    misses_before = engine.cache_misses
+    arena = summary.arena
+    arena.clear_cache()
+    misses_before = arena.cache_misses
 
     start = time.perf_counter()
     for _ in range(REPEATS):
@@ -133,7 +133,7 @@ def test_contradictions_short_circuit(store):
             assert explorer.sql(sql).scalar == 0.0
     contradiction_seconds = time.perf_counter() - start
     # Zero polynomial evaluations: the normalize stage answered alone.
-    assert engine.cache_misses == misses_before
+    assert arena.cache_misses == misses_before
 
     live = "SELECT COUNT(*) FROM R WHERE distance BETWEEN 20 AND 50"
     explorer.sql(live)  # warm

@@ -97,13 +97,9 @@ def main() -> None:
     by_state, by_time = build(relation, shards=4, by="origin_state")
     print(f"  built in {by_time:.2f}s: {by_state!r}")
     session = Explorer.attach(by_state)
-    by_state.clear_cache()
-    value = session.sql(
-        "SELECT COUNT(*) FROM R WHERE origin_state = 'CA'"
-    ).scalar
-    touched = sum(
-        1 for shard in by_state.shards if shard.engine.cache_misses > 0
-    )
+    sql = "SELECT COUNT(*) FROM R WHERE origin_state = 'CA'"
+    value = session.sql(sql).scalar
+    touched = len(session.plan(sql).route.detail["live_shards"])
     print(
         f"  COUNT(origin_state='CA') = {value:.1f} touched "
         f"{touched}/{by_state.num_shards} shards (others pruned)"

@@ -97,7 +97,6 @@ from repro.core import (
     CompressedPolynomial,
     EntropySummary,
     InferenceEngine,
-    MergedEstimate,
     MirrorDescentSolver,
     ModelParameters,
     NaivePolynomial,
@@ -149,7 +148,6 @@ __all__ = [
     "Explorer",
     "InferenceEngine",
     "IngestError",
-    "MergedEstimate",
     "MirrorDescentSolver",
     "ModelParameters",
     "NaivePolynomial",

@@ -16,8 +16,8 @@ that session object.  It owns
   AND 7`` vs ``x >= 3 AND x <= 7`` — skip label resolution and
   re-inference entirely,
 * ``run_many()`` — batched execution through the planner's shared
-  batched executor (one backend call per batch: a vectorized arena
-  pass on sharded models, the masked kernel per query on a single one).
+  batched executor (one backend call per batch: the model's arena
+  kernel once per query, whether the model is sharded or not).
 
 Construction::
 
@@ -147,9 +147,9 @@ class Explorer:
         """Open a session on a relation, summary, backend, or Explorer.
 
         * ``Relation`` → exact full-scan backend,
-        * ``EntropySummary`` → model backend (``rounded=True`` applies
-          the paper's rounding of estimates below 0.5),
-        * ``ShardedSummary`` → shard-merging model backend,
+        * ``EntropySummary`` or ``ShardedSummary`` → model backend
+          (``rounded=True`` applies the paper's rounding of estimates
+          below 0.5),
         * any :class:`~repro.api.backend.Backend` (or duck-typed object
           with ``count``) → used as is,
         * an ``Explorer`` → returned unchanged.
@@ -162,14 +162,10 @@ class Explorer:
         from repro.core.summary import EntropySummary
         from repro.data.relation import Relation
 
-        if isinstance(source, EntropySummary):
+        if isinstance(source, (EntropySummary, ShardedSummary)):
             from repro.query.backends import SummaryBackend
 
             backend = SummaryBackend(source, rounded=rounded)
-        elif isinstance(source, ShardedSummary):
-            from repro.query.backends import ShardedBackend
-
-            backend = ShardedBackend(source, rounded=rounded)
         elif isinstance(source, Relation):
             from repro.baselines.exact import ExactBackend
 
@@ -329,9 +325,9 @@ class Explorer:
         Thread-safe with *single-flight* semantics: when several
         threads miss on the same canonical key at once, exactly one
         runs the backend pass and the others block on its result — no
-        double-compute, no cache corruption.  (The serving layer
-        multiplexes concurrent clients onto one Explorer and relies on
-        this.)
+        double-compute, no cache corruption.  (The serving layer plans
+        through a shared Explorer but evaluates through its own
+        single-flight table; it never calls this method.)
         """
         query = self._normalize(query)
         canonical = self._canonical(query)
@@ -380,13 +376,11 @@ class Explorer:
 
         Plans run through the planner's shared batched executor: all
         batchable scalar ``COUNT(*)`` plans go to a model backend as
-        one batch (a sharded model evaluates it in one arena pass, a
-        single summary's :meth:`InferenceEngine.estimate_masks_batch`
-        runs its masked kernel per query — parse, plan and cache work
-        is still shared); contradictions answer ``0`` without touching
-        the backend; grouped and SUM/AVG queries run per-query.
-        Results come back in input order and populate the session cache
-        like sequential ``run()`` calls.
+        one batch (the model's arena runs its kernel once per query —
+        parse, plan and cache work is shared); contradictions answer
+        ``0`` without touching the backend; grouped and SUM/AVG queries
+        run per-query.  Results come back in input order and populate
+        the session cache like sequential ``run()`` calls.
         """
         parsed = [self._normalize(query) for query in queries]
         canonicals = [self._canonical(query) for query in parsed]

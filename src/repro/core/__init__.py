@@ -1,11 +1,11 @@
 """MaxEnt core: the compressed polynomial, solvers, and inference."""
 
+from repro.core.arena import QueryEstimate, round_half_up
 from repro.core.dual import dual_gradient, dual_value, solve_dual_scipy
 from repro.core.hierarchy import HierarchicalSummary
-from repro.core.inference import InferenceEngine, QueryEstimate, round_half_up
+from repro.core.inference import InferenceEngine
 from repro.core.naive import NaivePolynomial
 from repro.core.sharding import (
-    MergedEstimate,
     Partition,
     ShardedSummary,
     load_model,
@@ -35,7 +35,6 @@ __all__ = [
     "EntropySummary",
     "EvaluationParts",
     "InferenceEngine",
-    "MergedEstimate",
     "MirrorDescentSolver",
     "ModelParameters",
     "NaivePolynomial",

@@ -1,9 +1,13 @@
 """The contiguous shard arena: every shard's fitted constants, folded once.
 
-This is the only code that narrows a query to each shard, evaluates the
-shards and merges them: :class:`~repro.core.sharding.ShardedSummary`
-answers from one arena over all its shards, a cluster worker from one
-over the shards it owns (:class:`~repro.serve.cluster.ShardSlice`).
+This is the only code that evaluates a query against fitted parameters,
+narrows it to each shard and merges the shards.  Every model answers
+through one arena over itself (:class:`ArenaModel`): an unsharded
+:class:`~repro.core.summary.EntropySummary` (through its
+:class:`~repro.core.inference.InferenceEngine`) is a one-shard arena
+with no shard attribute, a :class:`~repro.core.sharding.ShardedSummary`
+one arena over all its shards, and a cluster worker one over the shards
+it owns (:class:`~repro.serve.cluster.ShardSlice`).
 Paper Sec 4.2 evaluates ``P`` with the excluded 1D variables zeroed,
 and almost none of that evaluation depends on the query.
 :class:`ShardArena` therefore restructures the *fitted* shard
@@ -46,30 +50,87 @@ concurrently.
 
 The kernel yields one value per shard, and :meth:`ShardArena.merge` is
 the one place those become per-shard ``(expectation, variance)``
-contributions and their sum.  Every entry point takes an optional shard
-*selection* — a boolean mask over the arena's shards, which the cluster
-frontend's replica router picks per query — restricting both the
-contributions summed and the labels a GROUP BY reports; partial sums
-over disjoint selections add up to the whole answer, which is all the
-frontend's merge has left to do.
+contributions and their sum, which :class:`QueryEstimate` carries.
+Every entry point takes an optional shard *selection* — a boolean mask
+over the arena's shards, which the cluster frontend's replica router
+picks per query — restricting both the contributions summed and the
+labels a GROUP BY reports; partial sums over disjoint selections add up
+to the whole answer, which is all the frontend's merge has left to do.
 
 Results are cached on the canonical mask key (the serve layer's
-canonical predicate keys collapse to identical masks), bounded like
-:class:`~repro.core.inference.InferenceEngine`'s cache.
+canonical predicate keys collapse to identical masks); the cache is
+bounded and cleared wholesale when full.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import threading
+from operator import getitem
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import QueryError
 
-#: Bounded result-cache entries (cleared wholesale when full, matching
-#: the inference engine's policy).
+#: Bounded result-cache entries (cleared wholesale when full).
 CACHE_SIZE = 8192
+
+#: two-sided 95% normal quantile for confidence intervals.
+_Z95 = 1.959963984540054
+
+#: Serialises lazy arena builds.  One lock for the process: builds are
+#: rare (first query, load, publish) and take milliseconds, and a
+#: per-model lock would have to be rebuilt after every unpickle.
+_BUILD_LOCK = threading.Lock()
+
+
+def round_half_up(value: float) -> int:
+    """Round with halves going up (Python's ``round`` is banker's)."""
+    return int(math.floor(value + 0.5))
+
+
+class QueryEstimate:
+    """Approximate answer to one counting query over ``total`` rows.
+
+    ``variance`` is what :meth:`ShardArena.merge` adds up: each shard's
+    Binomial ``n_s·p·(1−p)`` under its model (paper Sec 7), so one
+    summary's answer is a single Binomial and a sharded one combines its
+    shards in quadrature.  It excludes model bias.
+    """
+
+    __slots__ = ("expectation", "variance", "total")
+
+    def __init__(self, expectation: float, variance: float, total: int):
+        self.expectation = expectation
+        self.variance = max(variance, 0.0)
+        self.total = total
+
+    @property
+    def std(self) -> float:
+        return math.sqrt(self.variance)
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        """Normal-approximation 95% interval, clipped to ``[0, n]``."""
+        half = _Z95 * self.std
+        return (
+            max(self.expectation - half, 0.0),
+            min(self.expectation + half, float(self.total)),
+        )
+
+    @property
+    def rounded(self) -> int:
+        """Paper-style rounding: values ≥ .5 round up (Sec 4.3's
+        discussion of estimates near 0.5)."""
+        return round_half_up(self.expectation)
+
+    def __repr__(self):
+        return (
+            f"QueryEstimate({self.expectation:.3f} ± {self.std:.3f}, "
+            f"n={self.total})"
+        )
 
 
 class _Block:
@@ -116,28 +177,31 @@ class ShardArena:
     :class:`~repro.core.sharding.ShardedSummary`, or the shards one
     cluster worker owns (:class:`~repro.serve.cluster.ShardSlice`) —
     anything with ``shards``, ``schema``, ``by_position`` and
-    ``owned_ranges``, one shard or many.  Rebuild (``ShardArena(summary)``)
+    ``owned_ranges``, one shard or many — or one fitted model (an
+    :class:`~repro.core.summary.EntropySummary` or its
+    :class:`~repro.core.inference.InferenceEngine`), which is its own
+    single shard.  A shard is anything with ``polynomial``, ``params``,
+    ``total`` and ``partition_value``.  Rebuild (``ShardArena(summary)``)
     whenever the shard set changes — on load, hot reload, and
     delta-refresh publish."""
 
     def __init__(self, summary):
-        shards = summary.shards
+        shards = getattr(summary, "shards", None) or [summary]
         schema = summary.schema
         self.schema = schema
         self.sizes = schema.sizes()
         self.num_shards = S = len(shards)
-        self.by_pos = summary.by_position
+        self.by_pos = getattr(summary, "by_position", None)
         self.totals = np.asarray(
             [float(shard.total) for shard in shards], dtype=np.float64
         )
         self.fulls = np.asarray(
-            [float(shard.engine.partition_value) for shard in shards],
-            dtype=np.float64,
+            [float(shard.partition_value) for shard in shards], dtype=np.float64
         )
         self.scales = self.totals / self.fulls
 
         # -- owned ranges of the shard attribute ----------------------
-        ranges = summary.owned_ranges
+        ranges = getattr(summary, "owned_ranges", None)
         if ranges is None:
             self.owned = None
         else:
@@ -400,7 +464,9 @@ class ShardArena:
 
         ``base_masks`` are the predicate's per-position masks; masks on
         group attributes act as filters on which labels appear (SQL's
-        filter-then-group), mirroring ``InferenceEngine.group_by``.  A
+        filter-then-group).  For the inner attribute every value comes
+        from one gradient pass (``E[A=v ∧ ρ] = n α_v ∂P[masked]/∂α_v / P``,
+        Eq. 19 batched over ``v``); outer attributes are iterated.  A
         label is reported when a live selected shard may hold it, and
         its value sums the selected shards only.  Returns
         ``{domain indices: (expectation, variance)}``.
@@ -485,8 +551,10 @@ class ShardArena:
         selection=None,
     ) -> float:
         """Merged ``E[Σ w(A_pos)]`` over the selected shards (default:
-        all) — ``InferenceEngine.sum_estimate`` per shard, summed by
-        linearity."""
+        all).  SUM is the linear query whose coordinate on a tuple is
+        ``w(t_pos)``, so it decomposes over the attribute's values,
+        ``Σ_v w_v · E[A = v ∧ π]`` — one gradient pass (Sec 7's "other
+        aggregates"), summed over shards by linearity."""
         weights, numerators = self._weighted_numerators(pos, weights, base_masks)
         counts, _, _ = self.merge(numerators, self._selected(selection))
         return float(counts @ weights)
@@ -531,3 +599,111 @@ class ShardArena:
             f"ShardArena(shards={self.num_shards}, "
             f"terms={self.num_terms}, by_pos={self.by_pos})"
         )
+
+
+def labelled(schema, positions: Sequence[int], groups: Mapping) -> dict:
+    """GROUP BY results re-keyed from domain indices to label tuples."""
+    labels = [schema.domain(pos).labels for pos in positions]
+    return {tuple(map(getitem, labels, key)): value for key, value in groups.items()}
+
+
+class ArenaModel:
+    """The query surface every model kind shares: masks → arena → estimate.
+
+    A subclass provides ``schema`` and ``total``, plus what
+    :class:`ShardArena` reads of it (one fitted model, or its shards).
+    The arena is derived state: built once, on first use or by
+    :meth:`warm`, shared by every thread, and never pickled.
+    """
+
+    _arena: ShardArena | None = None
+
+    @property
+    def arena(self) -> ShardArena:
+        """The model's evaluation kernel (built on first use)."""
+        arena = self._arena
+        if arena is None:
+            with _BUILD_LOCK:
+                arena = self._arena
+                if arena is None:
+                    arena = self._arena = ShardArena(self)
+        return arena
+
+    def warm(self):
+        """Eagerly build the arena (load / hot-reload / publish path)."""
+        self.arena
+        return self
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_arena", None)
+        return state
+
+    def clear_cache(self) -> None:
+        """Drop the arena's memoized results (the arena itself stays)."""
+        if self._arena is not None:
+            self._arena.clear_cache()
+
+    def masks_for(self, predicate) -> dict[int, np.ndarray]:
+        """Per-position value masks of a conjunction (``None``: none)."""
+        if predicate is None:
+            return {}
+        if predicate.schema != self.schema:
+            raise QueryError("query predicate uses a different schema")
+        return predicate.attribute_masks()
+
+    # -- COUNT -----------------------------------------------------------
+    def estimate_masks_batch(
+        self, masks_list: Sequence[Mapping[int, np.ndarray]]
+    ) -> list[QueryEstimate]:
+        """One estimate per mask dict, each through the arena's
+        one-query kernel (so batched answers are bit-equal to single)."""
+        return [
+            QueryEstimate(expectation, variance, self.total)
+            for expectation, variance in self.arena.estimate_masks_batch(masks_list)
+        ]
+
+    def estimate_masks(self, masks: Mapping[int, np.ndarray]) -> QueryEstimate:
+        """Estimate a counting query given raw per-position masks."""
+        return self.estimate_masks_batch([masks])[0]
+
+    def estimate_batch(self, predicates) -> list[QueryEstimate]:
+        return self.estimate_masks_batch(
+            [self.masks_for(predicate) for predicate in predicates]
+        )
+
+    def estimate(self, predicate) -> QueryEstimate:
+        """Estimate ``SELECT COUNT(*) WHERE predicate``."""
+        return self.estimate_masks(self.masks_for(predicate))
+
+    count = estimate
+
+    # -- GROUP BY / SUM / AVG ----------------------------------------------
+    def _grouped(self, positions, predicate) -> dict[tuple, QueryEstimate]:
+        """``{domain indices: estimate}`` of a GROUP BY COUNT(*)."""
+        positions = [self.schema.position(pos) for pos in positions]
+        groups = self.arena.group_by(positions, self.masks_for(predicate))
+        return {
+            key: QueryEstimate(expectation, variance, self.total)
+            for key, (expectation, variance) in groups.items()
+        }
+
+    def sum_estimate(self, attr, weights, predicate=None) -> float:
+        """``E[Σ_{rows ⊨ π} w(attr)]`` — a weighted linear query."""
+        return self.arena.sum_estimate(
+            self.schema.position(attr), weights, self.masks_for(predicate)
+        )
+
+    def avg_estimate(self, attr, weights, predicate=None) -> float:
+        """``E[SUM] / E[COUNT]`` — the ratio-of-expectations estimator
+        for AVG (the one samplers use), in one arena pass; over the whole
+        relation the count is ``n``."""
+        masks = self.masks_for(predicate)
+        total, count, _ = self.arena.sum_and_count(
+            self.schema.position(attr), weights, masks
+        )
+        if not masks:
+            count = float(self.total)
+        if count <= 0:
+            raise QueryError("AVG undefined: predicate has expected count 0")
+        return total / count

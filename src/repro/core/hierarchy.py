@@ -28,7 +28,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.core.inference import QueryEstimate
+from repro.core.arena import QueryEstimate
 from repro.core.summary import EntropySummary
 from repro.data.domain import Domain
 from repro.data.relation import Relation
@@ -233,11 +233,8 @@ class HierarchicalSummary:
             )
             expectation += estimate.expectation
             variance += estimate.variance
-        total = self.relation.num_rows
-        probability = min(max(expectation / total, 0.0), 1.0) if total else 0.0
-        # Leaf models are independent; report the summed-variance
-        # binomial-equivalent estimate.
-        return QueryEstimate(expectation, probability, total)
+        # Leaf models are independent: their variances add.
+        return QueryEstimate(expectation, variance, self.relation.num_rows)
 
     # ------------------------------------------------------------------
     def _touched_groups(self, fine_mask: np.ndarray) -> dict[object, bool]:

@@ -40,25 +40,19 @@ count) and the shard fits run in parallel worker processes on top.
 from __future__ import annotations
 
 import json
-import math
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import getitem
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.arena import ShardArena
+from repro.core.arena import ArenaModel, QueryEstimate, labelled
 from repro.core.summary import EntropySummary
 from repro.data.relation import Relation
-from repro.errors import QueryError, ReproError
+from repro.errors import ReproError
 from repro.stats.predicates import Conjunction, RangePredicate
-
-#: two-sided 95% normal quantile (matches repro.core.inference).
-_Z95 = 1.959963984540054
 
 
 # ----------------------------------------------------------------------
@@ -147,57 +141,6 @@ def partition_relation(
 
 
 # ----------------------------------------------------------------------
-# Merged estimates
-# ----------------------------------------------------------------------
-
-class MergedEstimate:
-    """Shard-merged answer to one counting query.
-
-    Mirrors the :class:`~repro.core.inference.QueryEstimate` interface
-    (``expectation``/``std``/``ci95``/``rounded``) but carries an
-    explicit variance — the quadrature sum of the per-shard Binomial
-    variances — instead of deriving one from a single Binomial.
-    """
-
-    __slots__ = ("expectation", "variance", "total")
-
-    def __init__(self, expectation: float, variance: float, total: int):
-        self.expectation = expectation
-        self.variance = max(variance, 0.0)
-        self.total = total
-
-    @property
-    def probability(self) -> float:
-        if self.total <= 0:
-            return 0.0
-        return min(max(self.expectation / self.total, 0.0), 1.0)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def ci95(self) -> tuple[float, float]:
-        half = _Z95 * self.std
-        return (
-            max(self.expectation - half, 0.0),
-            min(self.expectation + half, float(self.total)),
-        )
-
-    @property
-    def rounded(self) -> int:
-        from repro.core.inference import round_half_up
-
-        return round_half_up(self.expectation)
-
-    def __repr__(self):
-        return (
-            f"MergedEstimate({self.expectation:.3f} ± {self.std:.3f}, "
-            f"n={self.total})"
-        )
-
-
-# ----------------------------------------------------------------------
 # Worker-process build
 # ----------------------------------------------------------------------
 
@@ -229,12 +172,13 @@ def default_workers(num_shards: int) -> int:
 # The sharded summary
 # ----------------------------------------------------------------------
 
-class ShardedSummary:
+class ShardedSummary(ArenaModel):
     """One logical summary made of per-shard MaxEnt models.
 
     Build with :meth:`fit_partitions` (or, at the API layer,
     ``SummaryBuilder(relation).shards(n, by=...)``).  Queries run
-    through the summary's :class:`~repro.core.arena.ShardArena`; see the
+    through the summary's :class:`~repro.core.arena.ShardArena`, with the
+    query surface of :class:`~repro.core.arena.ArenaModel`; see the
     module docstring for the merge algebra.
     """
 
@@ -267,10 +211,6 @@ class ShardedSummary:
         else:
             self._by_pos = schema.position(shard_by)
             self._owned = [RangePredicate(low, high) for low, high in ranges]
-        # The evaluation kernel: derived state, built lazily (or eagerly
-        # via warm()) and never pickled.
-        self._arena: ShardArena | None = None
-        self._arena_lock = threading.Lock()
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -328,35 +268,6 @@ class ShardedSummary:
         )
         return cls(shards, name=name, shard_by=shard_by, ranges=partition.ranges)
 
-    # -- derived evaluation state ----------------------------------------
-    @property
-    def arena(self) -> ShardArena:
-        """The cross-shard evaluation kernel (built on first use;
-        :meth:`warm` builds it eagerly at load/publish time)."""
-        arena = self._arena
-        if arena is None:
-            with self._arena_lock:
-                arena = self._arena
-                if arena is None:
-                    arena = self._arena = ShardArena(self)
-        return arena
-
-    def warm(self) -> "ShardedSummary":
-        """Eagerly build the arena (load / hot-reload / publish path)."""
-        self.arena
-        return self
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        for derived in ("_arena", "_arena_lock"):
-            state.pop(derived, None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._arena = None
-        self._arena_lock = threading.Lock()
-
     # -- introspection ---------------------------------------------------
     @property
     def num_shards(self) -> int:
@@ -379,13 +290,6 @@ class ShardedSummary:
     def num_statistics(self) -> int:
         """Statistic count across all shards."""
         return sum(shard.num_statistics for shard in self.shards)
-
-    def clear_cache(self) -> None:
-        for shard in self.shards:
-            shard.engine.clear_cache()
-        arena = self._arena
-        if arena is not None:
-            arena.clear_cache()
 
     def size_report(self) -> dict:
         """Aggregate storage footprint across shards."""
@@ -475,81 +379,16 @@ class ShardedSummary:
             if (mask & owned.mask(size)).any()
         ]
 
-    def _query_masks(self, predicate: Conjunction | None) -> dict:
-        """A predicate's per-position masks (schema-checked) for the
-        arena, which narrows them to each shard's owned range itself."""
-        if predicate is None or predicate.is_trivial():
-            return {}
-        if predicate.schema != self.schema:
-            raise QueryError("query predicate uses a different schema")
-        return predicate.attribute_masks()
-
     # -- querying --------------------------------------------------------
-    def count(self, predicate: Conjunction) -> MergedEstimate:
-        """Merged estimate of ``SELECT COUNT(*) WHERE predicate``."""
-        return self.estimate(predicate)
-
-    def estimate(self, predicate: Conjunction | None) -> MergedEstimate:
-        return self.estimate_batch([predicate])[0]
-
-    def estimate_batch(
-        self, predicates: Sequence[Conjunction | None]
-    ) -> list[MergedEstimate]:
-        """Merged estimates for a batch: each query runs through the
-        arena's one-query kernel, so batched answers are bit-equal to
-        single ones."""
-        masks_list = [self._query_masks(predicate) for predicate in predicates]
-        return [
-            MergedEstimate(expectation, variance, self.total)
-            for expectation, variance in self.arena.estimate_masks_batch(masks_list)
-        ]
-
     def group_by(
         self,
         attrs: Sequence,
         predicate: Conjunction | None = None,
-    ) -> dict[tuple, MergedEstimate]:
+    ) -> dict[tuple, QueryEstimate]:
         """Merged GROUP BY COUNT(*) over attribute labels: the union of
-        the shards' groups, expectations summed and variances added.
-        The arena keys groups by domain index; this is the one place
-        the in-process surface turns them into labels."""
+        the shards' groups, expectations summed and variances added."""
         positions = [self.schema.position(attr) for attr in attrs]
-        labels = [self.schema.domain(pos).labels for pos in positions]
-        results = self.arena.group_by(positions, self._query_masks(predicate))
-        return {
-            tuple(map(getitem, labels, key)): MergedEstimate(
-                expectation, variance, self.total
-            )
-            for key, (expectation, variance) in results.items()
-        }
-
-    def sum_estimate(
-        self,
-        attr,
-        weights: np.ndarray,
-        predicate: Conjunction | None = None,
-    ) -> float:
-        """Merged ``E[SUM(w(attr))]`` — per-shard sums add by linearity."""
-        return self.arena.sum_estimate(
-            self.schema.position(attr), weights, self._query_masks(predicate)
-        )
-
-    def avg_estimate(
-        self,
-        attr,
-        weights: np.ndarray,
-        predicate: Conjunction | None = None,
-    ) -> float:
-        """Merged AVG: ratio of the merged SUM and COUNT expectations."""
-        total = self.sum_estimate(attr, weights, predicate)
-        count = (
-            self.estimate(predicate).expectation
-            if predicate is not None and not predicate.is_trivial()
-            else float(self.total)
-        )
-        if count <= 0:
-            raise QueryError("AVG undefined: predicate has expected count 0")
-        return total / count
+        return labelled(self.schema, positions, self._grouped(positions, predicate))
 
     # -- persistence -----------------------------------------------------
     def save(self, prefix) -> None:

@@ -2,7 +2,9 @@
 
 An :class:`EntropySummary` is the user-facing object of the library: it
 owns the statistic set Φ, the compressed polynomial, the fitted
-parameters, and an :class:`~repro.core.inference.InferenceEngine`.  The
+parameters, and an :class:`~repro.core.inference.InferenceEngine` that
+answers through a one-shard :class:`~repro.core.arena.ShardArena` — the
+evaluator a sharded summary uses, with the same query surface.  The
 paper stores the variables in Postgres and the factorization in a text
 file (Sec 5); we persist both to a JSON + NPZ pair.
 """
@@ -15,7 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.inference import InferenceEngine, QueryEstimate
+from repro.core.arena import QueryEstimate, ShardArena, labelled
+from repro.core.inference import InferenceEngine
 from repro.core.polynomial import CompressedPolynomial, check_parameter_shapes
 from repro.core.solver import MirrorDescentSolver, SolverReport
 from repro.core.variables import ModelParameters
@@ -285,9 +288,25 @@ class EntropySummary:
     def total(self) -> int:
         return self.statistic_set.total
 
-    def count(self, predicate: Conjunction) -> QueryEstimate:
+    @property
+    def partition_value(self) -> float:
+        return self.engine.partition_value
+
+    @property
+    def arena(self) -> ShardArena:
+        """The engine's one-shard evaluation kernel."""
+        return self.engine.arena
+
+    def count(self, predicate: Conjunction | None) -> QueryEstimate:
         """Estimate ``SELECT COUNT(*) WHERE predicate``."""
         return self.engine.estimate(predicate)
+
+    estimate = count
+
+    def estimate_batch(
+        self, predicates: Sequence[Conjunction | None]
+    ) -> list[QueryEstimate]:
+        return self.engine.estimate_batch(predicates)
 
     def count_labels(self, values: Mapping) -> QueryEstimate:
         """Point-query convenience: attribute → *label* equality."""
@@ -304,12 +323,15 @@ class EntropySummary:
     ) -> dict[tuple, QueryEstimate]:
         """Model-side GROUP BY COUNT(*) over attribute labels."""
         positions = [self.schema.position(attr) for attr in attrs]
-        raw = self.engine.group_by(positions, predicate)
-        domains = [self.schema.domain(pos) for pos in positions]
-        return {
-            tuple(domain.label_of(index) for domain, index in zip(domains, key)): value
-            for key, value in raw.items()
-        }
+        return labelled(
+            self.schema, positions, self.engine.group_by(positions, predicate)
+        )
+
+    def sum_estimate(self, attr, weights, predicate=None) -> float:
+        return self.engine.sum_estimate(attr, weights, predicate)
+
+    def avg_estimate(self, attr, weights, predicate=None) -> float:
+        return self.engine.avg_estimate(attr, weights, predicate)
 
     # ------------------------------------------------------------------
     # Size accounting
@@ -335,7 +357,7 @@ class EntropySummary:
         return self.statistic_set.num_statistics
 
     def clear_cache(self) -> None:
-        """Drop the inference engine's masked-evaluation cache."""
+        """Drop the arena's memoized results."""
         self.engine.clear_cache()
 
     # ------------------------------------------------------------------

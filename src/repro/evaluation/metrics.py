@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.inference import round_half_up
+from repro.core.arena import round_half_up
 from repro.errors import ReproError
 
 

@@ -7,7 +7,7 @@ operators) lives one package over in :mod:`repro.plan`; the
 """
 
 from repro.query.ast import Condition, CountQuery
-from repro.query.backends import ShardedBackend, SummaryBackend
+from repro.query.backends import SummaryBackend
 from repro.query.engine import CountBackend, SQLEngine
 from repro.query.results import GroupRow, QueryResult
 from repro.query.linear import (
@@ -25,7 +25,6 @@ __all__ = [
     "LinearQuery",
     "QueryResult",
     "SQLEngine",
-    "ShardedBackend",
     "SummaryBackend",
     "condition_mask",
     "conjunction_from_conditions",

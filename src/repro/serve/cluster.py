@@ -80,8 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.explorer import Explorer
-from repro.core.arena import ShardArena
-from repro.core.sharding import MergedEstimate, ShardedSummary
+from repro.core.arena import QueryEstimate, ShardArena
+from repro.core.sharding import ShardedSummary
 from repro.core.summary import EntropySummary
 from repro.errors import QueryError, ReproError
 from repro.obs import sample_value
@@ -374,7 +374,7 @@ def merge_partials(
         for missing_total in degraded_totals:
             expectation += missing_total / 2.0
             variance += (missing_total * missing_total) / 12.0
-        merged = MergedEstimate(expectation, variance, total)
+        merged = QueryEstimate(expectation, variance, total)
         count = float(merged.rounded) if rounded else merged.expectation
         if kind == "count":
             result = QueryResult(query, count, None, merged)
@@ -400,7 +400,7 @@ def merge_partials(
         counts = {
             tuple(
                 domain.label_of(index) for domain, index in zip(domains, key)
-            ): float(MergedEstimate(count, 0.0, total).rounded) if rounded else count
+            ): float(QueryEstimate(count, 0.0, total).rounded) if rounded else count
             for key, count in by_index.items()
         }
         result = QueryResult(

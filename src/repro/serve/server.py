@@ -694,7 +694,7 @@ class SummaryServer:
             request = json.loads(line)
             if not isinstance(request, dict):
                 raise QueryError("request must be a JSON object")
-        except (QueryError, json.JSONDecodeError) as error:
+        except (QueryError, json.JSONDecodeError, UnicodeDecodeError) as error:
             self._errors_total.labels(op="invalid").inc()
             response = {"ok": False, "status": 400, "error": str(error)}
         else:

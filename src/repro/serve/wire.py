@@ -206,14 +206,21 @@ class _Reader:
         return piece
 
 
+def _text(reader: _Reader) -> str:
+    (length,) = _U32.unpack(reader.take(4))
+    try:
+        return str(reader.take(length), "utf-8")
+    except UnicodeDecodeError as error:
+        raise WireError(f"string is not valid UTF-8: {error.reason}") from None
+
+
 def _unpack_map(reader: _Reader, count: int) -> dict:
     result = {}
     for _ in range(count):
         key_tag = bytes(reader.take(1))
         if key_tag != b"s":
             raise WireError("dict keys must be strings")
-        (length,) = _U32.unpack(reader.take(4))
-        key = str(reader.take(length), "utf-8")
+        key = _text(reader)
         result[key] = _unpack(reader)
     return result
 
@@ -231,8 +238,7 @@ def _unpack(reader: _Reader):
     if tag == b"d":
         return _F64.unpack(reader.take(8))[0]
     if tag == b"s":
-        (length,) = _U32.unpack(reader.take(4))
-        return str(reader.take(length), "utf-8")
+        return _text(reader)
     if tag == b"b":
         (length,) = _U32.unpack(reader.take(4))
         return bytes(reader.take(length))
@@ -251,9 +257,13 @@ def _unpack(reader: _Reader):
 
 
 def unpackb(buffer):
-    """Unpack one codec value; rejects trailing garbage."""
+    """Unpack one codec value; rejects trailing garbage.  Malformed
+    input of any kind raises :class:`WireError` and nothing else."""
     reader = _Reader(buffer)
-    value = _unpack(reader)
+    try:
+        value = _unpack(reader)
+    except RecursionError:
+        raise WireError("value nested too deeply") from None
     if reader.offset != len(reader.view):
         raise WireError(
             f"{len(reader.view) - reader.offset} trailing bytes after value"
@@ -306,8 +316,13 @@ def decode_header(header: bytes) -> tuple[int, int, int]:
 
     Raises :class:`WireVersionError` on a version mismatch (the frame is
     otherwise well-formed, so the reply can echo the request id) and
-    :class:`WireError` on bad magic or an oversized length.
+    :class:`WireError` on bad magic, an oversized length, or a header
+    that is not ``HEADER_SIZE`` bytes.
     """
+    if len(header) != HEADER_SIZE:
+        raise WireError(
+            f"frame header is {len(header)} bytes, expected {HEADER_SIZE}"
+        )
     magic, version, opcode, length, request_id = _HEADER.unpack(header)
     if magic != MAGIC:
         raise WireError(f"bad frame magic {magic!r}")

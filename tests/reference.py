@@ -1,13 +1,18 @@
-"""The per-shard reference evaluation — a test oracle, not a code path.
+"""The reference evaluation — a test oracle, not a code path.
 
-``ShardArena`` evaluates every shard of a sharded model at once from
-folded constants; this module does the same job the slow, obvious way,
-and the differential tests (``test_arena.py``, ``test_sharding.py``,
+``ShardArena`` is the only evaluator in ``src/``: it answers every model,
+sharded or not, from constants folded across all its shards.  This
+module does the same job the slow, obvious way, straight from each
+fitted model's own polynomial, and the differential tests
+(``test_arena.py``, ``test_inference.py``, ``test_sharding.py``,
 ``test_cluster.py``) require the two to agree to floating-point noise:
-walk the shards one by one, narrow the predicate to the shard's owned
-range (a shard whose range the predicate misses is provably zero and is
-skipped), ask that shard's own ``InferenceEngine``, and add — counts and
-sums by linearity, variances because the shard models are independent.
+walk the shards one by one (an unsharded summary is its own single
+shard), narrow the predicate to the shard's owned range (a shard whose
+range the predicate misses is provably zero and is skipped), evaluate
+``CompressedPolynomial.masked_value`` / ``masked_gradient`` at the
+fitted parameters (paper Sec 4.2: excluded 1D variables set to 0), and
+add — counts and sums by linearity, variances because the shard models
+are independent.
 
 ``shards`` restricts the walk to those global shard indices: the
 reference for what one cluster worker should answer for one item.
@@ -15,17 +20,18 @@ reference for what one cluster worker should answer for one item.
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
 
-from repro.stats.predicates import conjunction_from_masks
+import numpy as np
 
 
 def narrowed(summary, predicate=None, shards=None):
-    """``(index, shard, conjunction)`` for every selected shard the
-    predicate can touch."""
-    schema, ranges = summary.schema, summary.owned_ranges
+    """``(index, shard, masks)`` for every selected shard the predicate
+    can touch."""
+    schema = summary.schema
+    ranges = getattr(summary, "owned_ranges", None)
     masks = {} if predicate is None else predicate.attribute_masks()
-    for index, shard in enumerate(summary.shards):
+    for index, shard in enumerate(getattr(summary, "shards", None) or [summary]):
         if shards is not None and index not in shards:
             continue
         shard_masks = dict(masks)
@@ -37,15 +43,43 @@ def narrowed(summary, predicate=None, shards=None):
             shard_masks[pos] = owned & masks.get(pos, True)
             if not shard_masks[pos].any():
                 continue
-        yield index, shard, conjunction_from_masks(schema, shard_masks)
+        yield index, shard, shard_masks
+
+
+class _Fitted:
+    """One shard's polynomial at its fitted parameters: the unmasked
+    evaluation parts and ``P``, computed once per oracle call."""
+
+    def __init__(self, shard):
+        self.polynomial, self.params, self.total = (
+            shard.polynomial, shard.params, shard.total
+        )
+        self.base = self.polynomial.evaluation_parts(self.params)
+        self.full = self.polynomial.evaluate(self.params)
+
+    def estimate(self, value):
+        """``(expectation, variance)`` of a masked polynomial value: the
+        shard's ``n`` rows each land in the region with ``p = value / P``."""
+        value = max(value, 0.0)
+        p = min(value / self.full, 1.0)
+        return value * self.total / self.full, self.total * p * (1.0 - p)
+
+    def value(self, masks):
+        return self.polynomial.masked_value(self.base, self.params, masks)
+
+    def numerators(self, masks, pos):
+        """``α_v · ∂P[masked]/∂α_v`` for every value ``v`` of ``pos``."""
+        others = {p: mask for p, mask in masks.items() if p != pos}
+        gradient = self.polynomial.masked_gradient(self.base, self.params, others, pos)
+        return self.params.alphas[pos] * gradient
 
 
 def count_parts(summary, predicate=None, shards=None) -> dict:
     """``{shard index: (expectation, variance)}`` of the touched shards."""
     parts = {}
-    for index, shard, conjunction in narrowed(summary, predicate, shards):
-        estimate = shard.engine.estimate(conjunction)
-        parts[index] = (estimate.expectation, estimate.variance)
+    for index, shard, masks in narrowed(summary, predicate, shards):
+        fitted = _Fitted(shard)
+        parts[index] = fitted.estimate(fitted.value(masks))
     return parts
 
 
@@ -57,22 +91,48 @@ def count(summary, predicate=None, shards=None) -> tuple[float, float]:
 
 def group_by(summary, attrs, predicate=None, shards=None) -> dict:
     """``{labels: (expectation, variance)}`` — the union of the shards'
-    groups, keyed by domain *labels*."""
+    groups, keyed by domain *labels*.  Outer group attributes are
+    iterated value by value; the inner one is one gradient pass (Eq. 19
+    over every value); a mask on a group attribute filters its labels."""
+    schema = summary.schema
+    positions = [schema.position(attr) for attr in attrs]
+    *outer, inner = positions
+    labels = [schema.domain(pos).labels for pos in positions]
     merged: dict[tuple, tuple[float, float]] = {}
-    for _, shard, conjunction in narrowed(summary, predicate, shards):
-        for labels, estimate in shard.group_by(attrs, conjunction).items():
-            expectation, variance = merged.get(labels, (0.0, 0.0))
-            merged[labels] = (
-                expectation + estimate.expectation,
-                variance + estimate.variance,
-            )
+    for _, shard, masks in narrowed(summary, predicate, shards):
+        fitted = _Fitted(shard)
+        allowed = {
+            pos: masks.pop(pos, np.ones(schema.domain(pos).size, dtype=bool))
+            for pos in positions
+        }
+        for combo in itertools.product(
+            *(np.flatnonzero(allowed[pos]).tolist() for pos in outer)
+        ):
+            row_masks = dict(masks)
+            for pos, value in zip(outer, combo):
+                row_masks[pos] = np.arange(schema.domain(pos).size) == value
+            numerators = fitted.numerators(row_masks, inner)
+            for value in np.flatnonzero(allowed[inner]).tolist():
+                key = tuple(
+                    domain[index] for domain, index in zip(labels, combo + (value,))
+                )
+                expectation, variance = fitted.estimate(numerators[value])
+                previous = merged.get(key, (0.0, 0.0))
+                merged[key] = (previous[0] + expectation, previous[1] + variance)
     return merged
 
 
 def sum_estimate(summary, attr, weights, predicate=None, shards=None) -> float:
     """``E[SUM(w(attr))] WHERE predicate``."""
     pos = summary.schema.position(attr)
-    return sum(
-        shard.engine.sum_estimate(pos, weights, conjunction)
-        for _, shard, conjunction in narrowed(summary, predicate, shards)
-    )
+    weights = np.asarray(weights, dtype=float)
+    total = 0.0
+    for _, shard, masks in narrowed(summary, predicate, shards):
+        fitted = _Fitted(shard)
+        counts = [
+            fitted.estimate(numerator)[0]
+            for numerator in fitted.numerators(masks, pos).tolist()
+        ]
+        allowed = masks.get(pos, np.ones(len(counts), dtype=bool))
+        total += float(np.dot(weights, np.where(allowed, counts, 0.0)))
+    return total

@@ -1,13 +1,14 @@
 """Tests for the contiguous cross-shard evaluation kernel
-(:class:`repro.core.arena.ShardArena`).
+(:class:`repro.core.arena.ShardArena`), the one query evaluator.
 
 The arena folds the fitted shard parameters into constants once and
 redoes, per query, only the factors a mask constrains: every query
 answered through it must match the per-shard reference walk
 (``tests/reference.py``) to floating-point noise — COUNT, GROUP BY, SUM
 and AVG, with and without attribute-partitioned pruning, over the whole
-summary and, through a cluster worker's ``ShardSlice``, over any subset
-of it (``TestKernelDifferential`` is the Hypothesis form of that claim).
+summary (an unsharded one is a one-shard arena) and, through a cluster
+worker's ``ShardSlice``, over any subset of it (``TestKernelDifferential``
+is the Hypothesis form of that claim).
 The folded constants must never go stale or race
 (``TestFoldedConstants``), and the lifecycle pieces (lazy build,
 ``warm``, hot-swap rebuild, pickling) are covered here too.
@@ -114,7 +115,7 @@ def _predicates(schema):
 # ----------------------------------------------------------------------
 
 def _assert_groups_match(actual, expected):
-    """``{labels: MergedEstimate}`` against the reference's
+    """``{labels: QueryEstimate}`` against the reference's
     ``{labels: (expectation, variance)}``."""
     assert set(actual) == set(expected)
     for labels, (expectation, variance) in expected.items():
@@ -214,6 +215,22 @@ class TestArenaLifecycle:
         stats = arena.stats()
         assert stats["shards"] == 3
         assert stats["terms"] >= 0
+
+    @pytest.mark.parametrize("kind", ["sharded", "unsharded"])
+    def test_concurrent_first_use_builds_one_arena(self, relation, kind):
+        """Threads racing on a model's first query all get the one arena
+        its lazy build publishes."""
+        model = _fit(relation, num_shards=3 if kind == "sharded" else 0)
+        model = model if kind == "sharded" else model.engine
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: model.arena) for _ in range(16)]
+                arenas = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(arena is model._arena for arena in arenas)
 
     def test_result_cache_hits_on_repeat(self, relation):
         sharded = _fit(relation, num_shards=3).warm()
@@ -362,6 +379,19 @@ def sharded_models(draw):
     return ShardedSummary(shards, shard_by=shard_by, ranges=ranges)
 
 
+@st.composite
+def unsharded_models(draw):
+    """One summary over a random schema and statistic set, with random
+    positive parameters (α = 0 entries included): the one-shard arena,
+    with no shard attribute and no owned ranges."""
+    _, statistic_set = draw(relations_with_stats())
+    polynomial = CompressedPolynomial(statistic_set)
+    params = draw(parameters_for(polynomial))
+    for pos in draw(st.sets(st.integers(0, len(polynomial.sizes) - 1))):
+        params.alphas[pos][-1] = 0.0
+    return EntropySummary(statistic_set, polynomial, params, None, "one")
+
+
 def _random_masks(draw, summary, only=None):
     """Non-empty value masks on a random subset of the attributes
     (``only`` pins the shard attribute's mask)."""
@@ -381,7 +411,8 @@ def _close(actual, expected):
 def _predicates_for(summary, draw):
     """The trivial predicate, three random ones and — on a range-sharded
     model — one that prunes every shard but one."""
-    schema, sizes, by_pos = summary.schema, summary.schema.sizes(), summary.by_position
+    schema, sizes = summary.schema, summary.schema.sizes()
+    by_pos = getattr(summary, "by_position", None)
     mask_sets = [{}] + [_random_masks(draw, summary) for _ in range(3)]
     if by_pos is not None:
         low, high = draw(st.sampled_from(summary.owned_ranges))
@@ -394,14 +425,15 @@ def _predicates_for(summary, draw):
 def _groupings(summary):
     """Every attribute alone, and a pair both ways round: the shard
     attribute as the inner and as the outer group axis."""
-    names, by_pos = summary.schema.attribute_names, summary.by_position
+    names = summary.schema.attribute_names
+    by_pos = getattr(summary, "by_position", None)
     other = 0 if by_pos != 0 else 1
     pair = (names[other], names[by_pos if by_pos is not None else 1 - other])
     return [(name,) for name in names] + [pair, pair[::-1]]
 
 
 class TestKernelDifferential:
-    @given(sharded_models(), st.data())
+    @given(st.one_of(sharded_models(), unsharded_models()), st.data())
     def test_matches_the_per_shard_reference(self, summary, data):
         schema, sizes = summary.schema, summary.schema.sizes()
         arena = summary.arena
@@ -424,7 +456,7 @@ class TestKernelDifferential:
             )
             for index, part in enumerate(zip(*contributions)):
                 assert _close(part, parts.get(index, (0.0, 0.0)))
-        if summary.by_position is None:
+        if getattr(summary, "by_position", None) is None:
             # No masks at all: n, straight from the folded constants.
             assert _close(singles[0].expectation, float(summary.total))
 

@@ -52,6 +52,11 @@ class TestSummaryBackend:
         grouped = backend.group_counts(["h"], None)
         assert all(value == int(value) for value in grouped.values())
 
+    def test_describe_names_shards_only_for_sharded_models(self, summary):
+        card = SummaryBackend(summary).describe()
+        assert card["type"] == "SummaryBackend"
+        assert "shards" not in card and "shard_by" not in card
+
 
 class TestExactBackend:
     def test_count(self, relation):

@@ -194,4 +194,5 @@ class TestModelInvariants:
             predicate = Conjunction(relation.schema, masks)
             estimate = summary.count(predicate)
             assert estimate.expectation >= 0.0
-            assert 0.0 <= estimate.probability <= 1.0
+            assert estimate.expectation <= estimate.total * (1.0 + 1e-12)
+            assert estimate.variance >= 0.0

@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Explorer, SummaryBuilder, SummaryStore
+from repro.core.arena import QueryEstimate
 from repro.core.sharding import (
-    MergedEstimate,
     ShardedSummary,
     load_model,
     partition_relation,
@@ -126,17 +126,19 @@ class TestPartition:
 # ----------------------------------------------------------------------
 
 class TestMergedEstimate:
+    """A merged answer is a ``QueryEstimate`` carrying the shards'
+    summed variance."""
+
     def test_quadrature_std(self):
-        estimate = MergedEstimate(3.0, 4.0, 100)
+        estimate = QueryEstimate(3.0, 4.0, 100)
         assert estimate.std == 2.0
-        assert estimate.probability == pytest.approx(0.03)
         low, high = estimate.ci95
         assert low == pytest.approx(0.0)  # clipped at zero
         assert high == pytest.approx(3.0 + 1.959963984540054 * 2.0)
 
     def test_rounding_half_up(self):
-        assert MergedEstimate(0.5, 0.0, 10).rounded == 1
-        assert MergedEstimate(0.49, 0.0, 10).rounded == 0
+        assert QueryEstimate(0.5, 0.0, 10).rounded == 1
+        assert QueryEstimate(0.49, 0.0, 10).rounded == 0
 
     def test_merge_requires_two_shards(self, full_1d):
         with pytest.raises(ReproError, match="two shards"):
@@ -435,8 +437,8 @@ class TestExplorerIntegration:
 
     def test_attach_uses_sharded_backend(self, session):
         card = session.describe()
-        assert card["type"] == "ShardedBackend"
-        assert card["shards"] == 2
+        assert card["type"] == "SummaryBackend"
+        assert card["shards"] == 2 and card["shard_by"] is None
 
     def test_sql_scalar_carries_error_bounds(self, session):
         result = session.sql("SELECT COUNT(*) FROM R WHERE A = 1")

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import SummaryBuilder
@@ -200,6 +200,74 @@ class TestCodecProperties:
             frames.extend(decoder.feed(frame[start : start + chunk]))
         assert frames == [(opcode, 42, value)]
         assert decoder.pending_bytes == 0
+
+
+@st.composite
+def _hostile_frames(draw):
+    """A valid frame of any opcode, then 1-3 random byte mutations and
+    possibly a truncation — or, one time in four, random bytes."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    frame = bytearray(
+        wire.encode_frame(
+            draw(st.sampled_from(wire.ALL_OPCODES)),
+            draw(st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+            draw(_values),
+        )
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        frame[draw(st.integers(0, len(frame) - 1))] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        frame = frame[: draw(st.integers(0, len(frame)))]
+    return bytes(frame)
+
+
+class TestHostileInput:
+    """Whatever bytes arrive, the decoders raise ``WireError`` or answer:
+    nothing else escapes (a ``UnicodeDecodeError`` or ``struct.error``
+    would skip the server's per-frame 400), and every example finishes
+    (each decode step consumes input, so none can hang)."""
+
+    @settings(max_examples=300, deadline=1000)
+    @given(data=_hostile_frames(), chunk=st.integers(min_value=1, max_value=9))
+    def test_only_wire_errors_escape(self, data, chunk):
+        def survives(decode, *args):
+            try:
+                decode(*args)
+            except wire.WireError:
+                pass
+
+        survives(wire.decode_header, data[: wire.HEADER_SIZE])
+        survives(wire.decode_header, data)
+        survives(wire.unpackb, data)
+        survives(wire.unpackb, data[wire.HEADER_SIZE :])
+        for opcode in wire.ALL_OPCODES:
+            survives(wire.decode_request, opcode, data[wire.HEADER_SIZE :])
+        decoder = wire.FrameDecoder()
+        for start in range(0, len(data), chunk):
+            try:
+                decoder.feed(data[start : start + chunk])
+            except wire.WireError:
+                break
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"s\x00\x00\x00\x01\xff",  # a bad string value
+            b"m\x00\x00\x00\x01s\x00\x00\x00\x02\xc3(N",  # a bad key
+        ],
+    )
+    def test_invalid_utf8_is_a_wire_error(self, body):
+        with pytest.raises(wire.WireError, match="UTF-8"):
+            wire.unpackb(body)
+
+    def test_deep_nesting_is_a_wire_error(self):
+        with pytest.raises(wire.WireError, match="nested"):
+            wire.unpackb(b"l\x00\x00\x00\x01" * 100_000 + b"N")
+
+    def test_short_header_is_a_wire_error(self):
+        with pytest.raises(wire.WireError, match="header"):
+            wire.decode_header(wire.encode_frame(wire.OP_PING, 1, {})[:7])
 
 
 # ----------------------------------------------------------------------
@@ -453,6 +521,45 @@ class TestServerBinary:
             assert opcode == wire.OP_REPLY
             assert wire.split_trace_hint(reply_id)[0] == 9
             assert payload["result"] == "pong"
+
+    def test_invalid_utf8_query_answers_400_and_connection_survives(
+        self, running
+    ):
+        """A well-framed query whose ``sql`` holds a byte that is not
+        UTF-8 gets a per-frame 400 carrying its request id."""
+        body = (
+            b"m\x00\x00\x00\x01" + wire.packb("sql") + b"s\x00\x00\x00\x01\xff"
+        )
+        frame = struct.Struct(">2sBBIq").pack(
+            wire.MAGIC, wire.WIRE_VERSION, wire.OP_QUERY, len(body), 21
+        ) + body
+        with socket.create_connection(
+            ("127.0.0.1", running.port), timeout=10
+        ) as sock:
+            sock.sendall(frame)
+            opcode, request_id, payload = _recv_frame(sock)
+            assert (opcode, request_id) == (wire.OP_ERROR, 21)
+            assert payload["status"] == 400 and "UTF-8" in payload["error"]
+            sock.sendall(wire.encode_request({"op": "ping"}, 22))
+            opcode, reply_id, payload = _recv_frame(sock)
+            assert opcode == wire.OP_REPLY
+            assert wire.split_trace_hint(reply_id)[0] == 22
+            assert payload["result"] == "pong"
+
+    def test_invalid_utf8_json_line_answers_400_and_connection_survives(
+        self, running
+    ):
+        with socket.create_connection(
+            ("127.0.0.1", running.port), timeout=10
+        ) as sock:
+            lines = sock.makefile("rb")
+            sock.sendall(b'{"id": 1, "op": "query", "sql": "\xff"}\n')
+            reply = json.loads(lines.readline())
+            assert reply["ok"] is False and reply["status"] == 400
+            sock.sendall(b'{"id": 2, "op": "ping"}\n')
+            reply = json.loads(lines.readline())
+            assert reply["ok"] is True and reply["id"] == 2
+            assert reply["result"] == "pong"
 
     def test_json_and_binary_clients_interleave_on_one_port(self, running):
         sql = "SELECT COUNT(*) FROM R WHERE state = 'CA'"

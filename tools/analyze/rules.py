@@ -328,7 +328,6 @@ class LockDisciplineRule(Rule):
 _DEPRECATED_CONSTRUCTORS = {
     "SQLEngine": "construct queries through Explorer/Planner (repro.api)",
     "SummaryBackend": "use Explorer.attach(summary) (repro.api)",
-    "ShardedBackend": "use Explorer.attach(sharded_summary) (repro.api)",
 }
 
 
@@ -346,7 +345,7 @@ class DeprecatedApiRule(Rule):
     name = "deprecated-api"
     summary = (
         "no EntropySummary.build calls; no direct SQLEngine/"
-        "SummaryBackend/ShardedBackend construction outside repro.api"
+        "SummaryBackend construction outside repro.api"
     )
     scope = ("src/repro/*.py", "src/repro/**/*.py")
     exclude = (
