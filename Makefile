@@ -127,6 +127,10 @@ lint:
 	@# not.  The polynomial's masked kernels serve the solver, the world
 	@# sampler and the test oracle, never the query path.
 	@! grep -rnwE "masked_value|masked_gradient|evaluation_parts" src/repro/core/inference.py src/repro/core/summary.py src/repro/core/sharding.py src/repro/query/ src/repro/plan/ src/repro/api/ src/repro/serve/
+	@# Build from counts: selection, build, refit, append and migrate
+	@# read the relation through one Counts reduction (data/counts.py),
+	@# never by a per-statistic row scan.
+	@! grep -rnE "count_where|StatisticSet\.from_relation" src/repro/core/ src/repro/ingest/ src/repro/api/ src/repro/stats/selection.py src/repro/experiments/
 
 # Documentation rot check: every ```python block in README.md and
 # docs/*.md must compile, every relative link must resolve.

@@ -13,6 +13,7 @@ Run:  python examples/statistics_tour.py
 """
 
 from repro.core import EntropySummary
+from repro.data.counts import Counts
 from repro.datasets import generate_flights
 from repro.stats import (
     choose_pairs_by_correlation,
@@ -69,7 +70,7 @@ def main() -> None:
             restricted, "fl_time", "distance", 300, heuristic, seed=3
         )
         summary = EntropySummary.from_statistics(
-            StatisticSet.from_relation(restricted, stats),
+            StatisticSet.from_counts(Counts.of(restricted), stats),
             max_iterations=15,
             name=heuristic,
         )

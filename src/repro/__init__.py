@@ -73,8 +73,7 @@ samples, single MaxEnt summaries, sharded summaries — implements the
 :class:`~repro.api.Backend` ABC, so the same query text runs against
 any of them.  The lower-level layers (``repro.core``, ``repro.query``,
 ``repro.stats``) remain importable for tests and experiments;
-construct summaries with :class:`~repro.api.SummaryBuilder` (the old
-``EntropySummary.build`` shim only warns and delegates to it).
+construct summaries with :class:`~repro.api.SummaryBuilder`.
 
 Verify an installation with the tier-1 suite::
 

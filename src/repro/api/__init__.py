@@ -5,8 +5,7 @@ One coherent surface over the whole reproduction:
 * :class:`Explorer` — a session facade (``attach``/``open``) with a
   fluent query builder, SQL execution, per-session caches, and batched
   ``run_many()`` execution;
-* :class:`SummaryBuilder` — keyword-free summary construction,
-  replacing the deprecated ``EntropySummary.build`` kwargs pile;
+* :class:`SummaryBuilder` — keyword-free summary construction;
   ``.shards(n, by=...)`` fits a partitioned
   :class:`~repro.core.sharding.ShardedSummary` in parallel workers;
 * :class:`Backend` — the formal ABC every estimation method (exact,

@@ -1,9 +1,6 @@
 """Keyword-free summary construction: the :class:`SummaryBuilder`.
 
-Replaces the kwargs-soup ``EntropySummary.build(relation, pairs=...,
-per_pair_budget=..., budget=..., num_pairs=..., strategy=...,
-heuristic=..., exclude_attrs=..., max_iterations=..., threshold=...,
-name=..., seed=...)`` with a chainable builder::
+Every summary option is one validated, chainable setter::
 
     summary = (
         SummaryBuilder(relation)
@@ -181,11 +178,13 @@ class SummaryBuilder:
 
     # -- interop ---------------------------------------------------------
     def with_options(self, **options) -> "SummaryBuilder":
-        """Apply options given as a keyword dict (legacy
-        ``EntropySummary.build`` names).
+        """Apply options given as a keyword dict (``pairs``,
+        ``per_pair_budget``, ``max_iterations``, ... — the setter names,
+        with the solver's ``max_iterations`` and the selection's
+        ``exclude_attrs``).
 
         Bridges callers that carry configuration around as dicts (the
-        hierarchical summary, the deprecated ``build`` shim).
+        hierarchical summary).
         """
         setters = {
             "pairs": lambda v: self.pairs(*(v or ())),
@@ -219,19 +218,8 @@ class SummaryBuilder:
         """
         if self._num_shards > 1:
             return self._fit_sharded()
-        statistic_set = build_statistic_set(
-            self._relation,
-            budget=self._budget,
-            num_pairs=self._num_pairs,
-            pairs=self._pairs,
-            per_pair_budget=self._per_pair_budget,
-            strategy=self._strategy,
-            heuristic=self._heuristic,
-            exclude_attrs=self._exclude,
-            seed=self._seed,
-        )
         return EntropySummary.from_statistics(
-            statistic_set,
+            build_statistic_set(self._relation, **self._stat_options()),
             max_iterations=self._iterations,
             threshold=self._threshold,
             name=self._name,
@@ -273,20 +261,18 @@ class SummaryBuilder:
         self._relation = pipeline.relation
         return report
 
-    def _fit_sharded(self) -> ShardedSummary:
-        partition = partition_relation(
-            self._relation, self._num_shards, by=self._shard_by
-        )
+    def _stat_options(self) -> dict:
+        """:func:`~repro.stats.selection.build_statistic_set` options for
+        the relation, or for each shard of a sharded fit."""
         # Hold the *total* 2D bucket budget constant: each shard models
         # 1/n of the rows with 1/n of the buckets (floor of 2 so every
         # explicit pair keeps at least a 2x2 split).
-        per_pair = self._per_pair_budget
-        if per_pair is not None:
-            per_pair = max(2, math.ceil(per_pair / self._num_shards))
-        budget = self._budget
-        if budget:
-            budget = max(2, math.ceil(budget / self._num_shards))
-        stat_options = {
+        per_pair, budget, shards = self._per_pair_budget, self._budget, self._num_shards
+        if shards > 1 and per_pair is not None:
+            per_pair = max(2, math.ceil(per_pair / shards))
+        if shards > 1 and budget:
+            budget = max(2, math.ceil(budget / shards))
+        return {
             "budget": budget,
             "num_pairs": self._num_pairs,
             "pairs": self._pairs,
@@ -296,9 +282,14 @@ class SummaryBuilder:
             "exclude_attrs": self._exclude,
             "seed": self._seed,
         }
+
+    def _fit_sharded(self) -> ShardedSummary:
+        partition = partition_relation(
+            self._relation, self._num_shards, by=self._shard_by
+        )
         return ShardedSummary.fit_partitions(
             partition,
-            stat_options,
+            self._stat_options(),
             max_iterations=self._iterations,
             threshold=self._threshold,
             name=self._name,

@@ -38,6 +38,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.core.sharding import ShardedSummary, shard_prefix
 from repro.core.summary import EntropySummary
+from repro.data.serialize import read_json
 from repro.errors import ReproError
 
 _FORMAT_VERSION = 1
@@ -127,7 +128,7 @@ class SummaryStore:
     def _read_manifest(self) -> dict:
         if not self._manifest_path.exists():
             return {"format_version": _FORMAT_VERSION, "summaries": {}}
-        document = json.loads(self._manifest_path.read_text())
+        document = read_json(self._manifest_path)
         found = document.get("format_version")
         if found != _FORMAT_VERSION:
             raise ReproError(

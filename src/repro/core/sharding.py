@@ -50,9 +50,12 @@ import numpy as np
 
 from repro.core.arena import ArenaModel, QueryEstimate, labelled
 from repro.core.summary import EntropySummary
+from repro.data.counts import Counts
 from repro.data.relation import Relation
+from repro.data.serialize import read_json
 from repro.errors import ReproError
 from repro.stats.predicates import Conjunction, RangePredicate
+from repro.stats.selection import build_statistic_set, selection_pairs
 
 
 # ----------------------------------------------------------------------
@@ -145,11 +148,9 @@ def partition_relation(
 # ----------------------------------------------------------------------
 
 def _fit_shard_direct(payload) -> EntropySummary:
-    """Fit one shard in the current process."""
-    relation, stat_options, max_iterations, threshold, name = payload
-    from repro.stats.selection import build_statistic_set
-
-    statistic_set = build_statistic_set(relation, **stat_options)
+    """Fit one shard, from its counts, in the current process."""
+    counts, stat_options, max_iterations, threshold, name = payload
+    statistic_set = build_statistic_set(counts, **stat_options)
     return EntropySummary.from_statistics(
         statistic_set,
         max_iterations=max_iterations,
@@ -227,13 +228,17 @@ class ShardedSummary(ArenaModel):
 
         ``stat_options`` are :func:`repro.stats.selection.build_statistic_set`
         keywords applied to every shard (the builder pre-divides bucket
-        budgets).  ``workers=1`` fits serially in-process; the default
-        uses one worker per shard up to the machine's core count.
+        budgets).  Each shard is reduced to its
+        :class:`~repro.data.counts.Counts` here, and only the counts
+        travel to the workers.  ``workers=1`` fits serially in-process;
+        the default uses one worker per shard up to the machine's core
+        count.
         """
         stat_options = dict(stat_options or {})
+        pairs = selection_pairs(partition.relations[0].schema, **stat_options)
         payloads = [
             (
-                relation,
+                Counts.of(relation, pairs),
                 stat_options,
                 max_iterations,
                 threshold,
@@ -416,7 +421,7 @@ class ShardedSummary(ArenaModel):
     def load(cls, prefix) -> "ShardedSummary":
         """Inverse of :meth:`save`."""
         prefix = Path(prefix)
-        manifest = json.loads(prefix.with_suffix(".json").read_text())
+        manifest = read_json(prefix.with_suffix(".json"))
         if manifest.get("kind") != "sharded":
             raise ReproError(
                 f"{prefix} is not a sharded summary; use EntropySummary.load "
@@ -458,7 +463,7 @@ def load_model(prefix) -> "EntropySummary | ShardedSummary":
     path = prefix.with_suffix(".json")
     if not path.exists():
         raise ReproError(f"no summary at {prefix}(.json)")
-    document = json.loads(path.read_text())
+    document = read_json(path)
     if isinstance(document, dict) and document.get("kind") == "sharded":
         return ShardedSummary.load(prefix)
     return EntropySummary.load(prefix)

@@ -22,10 +22,10 @@ from repro.core.inference import InferenceEngine
 from repro.core.polynomial import CompressedPolynomial, check_parameter_shapes
 from repro.core.solver import MirrorDescentSolver, SolverReport
 from repro.core.variables import ModelParameters
+from repro.data.counts import Counts
 from repro.data.relation import Relation
-from repro.data.schema import Schema
-from repro.data.serialize import decode_schema, encode_schema
-from repro.errors import ReproError
+from repro.data.schema import Schema, require_widened_schema
+from repro.data.serialize import decode_schema, encode_schema, read_json, read_npz
 from repro.stats.predicates import Conjunction, RangePredicate
 from repro.stats.statistic import Statistic, StatisticSet
 
@@ -52,57 +52,6 @@ class EntropySummary:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        relation: Relation,
-        pairs: Sequence[tuple] | None = None,
-        per_pair_budget: int | None = None,
-        budget: int = 0,
-        num_pairs: int = 0,
-        strategy: str = "cover",
-        heuristic: str = "composite",
-        exclude_attrs: Sequence = (),
-        max_iterations: int = 30,
-        threshold: float = 1e-6,
-        name: str = "summary",
-        seed: int = 0,
-    ) -> "EntropySummary":
-        """Deprecated shim — use :class:`repro.api.SummaryBuilder`.
-
-        Kept for backward compatibility with pre-1.1 call sites; the
-        builder validates each option as it is set and reads fluently::
-
-            SummaryBuilder(relation).pairs(("a", "b")).per_pair_budget(8).fit()
-        """
-        import warnings
-
-        warnings.warn(
-            "EntropySummary.build() is deprecated; use "
-            "repro.api.SummaryBuilder(relation)....fit() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api.builder import SummaryBuilder
-
-        return (
-            SummaryBuilder(relation)
-            .with_options(
-                pairs=pairs,
-                per_pair_budget=per_pair_budget,
-                budget=budget,
-                num_pairs=num_pairs,
-                strategy=strategy,
-                heuristic=heuristic,
-                exclude_attrs=exclude_attrs,
-                max_iterations=max_iterations,
-                threshold=threshold,
-                name=name,
-                seed=seed,
-            )
-            .fit()
-        )
-
     @classmethod
     def from_statistics(
         cls,
@@ -137,11 +86,11 @@ class EntropySummary:
     ) -> "EntropySummary":
         """Delta refit: same statistic *structure*, new data.
 
-        Re-measures this summary's multi-dimensional statistics (and the
-        complete 1D marginals) on ``relation``, then re-solves — by
-        default **warm-starting** from the current fitted parameters, so
-        an append that changed the data a little converges in a couple
-        of Mirror Descent sweeps instead of a full cold solve.  The
+        Re-measures this summary's statistics on ``relation`` from its
+        :class:`~repro.data.counts.Counts`, then re-solves — by default
+        **warm-starting** from the current fitted parameters, so an
+        append that changed the data a little converges in a couple of
+        Mirror Descent sweeps instead of a full cold solve.  The
         expensive statistic *selection* (correlation ranking, bucket
         heuristics) is skipped entirely: the bucket boundaries are
         reused as-is.
@@ -153,34 +102,7 @@ class EntropySummary:
         new domain values start at 0 (the exact solution while their
         count was 0).
         """
-        schema = relation.schema
-        if schema != self.schema:
-            require_widened_schema(self.schema, schema)
-        multi_dim = []
-        for statistic in self.statistic_set.multi_dim:
-            predicate = Conjunction(
-                schema,
-                {pos: statistic.range_at(pos) for pos in statistic.positions},
-            )
-            multi_dim.append(
-                Statistic(
-                    predicate,
-                    float(relation.count_where(predicate.attribute_masks())),
-                )
-            )
-        statistic_set = StatisticSet.from_relation(relation, multi_dim)
-        seed = (
-            pad_parameters(self.params, self.schema, schema)
-            if warm_start
-            else None
-        )
-        return EntropySummary.from_statistics(
-            statistic_set,
-            max_iterations=max_iterations,
-            threshold=threshold,
-            name=self.name,
-            warm_start=seed,
-        )
+        return self._refit(relation, False, max_iterations, threshold, warm_start)
 
     def refit_appended(
         self,
@@ -194,50 +116,12 @@ class EntropySummary:
         Counting queries over disjoint row bags add, so the refreshed
         statistic values are ``old value + count over the batch`` and
         the marginals are ``old marginals (zero-padded under domain
-        growth) + batch marginals`` — the measurement pass touches only
-        the appended rows, O(batch) instead of O(shard).  Exactly
-        equivalent to ``refit(base ⊎ batch)``; the solve itself is the
-        same warm-started delta solve.
+        growth) + batch marginals`` — only the batch is reduced,
+        O(batch) instead of O(shard).  Exactly equivalent to
+        ``refit(base ⊎ batch)``; the solve itself is the same
+        warm-started delta solve.
         """
-        schema = batch.schema
-        if schema != self.schema:
-            require_widened_schema(self.schema, schema)
-        one_dim = []
-        for pos, counts in enumerate(self.statistic_set.one_dim):
-            padded = np.zeros(schema.domain(pos).size)
-            padded[: len(counts)] = counts
-            one_dim.append(padded + batch.marginal(pos))
-        multi_dim = []
-        for statistic in self.statistic_set.multi_dim:
-            predicate = Conjunction(
-                schema,
-                {pos: statistic.range_at(pos) for pos in statistic.positions},
-            )
-            multi_dim.append(
-                Statistic(
-                    predicate,
-                    statistic.value
-                    + batch.count_where(predicate.attribute_masks()),
-                )
-            )
-        statistic_set = StatisticSet(
-            schema,
-            self.statistic_set.total + batch.num_rows,
-            one_dim,
-            multi_dim,
-        )
-        seed = (
-            pad_parameters(self.params, self.schema, schema)
-            if warm_start
-            else None
-        )
-        return EntropySummary.from_statistics(
-            statistic_set,
-            max_iterations=max_iterations,
-            threshold=threshold,
-            name=self.name,
-            warm_start=seed,
-        )
+        return self._refit(batch, True, max_iterations, threshold, warm_start)
 
     def migrated(self, schema: Schema) -> "EntropySummary":
         """Re-anchor this summary on a widened schema without re-solving.
@@ -250,31 +134,69 @@ class EntropySummary:
         """
         if schema == self.schema:
             return self
+        statistic_set = self._reanchored(schema, None, keep_values=True)
+        polynomial = CompressedPolynomial(statistic_set)
+        params = pad_parameters(self.params, self.schema, schema)
+        return EntropySummary(statistic_set, polynomial, params, self.report, self.name)
+
+    def _reanchored(
+        self, schema: Schema, counts: Counts | None, keep_values: bool
+    ) -> StatisticSet:
+        """This summary's statistic structure on ``schema`` (the current
+        schema or a widening of it), valued by the old values (if
+        ``keep_values``, zero-padded for new domain values) plus
+        ``counts`` (if given)."""
         require_widened_schema(self.schema, schema)
-        one_dim = [
-            list(counts) + [0.0] * (schema.domain(pos).size - len(counts))
-            for pos, counts in enumerate(self.statistic_set.one_dim)
-        ]
+        old = self.statistic_set
+        one_dim = [np.zeros(size) for size in schema.sizes()]
+        values = np.zeros(old.num_multi_dim)
+        total = 0
+        if keep_values:
+            for pos, marginal in enumerate(old.one_dim):
+                one_dim[pos][: len(marginal)] = marginal
+            values += [statistic.value for statistic in old.multi_dim]
+            total += old.total
+        if counts is not None:
+            for pos, marginal in enumerate(counts.marginals):
+                one_dim[pos] += marginal
+            values += [counts.count(statistic) for statistic in old.multi_dim]
+            total += counts.total
         multi_dim = [
             Statistic(
                 Conjunction(
                     schema,
-                    {
-                        pos: statistic.range_at(pos)
-                        for pos in statistic.positions
-                    },
+                    {pos: statistic.range_at(pos) for pos in statistic.positions},
                 ),
-                statistic.value,
+                value,
             )
-            for statistic in self.statistic_set.multi_dim
+            for statistic, value in zip(old.multi_dim, values.tolist())
         ]
-        statistic_set = StatisticSet(
-            schema, self.statistic_set.total, one_dim, multi_dim
+        return StatisticSet(schema, total, one_dim, multi_dim)
+
+    def _refit(
+        self,
+        rows: Relation,
+        keep_values: bool,
+        max_iterations: int,
+        threshold: float,
+        warm_start: bool,
+    ) -> "EntropySummary":
+        """Re-anchor on ``rows``' counts (added to the old values when
+        ``keep_values``) and solve, seeded from this summary's
+        parameters (zero-padded for new domain values) by default."""
+        counts = Counts.of(rows, self.statistic_set.attribute_pairs())
+        statistic_set = self._reanchored(counts.schema, counts, keep_values)
+        seed = (
+            pad_parameters(self.params, self.schema, counts.schema)
+            if warm_start
+            else None
         )
-        polynomial = CompressedPolynomial(statistic_set)
-        params = pad_parameters(self.params, self.schema, schema)
-        return EntropySummary(
-            statistic_set, polynomial, params, self.report, self.name
+        return EntropySummary.from_statistics(
+            statistic_set,
+            max_iterations=max_iterations,
+            threshold=threshold,
+            name=self.name,
+            warm_start=seed,
         )
 
     # ------------------------------------------------------------------
@@ -411,9 +333,10 @@ class EntropySummary:
     def load(cls, prefix) -> "EntropySummary":
         """Inverse of :meth:`save`."""
         prefix = Path(prefix)
-        document = json.loads(prefix.with_suffix(".json").read_text())
-        with np.load(prefix.with_suffix(".npz")) as arrays:
-            return cls.from_payload(document, dict(arrays))
+        return cls.from_payload(
+            read_json(prefix.with_suffix(".json")),
+            read_npz(prefix.with_suffix(".npz")),
+        )
 
     def __repr__(self):
         return (
@@ -426,29 +349,6 @@ class EntropySummary:
 # ----------------------------------------------------------------------
 # Schema widening (domain growth during ingest)
 # ----------------------------------------------------------------------
-
-def require_widened_schema(old: Schema, new: Schema) -> None:
-    """Raise unless ``new`` is ``old`` with zero or more labels appended
-    to each domain (same attributes, same order, old labels kept as a
-    prefix) — the only schema change the delta-refresh path supports."""
-    if old.attribute_names != new.attribute_names:
-        raise ReproError(
-            "delta refresh cannot change the attribute set: summary has "
-            f"{old.attribute_names}, relation has {new.attribute_names}"
-        )
-    for pos, (old_domain, new_domain) in enumerate(
-        zip(old.domains, new.domains)
-    ):
-        if (
-            new_domain.size < old_domain.size
-            or new_domain.labels[: old_domain.size] != old_domain.labels
-        ):
-            raise ReproError(
-                f"attribute {old.attribute_names[pos]!r}: delta refresh "
-                "only supports appending new domain values; existing "
-                "labels must keep their indices"
-            )
-
 
 def pad_parameters(
     params: ModelParameters, old: Schema, new: Schema

@@ -11,7 +11,7 @@ import math
 from typing import Sequence
 
 from repro.data.domain import Domain
-from repro.errors import SchemaError
+from repro.errors import ReproError, SchemaError
 
 
 class Schema:
@@ -101,3 +101,26 @@ class Schema:
             f"{domain.name}[{domain.size}]" for domain in self._domains
         )
         return f"Schema({parts})"
+
+
+def require_widened_schema(old: Schema, new: Schema) -> None:
+    """Raise unless ``new`` is ``old`` with zero or more labels appended
+    to each domain (same attributes, same order, old labels kept as a
+    prefix) — the only schema change the delta-refresh path supports."""
+    if old.attribute_names != new.attribute_names:
+        raise ReproError(
+            "delta refresh cannot change the attribute set: summary has "
+            f"{old.attribute_names}, relation has {new.attribute_names}"
+        )
+    for pos, (old_domain, new_domain) in enumerate(
+        zip(old.domains, new.domains)
+    ):
+        if (
+            new_domain.size < old_domain.size
+            or new_domain.labels[: old_domain.size] != old_domain.labels
+        ):
+            raise ReproError(
+                f"attribute {old.attribute_names[pos]!r}: delta refresh "
+                "only supports appending new domain values; existing "
+                "labels must keep their indices"
+            )

@@ -9,6 +9,8 @@ Relations persist as a JSON schema next to an NPZ of index columns.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,27 @@ from repro.data.domain import Domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import ReproError
+
+
+def read_json(path):
+    """Parse a JSON file.  A truncated or corrupt file raises
+    :class:`ReproError` naming it (a missing one stays
+    ``FileNotFoundError``)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise ReproError(f"corrupt JSON file {path}: {error}") from error
+
+
+def read_npz(path) -> dict[str, np.ndarray]:
+    """Every array of an NPZ archive, read eagerly.  A truncated or
+    corrupt archive raises :class:`ReproError` naming it (a missing one
+    stays ``FileNotFoundError``)."""
+    try:
+        with np.load(path) as archive:
+            return {key: archive[key] for key in archive.files}
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as error:
+        raise ReproError(f"corrupt NPZ file {path}: {error}") from error
 
 
 def encode_label(label):
@@ -90,11 +113,8 @@ def save_relation(relation: Relation, prefix) -> None:
 def load_relation(prefix) -> Relation:
     """Inverse of :func:`save_relation`."""
     prefix = Path(prefix)
-    schema = decode_schema(
-        json.loads(prefix.with_suffix(".schema.json").read_text())
+    schema = decode_schema(read_json(prefix.with_suffix(".schema.json")))
+    arrays = read_npz(prefix.with_suffix(".columns.npz"))
+    return Relation(
+        schema, [arrays[f"col_{pos}"] for pos in range(schema.num_attributes)]
     )
-    with np.load(prefix.with_suffix(".columns.npz")) as arrays:
-        columns = [
-            arrays[f"col_{pos}"] for pos in range(schema.num_attributes)
-        ]
-    return Relation(schema, columns)

@@ -20,8 +20,7 @@ from repro.evaluation.harness import run_workload
 from repro.evaluation.reporting import ExperimentResult
 from repro.experiments.configs import ExperimentStore, default_store
 from repro.datasets.flights import flights_restricted
-from repro.stats.heuristics import select_pair_statistics
-from repro.stats.statistic import StatisticSet
+from repro.stats.selection import build_statistic_set
 from repro.workloads.selection_queries import standard_workloads
 
 PAIR = ("fl_time", "distance")
@@ -32,10 +31,9 @@ def build_heuristic_summary(
     relation, heuristic: str, budget: int, iterations: int
 ) -> EntropySummary:
     """Summary with 2D statistics from one heuristic on the pair."""
-    multi_dim = select_pair_statistics(
-        relation, PAIR[0], PAIR[1], budget, heuristic, seed=3
+    statistic_set = build_statistic_set(
+        relation, pairs=[PAIR], per_pair_budget=budget, heuristic=heuristic, seed=3
     )
-    statistic_set = StatisticSet.from_relation(relation, multi_dim)
     return EntropySummary.from_statistics(
         statistic_set,
         max_iterations=iterations,

@@ -8,7 +8,7 @@ schema plus a record of any **domain growth** (labels never seen at
 build time).  Growth is handled by widening: new labels are appended to
 the affected domains, so every existing index — and with it every
 fitted statistic, bucket boundary, and model parameter — keeps its
-meaning (see :func:`repro.core.summary.require_widened_schema`).
+meaning (see :func:`repro.data.schema.require_widened_schema`).
 """
 
 from __future__ import annotations

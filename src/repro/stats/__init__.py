@@ -15,7 +15,6 @@ from repro.stats.heuristics import (
     zero_single_cell,
 )
 from repro.stats.kdtree import KDRectangle, best_split, composite_rectangles
-from repro.stats.onedim import one_dim_counts, one_dim_statistics
 from repro.stats.predicates import (
     TRUE,
     Conjunction,
@@ -60,8 +59,6 @@ __all__ = [
     "cramers_v",
     "is_nearly_uniform_pair",
     "large_single_cell",
-    "one_dim_counts",
-    "one_dim_statistics",
     "pair_correlations",
     "point_statistic",
     "range_statistic_2d",

@@ -74,7 +74,8 @@ def pair_correlations(
     Parameters
     ----------
     relation:
-        The data.
+        The data: a relation, or its
+        :class:`~repro.data.counts.Counts` holding every pair's table.
     attrs:
         Optional subset of attributes (names or positions) to restrict
         the pair enumeration to.

@@ -1,9 +1,10 @@
 """2D statistic selection heuristics (Sec 4.3): LARGE, ZERO, COMPOSITE.
 
-Each heuristic takes the true 2D contingency table of an attribute pair
-and a budget ``Bs`` and returns :class:`~repro.stats.statistic.Statistic`
-objects — point statistics for LARGE/ZERO, disjoint range rectangles
-for COMPOSITE.
+Each heuristic reads the true 2D contingency table of an attribute pair
+from ``relation`` — a :class:`~repro.data.relation.Relation` or its
+:class:`~repro.data.counts.Counts` — and, given a budget ``Bs``,
+returns :class:`~repro.stats.statistic.Statistic` objects — point
+statistics for LARGE/ZERO, disjoint range rectangles for COMPOSITE.
 """
 
 from __future__ import annotations

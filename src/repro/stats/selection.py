@@ -15,11 +15,14 @@ for the same budget; both are available.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
+from repro.data.counts import Counts
 from repro.data.relation import Relation
+from repro.data.schema import Schema
 from repro.errors import BudgetError
-from repro.stats.correlation import is_nearly_uniform_pair, pair_correlations
+from repro.stats.correlation import pair_correlations
 from repro.stats.heuristics import select_pair_statistics
 from repro.stats.statistic import Statistic, StatisticSet
 
@@ -70,7 +73,7 @@ def choose_pairs_by_cover(
 
 
 def select_statistics(
-    relation: Relation,
+    relation: Relation | Counts,
     budget: int,
     num_pairs: int,
     strategy: str = "cover",
@@ -81,12 +84,16 @@ def select_statistics(
 ) -> list[Statistic]:
     """End-to-end statistic selection.
 
-    Ranks attribute pairs by Cramér's V, drops nearly uniform pairs,
+    Ranks attribute pairs by Cramér's V, drops nearly uniform pairs
+    (V below ``uniform_threshold``, the paper's footnote-5 check),
     chooses ``num_pairs`` of them with the given strategy, splits the
     budget evenly (``Bs = B // Ba``), and runs the per-pair heuristic.
 
     Parameters
     ----------
+    relation:
+        The data, or its :class:`~repro.data.counts.Counts` holding
+        every candidate pair's table.
     exclude_attrs:
         Attributes never used in 2D statistics (the paper excludes
         ``fl_date`` because it is uniform).
@@ -96,18 +103,11 @@ def select_statistics(
             f"budget {budget} cannot fund {num_pairs} pairs with >= 1 "
             "statistic each"
         )
-    schema = relation.schema
-    excluded = {schema.position(attr) for attr in exclude_attrs}
-    candidates = [
-        pos for pos in range(schema.num_attributes) if pos not in excluded
-    ]
-    ranked = pair_correlations(relation, candidates)
+    candidates = _candidate_positions(relation.schema, exclude_attrs)
     ranked = [
         (pair, score)
-        for pair, score in ranked
-        if not is_nearly_uniform_pair(
-            relation.contingency(*pair), uniform_threshold
-        )
+        for pair, score in pair_correlations(relation, candidates)
+        if score >= uniform_threshold
     ]
     if not ranked:
         return []
@@ -130,8 +130,30 @@ def select_statistics(
     return statistics
 
 
+def selection_pairs(
+    schema: Schema,
+    pairs: Sequence[tuple] | None = None,
+    budget: int = 0,
+    num_pairs: int = 0,
+    exclude_attrs: Sequence = (),
+    **_options,
+) -> list[tuple]:
+    """The attribute pairs whose tables :func:`build_statistic_set`
+    reads under these options: the explicit ``pairs``, every pair of
+    non-excluded attributes under automatic selection, none for a
+    1D-only model.  Other ``build_statistic_set`` options are ignored,
+    so callers can pass the whole option set."""
+    if pairs is not None:
+        return list(pairs)
+    if budget and num_pairs:
+        return list(
+            itertools.combinations(_candidate_positions(schema, exclude_attrs), 2)
+        )
+    return []
+
+
 def build_statistic_set(
-    relation: Relation,
+    source: Relation | Counts,
     budget: int = 0,
     num_pairs: int = 0,
     pairs: Sequence[tuple] | None = None,
@@ -146,23 +168,31 @@ def build_statistic_set(
     Either give explicit ``pairs`` (attribute name/position pairs) with
     a ``per_pair_budget`` — the paper's Fig. 4 configurations — or a
     global ``budget``/``num_pairs`` for automatic selection.
+
+    ``source`` is a relation, reduced once to the
+    :func:`selection_pairs` these options need, or a
+    :class:`~repro.data.counts.Counts` that already holds them.
     """
+    if pairs is not None and per_pair_budget is None:
+        if not (budget and len(pairs)):
+            raise BudgetError("explicit pairs need a per_pair_budget or budget")
+        per_pair_budget = budget // len(pairs)
+    if isinstance(source, Relation):
+        source = Counts.of(
+            source,
+            selection_pairs(source.schema, pairs, budget, num_pairs, exclude_attrs),
+        )
     multi_dim: list[Statistic] = []
     if pairs is not None:
-        if per_pair_budget is None:
-            if budget and len(pairs):
-                per_pair_budget = budget // len(pairs)
-            else:
-                raise BudgetError("explicit pairs need a per_pair_budget or budget")
         for attr_a, attr_b in pairs:
             multi_dim.extend(
                 select_pair_statistics(
-                    relation, attr_a, attr_b, per_pair_budget, heuristic, seed=seed
+                    source, attr_a, attr_b, per_pair_budget, heuristic, seed=seed
                 )
             )
     elif budget and num_pairs:
         multi_dim = select_statistics(
-            relation,
+            source,
             budget,
             num_pairs,
             strategy=strategy,
@@ -170,4 +200,9 @@ def build_statistic_set(
             exclude_attrs=exclude_attrs,
             seed=seed,
         )
-    return StatisticSet.from_relation(relation, multi_dim)
+    return StatisticSet.from_counts(source, multi_dim)
+
+
+def _candidate_positions(schema: Schema, exclude_attrs: Sequence) -> list[int]:
+    excluded = {schema.position(attr) for attr in exclude_attrs}
+    return [pos for pos in range(schema.num_attributes) if pos not in excluded]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.data.counts import Counts
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import StatisticError
@@ -61,7 +62,8 @@ class Statistic:
         return predicate
 
     def measure(self, relation: Relation) -> int:
-        """Evaluate the counting query on actual data."""
+        """Evaluate the counting query on the rows — the row-level
+        reference that :meth:`repro.data.counts.Counts.count` matches."""
         return relation.count_where(self.predicate.attribute_masks())
 
     def __repr__(self):
@@ -155,18 +157,14 @@ class StatisticSet:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_relation(
+    def from_counts(
         cls,
-        relation: Relation,
+        counts: Counts,
         multi_dim: Iterable[Statistic] = (),
     ) -> "StatisticSet":
-        """Extract the complete 1D statistics from data and attach the
+        """The complete 1D statistics from a relation's counts, plus the
         given multi-dimensional statistics."""
-        one_dim = [
-            relation.marginal(pos).astype(float).tolist()
-            for pos in range(relation.schema.num_attributes)
-        ]
-        return cls(relation.schema, relation.num_rows, one_dim, multi_dim)
+        return cls(counts.schema, counts.total, counts.marginals, multi_dim)
 
     def add_multi_dim(self, statistic: Statistic) -> None:
         """Add one multi-dimensional statistic, enforcing the Sec 4.1
@@ -212,8 +210,8 @@ class StatisticSet:
         return {statistic.positions for statistic in self.multi_dim}
 
     def verify_against(self, relation: Relation, tolerance: float = 0.0) -> None:
-        """Check that every statistic matches the data it claims to
-        describe (used by tests and dataset builders)."""
+        """Check, row by row, that every statistic matches the data it
+        claims to describe (the test oracle for the count path)."""
         for pos in range(self.schema.num_attributes):
             observed = relation.marginal(pos).astype(float)
             for index, expected in enumerate(self.one_dim[pos]):

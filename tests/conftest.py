@@ -17,6 +17,7 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(_REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(_REPO_ROOT))
 
+from repro.data.counts import Counts
 from repro.data.domain import integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -160,7 +161,7 @@ def small_statistics(small_relation):
             schema, "A", (0, 0), "C", (2, 2), count("A", (0, 0), "C", (2, 2))
         ),
     ]
-    return StatisticSet.from_relation(relation, stats)
+    return StatisticSet.from_counts(Counts.of(relation), stats)
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +229,7 @@ def relations_with_stats(draw, max_stats=4, schema_strategy=None):
                 schema, pos_a, (low_a, high_a), pos_b, (low_b, high_b), value
             )
         )
-    return relation, StatisticSet.from_relation(relation, stats)
+    return relation, StatisticSet.from_counts(Counts.of(relation), stats)
 
 
 def _range_mask(size, low, high):

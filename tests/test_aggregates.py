@@ -9,9 +9,9 @@ all three.
 import numpy as np
 import pytest
 
+from repro.api import SummaryBuilder
 from repro.baselines.exact import ExactBackend
 from repro.baselines.uniform import uniform_sample
-from repro.core.summary import EntropySummary
 from repro.data.binning import EquiWidthBinner
 from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
@@ -41,9 +41,12 @@ def relation():
 
 @pytest.fixture(scope="module")
 def engines(relation):
-    summary = EntropySummary.build(
-        relation, pairs=[("kind", "amount")], per_pair_budget=15,
-        max_iterations=80,
+    summary = (
+        SummaryBuilder(relation)
+        .pairs(("kind", "amount"))
+        .per_pair_budget(15)
+        .iterations(80)
+        .fit()
     )
     return {
         "exact": SQLEngine(ExactBackend(relation)),

@@ -345,18 +345,6 @@ class TestLockDiscipline:
 
 
 class TestDeprecatedApi:
-    def test_flags_entropy_summary_build(self):
-        found = flags(
-            """\
-            def make(relation, stats):
-                return EntropySummary.build(relation, stats)
-            """,
-            "deprecated-api",
-            INGEST,
-        )
-        assert len(found) == 1
-        assert "SummaryBuilder" in found[0].message
-
     def test_flags_direct_engine_construction(self):
         found = flags(
             """\

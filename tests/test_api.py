@@ -1,7 +1,5 @@
 """Tests for the session API: Explorer, fluent queries, SummaryBuilder,
-the Backend ABC, and the deprecation shim."""
-
-import warnings
+and the Backend ABC."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ import pytest
 from repro.api import Backend, Explorer, SummaryBuilder
 from repro.baselines.exact import ExactBackend
 from repro.baselines.uniform import uniform_sample
-from repro.core.summary import EntropySummary
 from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -47,20 +44,24 @@ def summary(relation):
 
 class TestSummaryBuilder:
     def test_fit_matches_legacy_build(self, relation, summary):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = EntropySummary.build(
-                relation,
+        """``with_options`` takes the legacy keyword names and fits the
+        same model as the fluent setters."""
+        legacy = (
+            SummaryBuilder(relation)
+            .with_options(
                 pairs=[("state", "hour")],
                 per_pair_budget=4,
                 max_iterations=60,
                 name="api-test",
             )
-        assert legacy.total == summary.total
-        assert (
-            legacy.statistic_set.num_statistics
-            == summary.statistic_set.num_statistics
+            .fit()
         )
+        assert legacy.total == summary.total
+        assert legacy.statistic_set.one_dim == summary.statistic_set.one_dim
+        assert [s.value for s in legacy.statistic_set.multi_dim] == [
+            s.value for s in summary.statistic_set.multi_dim
+        ]
+        assert np.array_equal(legacy.params.deltas, summary.params.deltas)
         predicate_count = Explorer.attach(summary).query().where(state="CA")
         assert Explorer.attach(legacy).query().where(state="CA").value() == (
             pytest.approx(predicate_count.value())
@@ -87,25 +88,6 @@ class TestSummaryBuilder:
     def test_one_dim_only(self, relation):
         no2d = SummaryBuilder(relation).iterations(20).fit()
         assert no2d.statistic_set.num_multi_dim == 0
-
-
-class TestDeprecationShim:
-    def test_build_warns(self, relation):
-        with pytest.warns(DeprecationWarning, match="SummaryBuilder"):
-            EntropySummary.build(relation, max_iterations=5)
-
-    def test_build_still_honors_arguments(self, relation):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            built = EntropySummary.build(
-                relation,
-                pairs=[("state", "hour")],
-                per_pair_budget=4,
-                max_iterations=5,
-                name="shimmed",
-            )
-        assert built.name == "shimmed"
-        assert built.statistic_set.num_multi_dim > 0
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.core.arena import ShardArena
 from repro.core.polynomial import CompressedPolynomial
 from repro.core.sharding import ShardedSummary
 from repro.core.summary import EntropySummary
+from repro.data.counts import Counts
 from repro.data.domain import integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -368,7 +369,7 @@ def sharded_models(draw):
             multi_dim.append(
                 range_statistic_2d(schema, low, (0, 0), high, (0, 0), 1.0)
             )
-        statistic_set = StatisticSet.from_relation(relation, multi_dim)
+        statistic_set = StatisticSet.from_counts(Counts.of(relation), multi_dim)
         polynomial = CompressedPolynomial(statistic_set)
         params = draw(parameters_for(polynomial))
         for pos in draw(st.sets(st.integers(0, len(sizes) - 1))):

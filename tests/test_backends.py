@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import SummaryBuilder
 from repro.baselines.exact import ExactBackend
-from repro.core.summary import EntropySummary
 from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -24,7 +24,7 @@ def relation():
 
 @pytest.fixture
 def summary(relation):
-    return EntropySummary.build(relation, max_iterations=50)
+    return SummaryBuilder(relation).iterations(50).fit()
 
 
 class TestSummaryBackend:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.dual import dual_gradient, dual_value, solve_dual_scipy
 from repro.core.polynomial import CompressedPolynomial, initial_parameters
 from repro.core.solver import MirrorDescentSolver, solve_statistics
+from repro.data.counts import Counts
 
 
 class TestDualValue:
@@ -86,7 +87,7 @@ class TestScipyAgreement:
         from repro.stats.statistic import StatisticSet
 
         relation = Relation.from_rows(small_schema, [(0, 0, 0)] * 4)
-        statistic_set = StatisticSet.from_relation(relation)
+        statistic_set = StatisticSet.from_counts(Counts.of(relation))
         poly = CompressedPolynomial(statistic_set)
         params, result = solve_dual_scipy(poly)
         # Only (0,0,0) exists; all other alphas must be 0.

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import SummaryBuilder
 from repro.baselines.exact import ExactBackend
-from repro.core.summary import EntropySummary
 from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -97,11 +97,12 @@ class TestExactExecution:
 class TestSummaryExecution:
     @pytest.fixture
     def summary_engine(self, relation):
-        summary = EntropySummary.build(
-            relation,
-            pairs=[("state", "hour")],
-            per_pair_budget=4,
-            max_iterations=60,
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("state", "hour"))
+            .per_pair_budget(4)
+            .iterations(60)
+            .fit()
         )
         return SQLEngine(SummaryBackend(summary), table_name="R")
 

@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import SummaryBuilder
 from repro.core.inference import InferenceEngine
 from repro.core.polynomial import CompressedPolynomial, initial_parameters
 from repro.core.summary import EntropySummary
 from repro.core.variables import ModelParameters
+from repro.data.counts import Counts
 from repro.data.domain import integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -24,7 +26,7 @@ def summary(tmp_path):
     relation = Relation(
         schema, [rng.integers(0, 3, 200), rng.integers(0, 4, 200)]
     )
-    summary = EntropySummary.build(relation, max_iterations=20)
+    summary = SummaryBuilder(relation).iterations(20).fit()
     summary.save(tmp_path / "model")
     return summary, tmp_path / "model"
 
@@ -34,7 +36,7 @@ class TestCorruptedPersistence:
         _, prefix = summary
         text = prefix.with_suffix(".json").read_text()
         prefix.with_suffix(".json").write_text(text[: len(text) // 2])
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(ReproError, match="model.json"):
             EntropySummary.load(prefix)
 
     def test_missing_npz(self, summary):
@@ -74,7 +76,7 @@ class TestDegenerateModels:
     def test_all_zero_parameters_rejected_by_engine(self):
         schema = Schema([integer_domain("a", 2), integer_domain("b", 2)])
         relation = Relation.from_rows(schema, [(0, 0), (1, 1)])
-        statistic_set = StatisticSet.from_relation(relation)
+        statistic_set = StatisticSet.from_counts(Counts.of(relation))
         poly = CompressedPolynomial(statistic_set)
         params = ModelParameters(
             [np.zeros(2), np.zeros(2)], np.zeros(0)
@@ -115,6 +117,6 @@ class TestDegenerateModels:
     def test_uniform_init_evaluates_to_tuple_count(self):
         schema = Schema([integer_domain("a", 3), integer_domain("b", 5)])
         relation = Relation.from_rows(schema, [(0, 0)] * 5)
-        statistic_set = StatisticSet.from_relation(relation)
+        statistic_set = StatisticSet.from_counts(Counts.of(relation))
         poly = CompressedPolynomial(statistic_set)
         assert poly.evaluate(initial_parameters(poly)) == pytest.approx(15.0)

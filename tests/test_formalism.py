@@ -13,6 +13,7 @@ from repro.core.naive import NaivePolynomial
 from repro.core.polynomial import CompressedPolynomial
 from repro.core.solver import solve_statistics
 from repro.core.inference import InferenceEngine
+from repro.data.counts import Counts
 from repro.data.frequency import frequency_vector
 from repro.query.linear import LinearQuery
 from repro.stats.predicates import Conjunction, RangePredicate, SetPredicate
@@ -42,7 +43,7 @@ def model(request):
     statistic = range_statistic_2d(
         schema, "A", (0, 1), "B", (1, 2), float(relation.count_where(masks))
     )
-    statistic_set = StatisticSet.from_relation(relation, [statistic])
+    statistic_set = StatisticSet.from_counts(Counts.of(relation), [statistic])
     poly = CompressedPolynomial(statistic_set)
     params, _ = solve_statistics(poly, max_iterations=150)
     engine = InferenceEngine(poly, params, statistic_set.total)

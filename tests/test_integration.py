@@ -7,6 +7,7 @@ do, including the paper's headline behaviours on small instances.
 import numpy as np
 import pytest
 
+from repro.api import SummaryBuilder
 from repro.baselines.exact import ExactBackend
 from repro.baselines.uniform import uniform_sample
 from repro.core.summary import EntropySummary
@@ -42,11 +43,12 @@ class TestFullyDeterminedModel:
     the model reproduces the exact (s, d) joint distribution."""
 
     def test_point_queries_exact(self, relation):
-        summary = EntropySummary.build(
-            relation,
-            pairs=[("s", "d")],
-            per_pair_budget=32,  # every (s, d) cell gets a statistic
-            max_iterations=100,
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(32)  # every (s, d) cell gets a statistic
+            .iterations(100)
+            .fit()
         )
         truth = relation.contingency("s", "d")
         for s_value in range(4):
@@ -64,9 +66,13 @@ class TestCorrelationCorrection:
     correlated point queries — the core EntropyDB value proposition."""
 
     def test_2d_summary_beats_no2d(self, relation):
-        no2d = EntropySummary.build(relation, max_iterations=60)
-        with2d = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=16, max_iterations=60
+        no2d = SummaryBuilder(relation).iterations(60).fit()
+        with2d = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(16)
+            .iterations(60)
+            .fit()
         )
         truth = relation.contingency("s", "d")
         errors = {"no2d": 0.0, "with2d": 0.0}
@@ -80,7 +86,7 @@ class TestCorrelationCorrection:
         assert errors["with2d"] < 0.5 * errors["no2d"]
 
     def test_uniform_attribute_needs_no_statistics(self, relation):
-        summary = EntropySummary.build(relation, max_iterations=60)
+        summary = SummaryBuilder(relation).iterations(60).fit()
         truth = relation.contingency("s", "u")
         worst = 0.0
         for s_value in range(4):
@@ -99,8 +105,12 @@ class TestCorrelationCorrection:
 
 class TestSQLAgainstExact:
     def test_sql_pipeline(self, relation):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=16, max_iterations=60
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(16)
+            .iterations(60)
+            .fit()
         )
         approx = SQLEngine(SummaryBackend(summary), table_name="flights")
         exact = SQLEngine(ExactBackend(relation), table_name="flights")
@@ -116,8 +126,12 @@ class TestSQLAgainstExact:
             assert estimate == pytest.approx(truth, rel=0.2, abs=10)
 
     def test_group_by_top_k(self, relation):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=16, max_iterations=60
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(16)
+            .iterations(60)
+            .fit()
         )
         engine = SQLEngine(SummaryBackend(summary), table_name="flights")
         result = engine.execute(
@@ -133,8 +147,12 @@ class TestRareVersusNonexistent:
     better than a small uniform sample."""
 
     def test_f_measure_beats_uniform_sample(self, relation):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=32, max_iterations=100
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(32)
+            .iterations(100)
+            .fit()
         )
         backend = SummaryBackend(summary, rounded=True)
         sample = uniform_sample(relation, fraction=0.02, seed=1)
@@ -156,8 +174,12 @@ class TestRareVersusNonexistent:
 
 class TestPersistenceEndToEnd:
     def test_save_load_same_sql_answers(self, relation, tmp_path):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=8, max_iterations=40
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(8)
+            .iterations(40)
+            .fit()
         )
         summary.save(tmp_path / "model")
         loaded = EntropySummary.load(tmp_path / "model")
@@ -169,8 +191,12 @@ class TestPersistenceEndToEnd:
 
 class TestModelInvariants:
     def test_group_by_partitions_total(self, relation):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=8, max_iterations=40
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(8)
+            .iterations(40)
+            .fit()
         )
         for attrs in (["s"], ["d"], ["s", "u"]):
             grouped = summary.group_by(attrs)
@@ -179,8 +205,12 @@ class TestModelInvariants:
             )
 
     def test_estimates_never_negative(self, relation, rng):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=8, max_iterations=40
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(8)
+            .iterations(40)
+            .fit()
         )
         from repro.stats.predicates import Conjunction, RangePredicate
 

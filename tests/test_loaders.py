@@ -110,7 +110,7 @@ class TestLoadCsv:
 
     def test_end_to_end_summary(self, csv_path):
         """CSV → relation → summary → query."""
-        from repro.core.summary import EntropySummary
+        from repro.api import SummaryBuilder
         from repro.query import SQLEngine, SummaryBackend
 
         relation = load_csv(
@@ -120,7 +120,7 @@ class TestLoadCsv:
                 NumericColumn("distance", num_buckets=4),
             ],
         )
-        summary = EntropySummary.build(relation, max_iterations=30)
+        summary = SummaryBuilder(relation).iterations(30).fit()
         engine = SQLEngine(SummaryBackend(summary))
         estimate = engine.count("SELECT COUNT(*) FROM R WHERE state = 'CA'")
         assert estimate == pytest.approx(4.0, abs=0.2)

@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Explorer
+from repro.api import Explorer, SummaryBuilder
 from repro.baselines.exact import ExactBackend
 from repro.core.sharding import ShardedSummary, partition_relation
-from repro.core.summary import EntropySummary
 from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -54,11 +53,12 @@ def schema(relation):
 
 @pytest.fixture(scope="module")
 def summary(relation):
-    return EntropySummary.build(
-        relation,
-        pairs=[("state", "hour")],
-        per_pair_budget=6,
-        max_iterations=40,
+    return (
+        SummaryBuilder(relation)
+        .pairs(("state", "hour"))
+        .per_pair_budget(6)
+        .iterations(40)
+        .fit()
     )
 
 

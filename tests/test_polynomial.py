@@ -18,6 +18,7 @@ from repro.core.polynomial import (
     product_excluding,
 )
 from repro.core.variables import ModelParameters
+from repro.data.counts import Counts
 from repro.errors import SolverError
 
 from tests.conftest import masked_models, relations_with_stats
@@ -245,7 +246,7 @@ class TestMaskedKernel:
             range_statistic_2d(schema, "c", (1, 2), "d", (0, 1), 40.0),
             range_statistic_2d(schema, "e", (0, 0), "f", (0, 2), 20.0),
         ]
-        statistic_set = StatisticSet.from_relation(relation, stats)
+        statistic_set = StatisticSet.from_counts(Counts.of(relation), stats)
         poly = CompressedPolynomial(statistic_set)
         assert len(poly.components) == 3 and poly.free_positions == [6]
         naive = NaivePolynomial(statistic_set)

@@ -1048,6 +1048,29 @@ class TestHotReload:
                     300, abs=1
                 )
 
+    def test_reload_onto_a_corrupt_version_keeps_the_old_one(
+        self, versioned_store
+    ):
+        server = SummaryServer(
+            store=versioned_store,
+            name="demo",
+            version=1,
+            config=ServeConfig(cache_size=0),
+        )
+        latest = versioned_store.record("demo")
+        npz = (versioned_store.root / latest.prefix).with_suffix(".npz")
+        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+        sql = "SELECT COUNT(*) FROM R WHERE hour = 1"
+        with ServerThread(server):
+            with ServeClient(port=server.port) as client:
+                before = client.count(sql)
+                with pytest.raises(ReproError, match="v2.npz"):
+                    server.reload()
+                assert server.version == 1
+                assert client.ping() == {"version": 1}
+                assert client.count(sql) == before
+        assert server.reloads == 0
+
     def test_reload_does_not_drop_in_flight_requests(self, versioned_store):
         server = SummaryServer(
             store=versioned_store,

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from repro.core.naive import NaivePolynomial
 from repro.core.polynomial import CompressedPolynomial
 from repro.core.solver import MirrorDescentSolver, solve_statistics
+from repro.data.counts import Counts
 from repro.errors import SolverError
 
 from tests.conftest import masked_models, relations_with_stats
@@ -49,7 +50,7 @@ class TestConvergence:
             [small_relation.column(pos)[keep] for pos in range(3)],
         )
         statistic = range_statistic_2d(schema, "A", (3, 3), "B", (4, 4), 0.0)
-        statistic_set = StatisticSet.from_relation(relation, [statistic])
+        statistic_set = StatisticSet.from_counts(Counts.of(relation), [statistic])
         poly = CompressedPolynomial(statistic_set)
         params, _ = solve_statistics(poly, max_iterations=50)
         assert params.deltas[0] == 0.0
@@ -61,7 +62,7 @@ class TestConvergence:
         # Value 3 of attribute A never occurs.
         rows = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 4, 1)] * 5
         relation = Relation.from_rows(small_schema, rows)
-        statistic_set = StatisticSet.from_relation(relation)
+        statistic_set = StatisticSet.from_counts(Counts.of(relation))
         poly = CompressedPolynomial(statistic_set)
         params, _ = solve_statistics(poly, max_iterations=50)
         assert params.alphas[0][3] == 0.0
@@ -119,7 +120,7 @@ class TestModelAgreesWithData:
     def test_one_dim_only_model_is_product_of_marginals(self, small_relation):
         from repro.stats.statistic import StatisticSet
 
-        statistic_set = StatisticSet.from_relation(small_relation)
+        statistic_set = StatisticSet.from_counts(Counts.of(small_relation))
         poly = CompressedPolynomial(statistic_set)
         params, _ = solve_statistics(poly, max_iterations=100)
         naive = NaivePolynomial(statistic_set)

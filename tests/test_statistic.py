@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.data.counts import Counts
 from repro.data.domain import integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -65,8 +66,8 @@ class TestStatistic:
 
 
 class TestStatisticSet:
-    def test_from_relation_builds_marginals(self, relation):
-        statistic_set = StatisticSet.from_relation(relation)
+    def test_from_counts_builds_marginals(self, relation):
+        statistic_set = StatisticSet.from_counts(Counts.of(relation))
         assert statistic_set.total == 6
         assert statistic_set.one_dim[0] == [2.0, 2.0, 2.0]
         assert statistic_set.one_dim[1] == [2.0, 2.0, 0.0, 2.0]
@@ -84,14 +85,14 @@ class TestStatisticSet:
     def test_disjointness_enforced(self, schema, relation):
         first = range_statistic_2d(schema, "a", (0, 1), "b", (0, 1), 3.0)
         overlapping = range_statistic_2d(schema, "a", (1, 2), "b", (1, 2), 1.0)
-        statistic_set = StatisticSet.from_relation(relation, [first])
+        statistic_set = StatisticSet.from_counts(Counts.of(relation), [first])
         with pytest.raises(StatisticError, match="disjoint"):
             statistic_set.add_multi_dim(overlapping)
 
     def test_disjoint_same_pair_allowed(self, schema, relation):
         first = range_statistic_2d(schema, "a", (0, 0), "b", (0, 1), 2.0)
         second = range_statistic_2d(schema, "a", (1, 2), "b", (0, 1), 2.0)
-        statistic_set = StatisticSet.from_relation(relation, [first, second])
+        statistic_set = StatisticSet.from_counts(Counts.of(relation), [first, second])
         assert statistic_set.num_multi_dim == 2
 
     def test_overlap_on_other_pair_allowed(self, schema, relation):
@@ -107,16 +108,16 @@ class TestStatisticSet:
             range_statistic_2d(schema3, "a", (0, 1), "b", (0, 1), 2.0),
             range_statistic_2d(schema3, "b", (0, 2), "c", (0, 0), 1.0),
         ]
-        statistic_set = StatisticSet.from_relation(relation3, stats)
+        statistic_set = StatisticSet.from_counts(Counts.of(relation3), stats)
         assert statistic_set.num_multi_dim == 2
 
     def test_one_dim_statistic_rejected_as_multi(self, schema, relation):
-        statistic_set = StatisticSet.from_relation(relation)
+        statistic_set = StatisticSet.from_counts(Counts.of(relation))
         with pytest.raises(StatisticError, match=">= 2 attributes"):
             statistic_set.add_multi_dim(point_statistic(schema, "a", 0, 2.0))
 
     def test_value_above_cardinality_rejected(self, schema, relation):
-        statistic_set = StatisticSet.from_relation(relation)
+        statistic_set = StatisticSet.from_counts(Counts.of(relation))
         too_big = range_statistic_2d(schema, "a", (0, 2), "b", (0, 3), 100.0)
         with pytest.raises(StatisticError, match="exceeds cardinality"):
             statistic_set.add_multi_dim(too_big)
@@ -126,13 +127,13 @@ class TestStatisticSet:
         statistic = range_statistic_2d(
             schema, "a", (2, 2), "b", (3, 3), 2.0
         )
-        statistic_set = StatisticSet.from_relation(relation, [statistic])
+        statistic_set = StatisticSet.from_counts(Counts.of(relation), [statistic])
         statistic_set.verify_against(relation)
 
     def test_verify_against_detects_mismatch(self, relation):
         schema = relation.schema
         statistic = range_statistic_2d(schema, "a", (2, 2), "b", (3, 3), 1.0)
-        statistic_set = StatisticSet.from_relation(relation, [statistic])
+        statistic_set = StatisticSet.from_counts(Counts.of(relation), [statistic])
         with pytest.raises(StatisticError, match="mismatch"):
             statistic_set.verify_against(relation)
 
@@ -142,5 +143,5 @@ class TestStatisticSet:
             range_statistic_2d(schema, "a", (0, 0), "b", (0, 0), 1.0),
             range_statistic_2d(schema, "a", (1, 1), "b", (1, 1), 1.0),
         ]
-        statistic_set = StatisticSet.from_relation(relation, stats)
+        statistic_set = StatisticSet.from_counts(Counts.of(relation), stats)
         assert statistic_set.attribute_pairs() == {(0, 1)}

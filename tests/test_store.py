@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import Explorer, SummaryBuilder, SummaryStore
+from repro.core.sharding import load_model
 from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -153,3 +154,53 @@ class TestManifest:
         store.save(summary, "demo")
         explorer = Explorer.open(store.root, "demo")
         assert explorer.summary.total == summary.total
+
+
+def _truncate(path) -> None:
+    """Cut a file in half, as a crash mid-write leaves it."""
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+class TestCorruptFiles:
+    """A half-written store file fails as a ReproError that names it,
+    not as a raw zipfile / json error."""
+
+    def test_truncated_parameter_npz(self, store, summary):
+        record = store.save(summary, "demo")
+        store.save(summary, "demo")
+        path = (store.root / store.record("demo").prefix).with_suffix(".npz")
+        _truncate(path)
+        with pytest.raises(ReproError, match="v2.npz"):
+            store.load("demo")
+        assert store.load("demo", version=record.version).total == summary.total
+
+    def test_truncated_statistics_json(self, store, summary):
+        store.save(summary, "demo")
+        store.save(summary, "demo")
+        path = (store.root / store.record("demo").prefix).with_suffix(".json")
+        _truncate(path)
+        with pytest.raises(ReproError, match="v2.json"):
+            store.load("demo")
+
+    def test_truncated_manifest(self, store, summary):
+        store.save(summary, "demo")
+        _truncate(store.root / "manifest.json")
+        with pytest.raises(ReproError, match="manifest.json"):
+            store.load("demo")
+
+    def test_truncated_sharded_manifest(self, store, relation):
+        sharded = (
+            SummaryBuilder(relation)
+            .pairs(("g", "v"))
+            .per_pair_budget(3)
+            .iterations(10)
+            .shards(2, workers=1)
+            .fit()
+        )
+        record = store.save(sharded, "split")
+        _truncate((store.root / record.prefix).with_suffix(".json"))
+        with pytest.raises(ReproError, match="v1.json"):
+            store.load("split")
+        with pytest.raises(ReproError, match="v1.json"):
+            load_model(store.root / record.prefix)

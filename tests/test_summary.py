@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import SummaryBuilder
 from repro.core.summary import EntropySummary
 from repro.data.binning import Bucket, EquiWidthBinner
 from repro.data.domain import Domain, integer_domain
@@ -27,18 +28,19 @@ def relation():
 
 @pytest.fixture
 def summary(relation):
-    return EntropySummary.build(
-        relation,
-        pairs=[("state", "hour")],
-        per_pair_budget=6,
-        max_iterations=60,
-        name="test",
+    return (
+        SummaryBuilder(relation)
+        .pairs(("state", "hour"))
+        .per_pair_budget(6)
+        .iterations(60)
+        .name("test")
+        .fit()
     )
 
 
 class TestBuild:
     def test_no2d_build(self, relation):
-        summary = EntropySummary.build(relation, max_iterations=30)
+        summary = SummaryBuilder(relation).iterations(30).fit()
         assert summary.statistic_set.num_multi_dim == 0
         assert summary.total == 500
 
@@ -48,8 +50,12 @@ class TestBuild:
         assert summary.report.final_error < 0.01
 
     def test_automatic_selection(self, relation):
-        summary = EntropySummary.build(
-            relation, budget=8, num_pairs=2, max_iterations=20
+        summary = (
+            SummaryBuilder(relation)
+            .budget(8)
+            .num_pairs(2)
+            .iterations(20)
+            .fit()
         )
         assert summary.total == 500
 
@@ -124,7 +130,7 @@ class TestPersistence:
             schema,
             [rng.integers(0, 4, 100), rng.integers(0, 3, 100)],
         )
-        summary = EntropySummary.build(relation, max_iterations=20)
+        summary = SummaryBuilder(relation).iterations(20).fit()
         summary.save(tmp_path / "buckets")
         loaded = EntropySummary.load(tmp_path / "buckets")
         labels = loaded.schema.domain("x").labels

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.terms import build_components
+from repro.data.counts import Counts
 from repro.data.domain import integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -29,7 +30,7 @@ def make_set(schema, num_rows, stats):
                 float(relation.count_where(masks)),
             )
         )
-    return StatisticSet.from_relation(relation, measured)
+    return StatisticSet.from_counts(Counts.of(relation), measured)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from repro.core.worlds import (
     sample_world,
     sample_world_sequential,
 )
+from repro.data.counts import Counts
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,7 @@ def fitted_model():
             "B": np.array([True, True, True, False, False]),
         }),
     )
-    statistic_set = StatisticSet.from_relation(relation, [stat])
+    statistic_set = StatisticSet.from_counts(Counts.of(relation), [stat])
     poly = CompressedPolynomial(statistic_set)
     params, _ = solve_statistics(poly, max_iterations=200)
     return statistic_set, poly, params

@@ -335,18 +335,14 @@ _DEPRECATED_CONSTRUCTORS = {
 class DeprecatedApiRule(Rule):
     """No new calls to retired construction paths.
 
-    ``EntropySummary.build`` survives only as a deprecation shim, and
-    backend/engine objects are wired up by the ``repro.api`` facade;
+    Backend/engine objects are wired up by the ``repro.api`` facade;
     code that constructs them directly dodges the planner and the
     session caches.  The defining module is exempt (a class may build
     its own kind), as are ``repro.api`` and ``plan/``.
     """
 
     name = "deprecated-api"
-    summary = (
-        "no EntropySummary.build calls; no direct SQLEngine/"
-        "SummaryBackend construction outside repro.api"
-    )
+    summary = "no direct SQLEngine/SummaryBackend construction outside repro.api"
     scope = ("src/repro/*.py", "src/repro/**/*.py")
     exclude = (
         "src/repro/api/*.py",
@@ -363,19 +359,6 @@ class DeprecatedApiRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = Module.qualname(node.func)
-            if name is None:
-                continue
-            if name.endswith("EntropySummary.build") or name == "build" and (
-                isinstance(node.func, ast.Attribute)
-                and Module.qualname(node.func.value) == "EntropySummary"
-            ):
-                yield self.violation(
-                    module,
-                    node,
-                    "EntropySummary.build() is a deprecated shim; build "
-                    "through repro.api.SummaryBuilder",
-                )
-                continue
             if name in _DEPRECATED_CONSTRUCTORS and name not in defined_here:
                 yield self.violation(
                     module,
