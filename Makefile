@@ -131,6 +131,9 @@ lint:
 	@# read the relation through one Counts reduction (data/counts.py),
 	@# never by a per-statistic row scan.
 	@! grep -rnE "count_where|StatisticSet\.from_relation" src/repro/core/ src/repro/ingest/ src/repro/api/ src/repro/stats/selection.py src/repro/experiments/
+	@# Compile the polynomial in numpy: terms are enumerated level by
+	@# level with chunked broadcasts, never by a per-term Python recursion.
+	@! grep -nE "_ValueIndex|MultiDimStat|def extend" src/repro/core/terms.py
 
 # Documentation rot check: every ```python block in README.md and
 # docs/*.md must compile, every relative link must resolve.

@@ -360,23 +360,11 @@ class CompressedPolynomial:
     def delta_gradient(self, parts: EvaluationParts, params: ModelParameters, stat_id: int) -> float:
         """``∂P/∂δ_{stat_id}`` — sum over the terms containing the
         statistic, with its ``(δ−1)`` factor removed."""
-        component_index = self.component_of_stat(stat_id)
-        component = self.components[component_index]
-        terms = component.stat_terms.get(stat_id)
-        if terms is None or terms.size == 0:
-            return 0.0
-        range_products = parts.range_products[component_index]
-        deltas = params.deltas
-        total = 0.0
-        indptr, ids = component.stat_indptr, component.stat_ids
-        for term in terms.tolist():
-            dprod = 1.0
-            for other in ids[indptr[term] : indptr[term + 1]].tolist():
-                if other != stat_id:
-                    dprod *= deltas[other] - 1.0
-            total += range_products[term] * dprod
-        outer = self.outer_products(parts)[component_index]
-        return total * outer
+        index = self.component_of_stat(stat_id)
+        grad_q = self.components[index].delta_partial(
+            stat_id, np.append(params.deltas, 2.0), parts.range_products[index]
+        )
+        return grad_q * self.outer_products(parts)[index]
 
     # ------------------------------------------------------------------
     # Expected values (Eq. 8)

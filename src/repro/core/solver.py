@@ -91,49 +91,15 @@ class MirrorDescentSolver:
         self.statistic_set = polynomial.statistic_set
         self.max_iterations = max_iterations
         self.threshold = threshold
-        self._delta_plan = None
 
     # ------------------------------------------------------------------
-    def _build_delta_plan(self):
-        """Per-statistic index tables for the multi-dim sweep.
-
-        For statistic ``j``: the rows of its component's term table that
-        contain it, and a padded matrix of the *other* statistics in
-        each of those terms.  Padding points at a sentinel slot whose
-        ``δ − 1`` is 1, so ``Π (δ_other − 1)`` is one vectorized
-        ``np.prod`` instead of a Python loop per term.
-        """
-        poly = self.polynomial
-        sentinel = poly.num_deltas  # extra slot, value fixed at 2.0
-        plan = []
-        for stat_id in range(poly.num_deltas):
-            component_index = poly.component_of_stat(stat_id)
-            component = poly.components[component_index]
-            rows = component.stat_terms[stat_id]
-            # The rows' statistic sets, read out of the CSR layout and
-            # padded to the widest; the statistic's own slot becomes
-            # padding too (a factor of exactly 1.0).
-            starts = component.stat_indptr[rows]
-            lengths = component.stat_indptr[rows + 1] - starts
-            slots = np.arange(lengths.max())
-            others = component.stat_ids[
-                np.minimum(starts[:, None] + slots, component.stat_ids.size - 1)
-            ]
-            others[slots >= lengths[:, None]] = sentinel
-            others[others == stat_id] = sentinel
-            plan.append((component_index, rows, others))
-        return plan
-
     def _delta_partial(self, stat_id, extended, range_products):
-        """``(c, ∂Q_c/∂δ_j)``: the terms holding statistic ``j`` with its
-        ``(δ_j − 1)`` factor dropped.  ``extended`` is the δ vector plus
-        the sentinel slot that keeps ``(δ − 1) = 1`` for padding."""
-        if self._delta_plan is None:
-            self._delta_plan = self._build_delta_plan()
-        component_index, rows, others = self._delta_plan[stat_id]
-        dprod_excl = np.prod(extended[others] - 1.0, axis=1)
-        term_excl = range_products[component_index][rows] * dprod_excl
-        return component_index, float(term_excl.sum())
+        """``(c, ∂Q_c/∂δ_j)`` through the component's padded plan;
+        ``extended`` is the δ vector plus the sentinel slot that keeps
+        ``(δ − 1) = 1`` for padding."""
+        index = self.polynomial.component_of_stat(stat_id)
+        component = self.polynomial.components[index]
+        return index, component.delta_partial(stat_id, extended, range_products[index])
 
     def _multi_dim_errors(self, parts, params: ModelParameters) -> np.ndarray:
         """``|s_j − E[⟨c_j, I⟩]|`` of every multi-dimensional statistic

@@ -313,9 +313,8 @@ class EntropySummary:
             schema,
             document["total"],
             document["one_dim"],
+            [_decode_statistic(schema, encoded) for encoded in document["multi_dim"]],
         )
-        for encoded in document["multi_dim"]:
-            statistic_set.add_multi_dim(_decode_statistic(schema, encoded))
         params = ModelParameters.from_arrays(dict(arrays))
         polynomial = CompressedPolynomial(statistic_set)
         return cls(statistic_set, polynomial, params, None, document["name"])

@@ -23,44 +23,47 @@ Two structural facts keep the term count small:
   but enumerates the cross product; we factor it, which is what makes
   configurations like Ent3&4 (pairs with disjoint attributes) cheap.
 
+A component is enumerated level by level in numpy: starting from the
+empty-set term, each group (attribute set, ascending) intersects every
+term so far with every one of its rectangles in one chunked broadcast
+and appends the non-empty intersections.
+
+**Canonical term order.**  A term's *path* lists its statistics as
+``(group, statistic)`` steps, groups ascending and statistics in
+``StatisticSet.multi_dim`` order within a group.  Terms are ordered
+lexicographically by path, a path before its extensions: the empty set
+first, then exactly the preorder of a depth-first search that tries
+groups and candidates in ascending order.  Each term's ``stat_ids``
+follow its path.  The solver's summation order, and so its fitted
+parameters bit for bit, depend on this order.
+
 The output is a list of :class:`Component`, each holding a dense,
 numpy-friendly term table.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import StatisticError
-from repro.stats.statistic import Statistic, StatisticSet
+from repro.stats.statistic import StatisticSet, rectangles
 
 #: Hard cap on terms per component; hitting it means the statistic
 #: configuration genuinely has exponentially many overlaps and needs a
 #: different selection (the paper's worst case, end of Sec 4.1).
 MAX_TERMS_PER_COMPONENT = 2_000_000
 
-
-class MultiDimStat:
-    """Internal view of one multi-dimensional statistic: its global
-    index (the δ variable id), attribute positions, and per-position
-    inclusive index ranges."""
-
-    __slots__ = ("index", "positions", "ranges", "value")
-
-    def __init__(self, index: int, positions: tuple[int, ...], ranges: dict, value: float):
-        self.index = index
-        self.positions = positions
-        self.ranges = ranges
-        self.value = value
-
-    def __repr__(self):
-        return f"MultiDimStat({self.index}, {self.ranges})"
+#: Cells of one terms × rectangles broadcast; bounds a level's boolean
+#: temporaries to a few MiB.
+_CHUNK_CELLS = 1 << 20
 
 
 class Component:
     """One connected component of the compressed polynomial.
+
+    Terms are in the canonical order of the module docstring: the
+    empty-set term first, then lexicographic in the (group, statistic)
+    path.
 
     Attributes
     ----------
@@ -76,6 +79,9 @@ class Component:
     stat_terms:
         For each δ id used here, the term rows containing it — derived
         from the CSR layout on first use (only fitting needs it).
+    delta_plan:
+        For each δ id, its ``stat_terms`` rows and the padded matrix
+        behind :meth:`delta_partial` — derived on first use.
     term_stats:
         Each term's statistic set as a tuple, rebuilt from the CSR
         layout on every access (a debugging/test view, not a hot path).
@@ -89,6 +95,7 @@ class Component:
         "stat_indptr",
         "stat_ids",
         "_stat_terms",
+        "_delta_plan",
     )
 
     def __init__(self, positions, lo, hi, stat_indptr, stat_ids):
@@ -99,6 +106,7 @@ class Component:
         self.stat_ids = stat_ids
         self.num_terms = int(stat_indptr.shape[0] - 1)
         self._stat_terms = None
+        self._delta_plan = None
 
     @property
     def stat_terms(self) -> dict[int, np.ndarray]:
@@ -113,6 +121,39 @@ class Component:
                 zip(stats.tolist(), np.split(term_of_entry[order], starts[1:]))
             )
         return self._stat_terms
+
+    @property
+    def delta_plan(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """``{j: (rows, others)}``: the rows holding statistic ``j`` and
+        a matrix of the *other* statistics of each row, padded to the
+        widest.  Padding and ``j``'s own slot hold ``-1``, which indexes
+        the trailing sentinel slot of :meth:`delta_partial`'s extended δ
+        vector, so ``Π (δ_other − 1)`` is one vectorized ``np.prod``."""
+        if self._delta_plan is None:
+            plan = {}
+            for stat_id, rows in self.stat_terms.items():
+                starts = self.stat_indptr[rows]
+                lengths = self.stat_indptr[rows + 1] - starts
+                slots = np.arange(lengths.max())
+                others = self.stat_ids[
+                    np.minimum(starts[:, None] + slots, self.stat_ids.size - 1)
+                ]
+                others[slots >= lengths[:, None]] = -1
+                others[others == stat_id] = -1
+                plan[stat_id] = (rows, others)
+            self._delta_plan = plan
+        return self._delta_plan
+
+    def delta_partial(
+        self, stat_id: int, extended: np.ndarray, range_products: np.ndarray
+    ) -> float:
+        """``∂Q_c/∂δ_j``: the terms holding statistic ``j`` with its
+        ``(δ_j − 1)`` factor dropped.  ``extended`` is the δ vector plus
+        a trailing sentinel slot holding 2.0 (``δ − 1 = 1`` for padding);
+        ``range_products`` is this component's per-term range product."""
+        rows, others = self.delta_plan[stat_id]
+        dprod_excl = np.prod(extended[others] - 1.0, axis=1)
+        return float((range_products[rows] * dprod_excl).sum())
 
     @property
     def term_stats(self) -> list[tuple[int, ...]]:
@@ -145,25 +186,27 @@ def build_components(
     are attributes untouched by any multi-dimensional statistic (their
     contribution to P is a plain full-sum factor).
     """
-    schema = statistic_set.schema
-    stats = [
-        _to_multidim(index, statistic, schema)
-        for index, statistic in enumerate(statistic_set.multi_dim)
+    sizes = np.asarray(statistic_set.schema.sizes(), dtype=np.int64)
+    groups = rectangles(statistic_set.multi_dim)
+    outside = [
+        (int(ids[row]), positions[dim])
+        for positions, (ids, _, hi) in groups.items()
+        for row, dim in np.argwhere(hi >= sizes[list(positions)])
     ]
-    groups = _group_by_positions(stats)
-    component_groups = _connected_components(groups)
+    if outside:
+        stat_id, pos = min(outside)
+        rng = statistic_set.multi_dim[stat_id].range_at(pos)
+        raise StatisticError(
+            f"statistic range {rng!r} exceeds domain size {sizes[pos]} at "
+            f"attribute position {pos}"
+        )
 
-    components = []
-    used_positions: set[int] = set()
-    for group_list in component_groups:
-        component = _enumerate_component(schema, group_list, max_terms)
-        components.append(component)
-        used_positions.update(component.positions)
-    free_positions = [
-        pos
-        for pos in range(schema.num_attributes)
-        if pos not in used_positions
+    components = [
+        _enumerate_component([(key, groups[key]) for key in keys], sizes, max_terms)
+        for keys in _connected_components(list(groups))
     ]
+    used = {pos for component in components for pos in component.positions}
+    free_positions = [pos for pos in range(sizes.size) if pos not in used]
     return components, free_positions
 
 
@@ -171,32 +214,9 @@ def build_components(
 # Internals
 # ----------------------------------------------------------------------
 
-def _to_multidim(index: int, statistic: Statistic, schema) -> MultiDimStat:
-    positions = statistic.positions
-    ranges = {}
-    for pos in positions:
-        rng = statistic.range_at(pos)
-        size = schema.domain(pos).size
-        if rng.high >= size:
-            raise StatisticError(
-                f"statistic range {rng!r} exceeds domain size {size} at "
-                f"attribute position {pos}"
-            )
-        ranges[pos] = (rng.low, rng.high)
-    return MultiDimStat(index, positions, ranges, statistic.value)
-
-
-def _group_by_positions(stats: Sequence[MultiDimStat]):
-    """Group statistics by their attribute set (the disjoint groups)."""
-    groups: dict[tuple[int, ...], list[MultiDimStat]] = {}
-    for stat in stats:
-        groups.setdefault(stat.positions, []).append(stat)
-    return [groups[key] for key in sorted(groups)]
-
-
-def _connected_components(groups):
-    """Partition groups into connected components by shared attributes
-    (union-find over attribute positions)."""
+def _connected_components(attribute_sets):
+    """Partition attribute sets (ascending) into connected components
+    by shared attributes (union-find over attribute positions)."""
     parent: dict[int, int] = {}
 
     def find(pos):
@@ -212,120 +232,90 @@ def _connected_components(groups):
         if ra != rb:
             parent[ra] = rb
 
-    for group in groups:
-        positions = group[0].positions
+    for positions in attribute_sets:
         for pos in positions:
             parent.setdefault(pos, pos)
         for pos in positions[1:]:
             union(positions[0], pos)
 
     by_root: dict[int, list] = {}
-    for group in groups:
-        root = find(group[0].positions[0])
-        by_root.setdefault(root, []).append(group)
+    for positions in attribute_sets:
+        by_root.setdefault(find(positions[0]), []).append(positions)
     return [by_root[root] for root in sorted(by_root)]
 
 
-class _ValueIndex:
-    """Per-group, per-position index: which stats of the group cover a
-    given domain value.  Used to find intersection candidates without
-    scanning the whole group."""
-
-    def __init__(self, group, positions, sizes):
-        self.positions = positions
-        self.cover = {}
-        for pos in positions:
-            lists = [[] for _ in range(sizes[pos])]
-            for local, stat in enumerate(group):
-                low, high = stat.ranges[pos]
-                for value in range(low, high + 1):
-                    lists[value].append(local)
-            self.cover[pos] = lists
-
-    def candidates(self, pos, low, high):
-        """Locals of stats whose range at ``pos`` meets ``[low, high]``."""
-        seen: set[int] = set()
-        lists = self.cover[pos]
-        for value in range(low, high + 1):
-            seen.update(lists[value])
-        return seen
+def _check_cap(num_terms: int, max_terms: int) -> None:
+    if num_terms > max_terms:
+        raise StatisticError(
+            "compressed polynomial exceeds "
+            f"{max_terms} terms in one component; the statistic "
+            "configuration has too many overlapping sets (Sec 4.1 "
+            "worst case) — reduce the budget or choose disjoint pairs"
+        )
 
 
-def _enumerate_component(schema, group_list, max_terms) -> Component:
-    """DFS over groups (ascending order, at most one stat per group)
-    emitting every statistic set with a non-empty intersection."""
-    sizes = schema.sizes()
-    positions = sorted({pos for group in group_list for pos in group[0].positions})
-    indexes = [
-        _ValueIndex(group, group[0].positions, sizes) for group in group_list
-    ]
+def _meeting(lo, hi, group_lo, group_hi, num_terms, max_terms):
+    """``(terms, stats)`` of every term × rectangle pair whose ranges
+    meet on all of the group's positions (``lo`` / ``hi``: those
+    positions × the terms so far).  Survivors are counted chunk by
+    chunk, so a level that would cross ``max_terms`` raises before any
+    new term is materialised."""
+    chunk = max(1, _CHUNK_CELLS // group_lo.shape[0])
+    found, count = [], num_terms
+    for start in range(0, lo.shape[1], chunk):
+        stop = min(start + chunk, lo.shape[1])
+        meet = np.ones((stop - start, group_lo.shape[0]), dtype=bool)
+        for dim in range(lo.shape[0]):
+            meet &= lo[dim, start:stop, None] <= group_hi[:, dim]
+            meet &= group_lo[:, dim] <= hi[dim, start:stop, None]
+        terms, stats = np.nonzero(meet)
+        count += terms.size
+        _check_cap(count, max_terms)
+        found.append((terms + start, stats))
+    return [np.concatenate(parts) for parts in zip(*found)]
 
-    terms_lo: list[dict] = []
-    terms_hi: list[dict] = []
-    terms_stats: list[tuple[int, ...]] = []
 
-    full = {pos: (0, sizes[pos] - 1) for pos in positions}
+def _enumerate_component(groups, sizes, max_terms) -> Component:
+    """Every statistic set (at most one statistic per group) with a
+    non-empty intersection, built one group at a time, then put in the
+    canonical order."""
+    positions = sorted({pos for group_positions, _ in groups for pos in group_positions})
+    column = {pos: i for i, pos in enumerate(positions)}
+    _check_cap(1, max_terms)
+    # Terms are columns: ranges per position, the left-aligned path of
+    # statistic ranks (-1 past the end) and the path length.
+    lo = np.zeros((len(positions), 1), dtype=np.int64)
+    hi = sizes[positions, None] - 1
+    path = np.full((len(groups), 1), -1, dtype=np.int64)
+    depth = np.zeros(1, dtype=np.int64)
+    rank = 0
+    for group_positions, (_, group_lo, group_hi) in groups:
+        cols = [column[pos] for pos in group_positions]
+        terms, stats = _meeting(
+            lo[cols], hi[cols], group_lo, group_hi, depth.size, max_terms
+        )
+        new_lo, new_hi, new_path = (a.take(terms, axis=1) for a in (lo, hi, path))
+        new_lo[cols] = np.maximum(new_lo[cols], group_lo[stats].T)
+        new_hi[cols] = np.minimum(new_hi[cols], group_hi[stats].T)
+        new_path[depth[terms], np.arange(terms.size)] = rank + stats
+        lo = np.concatenate([lo, new_lo], axis=1)
+        hi = np.concatenate([hi, new_hi], axis=1)
+        path = np.concatenate([path, new_path], axis=1)
+        depth = np.concatenate([depth, depth[terms] + 1])
+        rank += group_lo.shape[0]
 
-    def emit(ranges, stats):
-        if len(terms_stats) >= max_terms:
-            raise StatisticError(
-                "compressed polynomial exceeds "
-                f"{max_terms} terms in one component; the statistic "
-                "configuration has too many overlapping sets (Sec 4.1 "
-                "worst case) — reduce the budget or choose disjoint pairs"
-            )
-        terms_lo.append({pos: ranges[pos][0] for pos in ranges})
-        terms_hi.append({pos: ranges[pos][1] for pos in ranges})
-        terms_stats.append(stats)
-
-    emit(full, ())
-
-    def extend(start_group, ranges, stats):
-        for gi in range(start_group, len(group_list)):
-            group = group_list[gi]
-            group_positions = group[0].positions
-            shared = [pos for pos in group_positions if ranges[pos] != full[pos]]
-            if shared:
-                # Use the narrowest already-constrained position for
-                # candidate lookup, then verify every shared position.
-                probe = min(shared, key=lambda pos: ranges[pos][1] - ranges[pos][0])
-                locals_ = indexes[gi].candidates(probe, *ranges[probe])
-            else:
-                locals_ = range(len(group))
-            for local in locals_:
-                stat = group[local]
-                new_ranges = dict(ranges)
-                empty = False
-                for pos in group_positions:
-                    low = max(ranges[pos][0], stat.ranges[pos][0])
-                    high = min(ranges[pos][1], stat.ranges[pos][1])
-                    if low > high:
-                        empty = True
-                        break
-                    new_ranges[pos] = (low, high)
-                if empty:
-                    continue
-                new_stats = stats + (stat.index,)
-                emit(new_ranges, new_stats)
-                extend(gi + 1, new_ranges, new_stats)
-
-    extend(0, full, ())
-
-    num_terms = len(terms_stats)
-    lo = {
-        pos: np.asarray([term[pos] for term in terms_lo], dtype=np.int64)
-        for pos in positions
-    }
-    hi = {
-        pos: np.asarray([term[pos] for term in terms_hi], dtype=np.int64)
-        for pos in positions
-    }
-    lengths = np.asarray([len(stats) for stats in terms_stats], dtype=np.int64)
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    ids = np.asarray(
-        [stat for stats in terms_stats for stat in stats], dtype=np.int64
+    # lexsort's last key is the primary one: the path's first step.
+    # take(axis=1) keeps every position's row contiguous (a[:, order]
+    # would be Fortran-ordered, and every evaluation gathers along rows).
+    order = np.lexsort(path[::-1])
+    path = path.take(order, axis=1).T
+    ranked_ids = np.concatenate([ids for _, (ids, _, _) in groups])
+    stat_ids = ranked_ids[path[path >= 0]]
+    indptr = np.concatenate([[0], np.cumsum(depth[order])])
+    return Component(
+        positions,
+        dict(zip(positions, lo.take(order, axis=1))),
+        dict(zip(positions, hi.take(order, axis=1))),
+        indptr,
+        stat_ids,
     )
-    if ids.size == 0:
-        ids = np.empty(0, dtype=np.int64)
-    assert num_terms == indptr.shape[0] - 1
-    return Component(positions, lo, hi, indptr, ids)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.data.counts import Counts
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -100,6 +102,81 @@ def range_statistic_2d(
     return Statistic(predicate, value)
 
 
+#: Cells of one pairwise-overlap broadcast (statistics × statistics);
+#: bounds the check's boolean temporaries to a few MiB.
+_OVERLAP_CELLS = 1 << 20
+
+
+def rectangles(
+    statistics: Sequence[Statistic],
+) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Multi-dimensional statistics grouped by attribute set, in
+    ascending set order: each set's statistic indices (ascending) and
+    their inclusive bounds as ``int64[K, d]`` ``(ids, lo, hi)``."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for index, statistic in enumerate(statistics):
+        groups.setdefault(statistic.positions, []).append(index)
+    out = {}
+    for positions in sorted(groups):
+        ids = groups[positions]
+        bounds = np.array(
+            [
+                [(rng.low, rng.high) for rng in map(statistics[i].range_at, positions)]
+                for i in ids
+            ],
+            dtype=np.int64,
+        )
+        out[positions] = (np.asarray(ids, dtype=np.int64), bounds[..., 0], bounds[..., 1])
+    return out
+
+
+def _first_overlap(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int] | None:
+    """``(j, i)``, ``i < j``, of the first pair of overlapping rectangles
+    in (later, earlier) order — the pair an insertion-order scan meets
+    first — or ``None`` when the rectangles are pairwise disjoint."""
+    count = lo.shape[0]
+    chunk = max(1, _OVERLAP_CELLS // max(count, 1))
+    for start in range(1, count, chunk):
+        later = np.arange(start, min(start + chunk, count))
+        # Rectangles meet iff their ranges meet on every attribute.
+        meet = later[:, None] > np.arange(later[-1])
+        for dim in range(lo.shape[1]):
+            meet &= lo[later, None, dim] <= hi[None, : later[-1], dim]
+            meet &= lo[None, : later[-1], dim] <= hi[later, None, dim]
+        hits = np.argwhere(meet)
+        if hits.size:
+            row, earlier = hits[0]
+            return int(later[row]), int(earlier)
+    return None
+
+
+def _check_multi_dim(statistics: Sequence[Statistic], total: int) -> None:
+    """Every statistic constrains >= 2 attributes and asserts at most
+    ``total`` rows, and statistics over the same attribute set are
+    pairwise disjoint (the Sec 4.1 assumption) — one vectorised pairwise
+    test per attribute set."""
+    for statistic in statistics:
+        if statistic.dimension < 2:
+            raise StatisticError(
+                "multi-dimensional statistics must constrain >= 2 attributes"
+            )
+        if statistic.value > total:
+            raise StatisticError(
+                f"statistic value {statistic.value:g} exceeds cardinality {total}"
+            )
+    overlaps = []
+    for ids, lo, hi in rectangles(statistics).values():
+        pair = _first_overlap(lo, hi)
+        if pair is not None:
+            overlaps.append((int(ids[pair[0]]), int(ids[pair[1]])))
+    if overlaps:
+        later, earlier = min(overlaps)
+        raise StatisticError(
+            "multi-dimensional statistics over the same attribute set "
+            f"must be disjoint; {statistics[later]!r} overlaps {statistics[earlier]!r}"
+        )
+
+
 class StatisticSet:
     """The full statistic collection Φ backing one summary.
 
@@ -151,9 +228,8 @@ class StatisticSet:
                     f"{sum(counts):g}, expected n = {total} (overcompleteness)"
                 )
             self.one_dim.append(counts)
-        self.multi_dim: list[Statistic] = []
-        for statistic in multi_dim:
-            self.add_multi_dim(statistic)
+        self.multi_dim: list[Statistic] = list(multi_dim)
+        _check_multi_dim(self.multi_dim, self.total)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -167,28 +243,9 @@ class StatisticSet:
         return cls(counts.schema, counts.total, counts.marginals, multi_dim)
 
     def add_multi_dim(self, statistic: Statistic) -> None:
-        """Add one multi-dimensional statistic, enforcing the Sec 4.1
-        disjointness assumption within an attribute set."""
-        if statistic.dimension < 2:
-            raise StatisticError(
-                "multi-dimensional statistics must constrain >= 2 attributes"
-            )
-        if statistic.value > self.total:
-            raise StatisticError(
-                f"statistic value {statistic.value:g} exceeds cardinality {self.total}"
-            )
-        positions = statistic.positions
-        for existing in self.multi_dim:
-            if existing.positions != positions:
-                continue
-            if all(
-                existing.range_at(pos).intersect(statistic.range_at(pos)) is not None
-                for pos in positions
-            ):
-                raise StatisticError(
-                    "multi-dimensional statistics over the same attribute set "
-                    f"must be disjoint; {statistic!r} overlaps {existing!r}"
-                )
+        """Add one multi-dimensional statistic, checked as the
+        constructor checks the whole set."""
+        _check_multi_dim([*self.multi_dim, statistic], self.total)
         self.multi_dim.append(statistic)
 
     # ------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The reference evaluation — a test oracle, not a code path.
+"""The reference evaluation and term enumeration — test oracles, not
+code paths.
 
 ``ShardArena`` is the only evaluator in ``src/``: it answers every model,
 sharded or not, from constants folded across all its shards.  This
@@ -16,6 +17,11 @@ are independent.
 
 ``shards`` restricts the walk to those global shard indices: the
 reference for what one cluster worker should answer for one item.
+
+:func:`enumerate_terms` is the oracle for ``core.terms.build_components``:
+the recursive depth-first enumeration of Theorem 4.1's statistic sets,
+one call per term, trying groups and their statistics in ascending
+order.  Its emission order is the canonical term order.
 """
 
 from __future__ import annotations
@@ -136,3 +142,59 @@ def sum_estimate(summary, attr, weights, predicate=None, shards=None) -> float:
         allowed = masks.get(pos, np.ones(len(counts), dtype=bool))
         total += float(np.dot(weights, np.where(allowed, counts, 0.0)))
     return total
+
+
+def enumerate_terms(statistic_set) -> tuple[dict, list[int]]:
+    """``({positions: (lo, hi, stat_indptr, stat_ids)}, free_positions)``
+    — every component's term table, keyed by its attribute positions,
+    with ``lo`` / ``hi`` as ``{position: int64[T]}``."""
+    sizes = statistic_set.schema.sizes()
+    groups: dict[tuple, list] = {}
+    for index, statistic in enumerate(statistic_set.multi_dim):
+        rect = {}
+        for pos in statistic.positions:
+            rng = statistic.range_at(pos)
+            rect[pos] = (rng.low, rng.high)
+        groups.setdefault(statistic.positions, []).append((index, rect))
+
+    # Attribute sets sharing an attribute belong to one component.
+    components: list[list[tuple]] = []
+    for key in sorted(groups):
+        touching = [c for c in components if any(set(key) & set(k) for k in c)]
+        components = [c for c in components if c not in touching]
+        components.append(sorted([key, *(k for c in touching for k in c)]))
+
+    tables = {}
+    for keys in components:
+        group_list = [groups[key] for key in keys]
+        positions = sorted({pos for key in keys for pos in key})
+        terms = []
+
+        def extend(start, ranges, stats):
+            terms.append((ranges, stats))
+            for gi in range(start, len(group_list)):
+                for index, rect in group_list[gi]:
+                    narrowed_ranges = dict(ranges)
+                    for pos, (low, high) in rect.items():
+                        narrowed_ranges[pos] = (
+                            max(ranges[pos][0], low),
+                            min(ranges[pos][1], high),
+                        )
+                    if all(low <= high for low, high in narrowed_ranges.values()):
+                        extend(gi + 1, narrowed_ranges, stats + (index,))
+
+        extend(0, {pos: (0, sizes[pos] - 1) for pos in positions}, ())
+        lo = {
+            pos: np.array([ranges[pos][0] for ranges, _ in terms], dtype=np.int64)
+            for pos in positions
+        }
+        hi = {
+            pos: np.array([ranges[pos][1] for ranges, _ in terms], dtype=np.int64)
+            for pos in positions
+        }
+        lengths = [len(stats) for _, stats in terms]
+        indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        ids = np.array([i for _, stats in terms for i in stats], dtype=np.int64)
+        tables[tuple(positions)] = (lo, hi, indptr, ids)
+    used = {pos for key in groups for pos in key}
+    return tables, [pos for pos in range(len(sizes)) if pos not in used]

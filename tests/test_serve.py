@@ -26,7 +26,7 @@ from repro.baselines.exact import ExactBackend
 from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
-from repro.errors import ReproError
+from repro.errors import ReproError, StatisticError
 from repro.serve import (
     AdmissionController,
     Coalescer,
@@ -44,6 +44,7 @@ from repro.serve import (
 )
 from repro.serve.client import backoff_delay
 from repro.serve.loadgen import default_workload
+from repro.stats.statistic import Statistic
 
 
 # ----------------------------------------------------------------------
@@ -1066,6 +1067,48 @@ class TestHotReload:
                 before = client.count(sql)
                 with pytest.raises(ReproError, match="v2.npz"):
                     server.reload()
+                assert server.version == 1
+                assert client.ping() == {"version": 1}
+                assert client.count(sql) == before
+        assert server.reloads == 0
+
+    @staticmethod
+    def _overlap_latest(store) -> str:
+        """Tamper with the latest version's document: append a copy of
+        its first 2D statistic with another value, which overlaps the
+        original over the same attribute pair.  Returns the expected
+        error message, naming both statistics."""
+        first = store.load("demo").statistic_set.multi_dim[0]
+        json_path = (store.root / store.record("demo").prefix).with_suffix(".json")
+        document = json.loads(json_path.read_text())
+        document["multi_dim"].append(dict(document["multi_dim"][0], value=1.0))
+        json_path.write_text(json.dumps(document))
+        copy = Statistic(first.predicate, 1.0)
+        return f"must be disjoint; {copy!r} overlaps {first!r}"
+
+    def test_store_load_rejects_overlapping_statistics(self, versioned_store):
+        message = self._overlap_latest(versioned_store)
+        with pytest.raises(StatisticError) as raised:
+            versioned_store.load("demo")
+        assert message in str(raised.value)
+
+    def test_reload_onto_overlapping_statistics_keeps_the_old_one(
+        self, versioned_store
+    ):
+        server = SummaryServer(
+            store=versioned_store,
+            name="demo",
+            version=1,
+            config=ServeConfig(cache_size=0),
+        )
+        message = self._overlap_latest(versioned_store)
+        sql = "SELECT COUNT(*) FROM R WHERE hour = 1"
+        with ServerThread(server):
+            with ServeClient(port=server.port) as client:
+                before = client.count(sql)
+                with pytest.raises(StatisticError) as raised:
+                    server.reload()
+                assert message in str(raised.value)
                 assert server.version == 1
                 assert client.ping() == {"version": 1}
                 assert client.count(sql) == before

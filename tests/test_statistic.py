@@ -145,3 +145,33 @@ class TestStatisticSet:
         ]
         statistic_set = StatisticSet.from_counts(Counts.of(relation), stats)
         assert statistic_set.attribute_pairs() == {(0, 1)}
+
+
+class TestVectorisedDisjointness:
+    """The constructor's one pairwise test per attribute set reports the
+    pair an insertion-order scan would meet first."""
+
+    @pytest.mark.parametrize("cells", [1, 1 << 20])
+    def test_first_overlap_in_insertion_order(self, cells, monkeypatch):
+        from repro.stats import statistic as module
+
+        monkeypatch.setattr(module, "_OVERLAP_CELLS", cells)
+        schema = Schema(
+            [integer_domain("a", 3), integer_domain("b", 4), integer_domain("c", 3)]
+        )
+        stats = [
+            range_statistic_2d(schema, "a", (0, 0), "b", (0, 0), 1.0),  # 0
+            range_statistic_2d(schema, "b", (0, 1), "c", (0, 0), 1.0),  # 1
+            range_statistic_2d(schema, "a", (1, 1), "b", (0, 1), 1.0),  # 2
+            range_statistic_2d(schema, "a", (2, 2), "b", (0, 0), 1.0),  # 3
+            range_statistic_2d(schema, "a", (1, 2), "b", (1, 1), 2.0),  # 4: meets 2
+            range_statistic_2d(schema, "b", (1, 3), "c", (0, 2), 1.0),  # 5: meets 1
+            range_statistic_2d(schema, "a", (0, 0), "b", (0, 3), 1.0),  # 6: meets 0
+        ]
+        with pytest.raises(StatisticError) as raised:
+            StatisticSet(schema, 6, [[2.0] * 3, [1.5] * 4, [2.0] * 3], stats)
+        assert str(raised.value).endswith(f"{stats[4]!r} overlaps {stats[2]!r}")
+        disjoint = [stats[i] for i in (0, 1, 2, 3)]
+        assert StatisticSet(
+            schema, 6, [[2.0] * 3, [1.5] * 4, [2.0] * 3], disjoint
+        ).multi_dim == disjoint

@@ -1,15 +1,22 @@
 """Unit tests for compressed-term construction (Theorem 4.1)."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core import terms
 from repro.core.terms import build_components
 from repro.data.counts import Counts
 from repro.data.domain import integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import StatisticError
-from repro.stats.statistic import StatisticSet, range_statistic_2d
+from repro.stats.predicates import Conjunction, RangePredicate
+from repro.stats.statistic import Statistic, StatisticSet, range_statistic_2d
+from tests import reference
 
 
 def make_set(schema, num_rows, stats):
@@ -215,29 +222,213 @@ class TestIndexesFromCsr:
     @pytest.mark.parametrize("stats", FIXTURES)
     def test_delta_plan_equals_the_tuple_built_plan(self, schema, stats):
         from repro.core.polynomial import CompressedPolynomial
-        from repro.core.solver import MirrorDescentSolver
 
         poly = CompressedPolynomial(make_set(schema, 80, stats))
-        plan = MirrorDescentSolver(poly)._build_delta_plan()
-        assert len(plan) == poly.num_deltas
-        sentinel = poly.num_deltas
-        extended = np.append(np.random.default_rng(3).random(sentinel) * 3, 2.0)
-        for stat_id, (component_index, rows, others) in enumerate(plan):
-            component = poly.components[component_index]
-            assert component_index == poly.component_of_stat(stat_id)
-            assert rows.tolist() == component.stat_terms[stat_id].tolist()
-            expected = [
-                [other for other in component.term_stats[term] if other != stat_id]
-                for term in rows.tolist()
-            ]
-            kept = [[o for o in row if o != sentinel] for row in others.tolist()]
-            assert kept == expected
-            # Padding multiplies by exactly 1.0, wherever it sits.
-            width = max(map(len, expected), default=0)
-            padded = np.full((len(expected), max(width, 1)), sentinel)
-            for index, row in enumerate(expected):
-                padded[index, : len(row)] = row
-            np.testing.assert_array_equal(
-                np.prod(extended[others] - 1.0, axis=1),
-                np.prod(extended[padded] - 1.0, axis=1),
-            )
+        extended = np.append(np.random.default_rng(3).random(poly.num_deltas) * 3, 2.0)
+        planned = []
+        for index, component in enumerate(poly.components):
+            for stat_id, (rows, others) in component.delta_plan.items():
+                planned.append(stat_id)
+                assert index == poly.component_of_stat(stat_id)
+                assert rows.tolist() == component.stat_terms[stat_id].tolist()
+                expected = [
+                    [other for other in component.term_stats[term] if other != stat_id]
+                    for term in rows.tolist()
+                ]
+                kept = [[o for o in row if o != -1] for row in others.tolist()]
+                assert kept == expected
+                # Padding (-1: the sentinel slot) multiplies by exactly 1.0,
+                # wherever it sits.
+                width = max(map(len, expected), default=0)
+                padded = np.full((len(expected), max(width, 1)), poly.num_deltas)
+                for row_index, row in enumerate(expected):
+                    padded[row_index, : len(row)] = row
+                np.testing.assert_array_equal(
+                    np.prod(extended[others] - 1.0, axis=1),
+                    np.prod(extended[padded] - 1.0, axis=1),
+                )
+        assert sorted(planned) == list(range(poly.num_deltas))
+
+    @pytest.mark.parametrize("stats", FIXTURES)
+    def test_delta_partial_equals_the_per_term_sum(self, schema, stats):
+        from repro.core.polynomial import CompressedPolynomial
+
+        poly = CompressedPolynomial(make_set(schema, 80, stats))
+        rng = np.random.default_rng(5)
+        extended = np.append(rng.random(poly.num_deltas) * 3, 2.0)
+        for component in poly.components:
+            products = rng.random(component.num_terms)
+            for stat_id, rows in component.stat_terms.items():
+                expected = sum(
+                    products[term]
+                    * np.prod(
+                        [extended[o] - 1.0 for o in component.term_stats[term] if o != stat_id]
+                    )
+                    for term in rows.tolist()
+                )
+                assert component.delta_partial(
+                    stat_id, extended, products
+                ) == pytest.approx(expected, rel=1e-12)
+
+
+def _arrays_equal_reference(statistic_set):
+    """``build_components`` equals the recursive reference enumeration
+    array for array (components matched by their positions)."""
+    components, free = build_components(statistic_set)
+    expected, expected_free = reference.enumerate_terms(statistic_set)
+    assert free == expected_free
+    assert sorted(component.positions for component in components) == sorted(expected)
+    for component in components:
+        lo, hi, indptr, ids = expected[component.positions]
+        for got, want in [(component.stat_indptr, indptr), (component.stat_ids, ids)]:
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        for pos in component.positions:
+            for got, want in [(component.lo[pos], lo[pos]), (component.hi[pos], hi[pos])]:
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+    return components
+
+
+def _statistic_set(schema, rectangles):
+    """A statistic set over ``schema`` whose multi-dimensional statistics
+    are ``rectangles`` (``{attr: (low, high)}``); the term table
+    depends on the predicates only, so every value is 0."""
+    total = 720  # divisible by every domain size below
+    one_dim = [[total / size] * size for size in schema.sizes()]
+    statistics = [
+        Statistic(
+            Conjunction(schema, {attr: RangePredicate(*rng) for attr, rng in rect.items()}),
+            0.0,
+        )
+        for rect in rectangles
+    ]
+    return StatisticSet(schema, total, one_dim, statistics)
+
+
+def _schema(sizes=(6, 6, 6, 6)):
+    return Schema([integer_domain(name, size) for name, size in zip("abcd", sizes)])
+
+
+#: Named configurations: rectangles (``{attr: (low, high)}``) in
+#: statistic order.
+SHAPES = {
+    "chain": [
+        {"a": (0, 2), "b": (1, 3)},
+        {"b": (2, 5), "c": (0, 3)},
+        {"a": (3, 5), "b": (0, 0)},
+        {"b": (0, 1), "c": (4, 5)},
+    ],
+    "triangle": [
+        {"a": (0, 3), "b": (1, 4)},
+        {"b": (2, 5), "c": (0, 2)},
+        {"a": (1, 4), "c": (1, 5)},
+        {"a": (4, 5), "c": (0, 0)},
+    ],
+    "three_dim": [
+        {"a": (0, 3), "b": (1, 4), "c": (2, 5)},
+        {"c": (0, 3), "d": (2, 4)},
+        {"a": (0, 3), "b": (5, 5), "c": (0, 5)},
+        {"b": (0, 2), "c": (1, 1)},
+    ],
+    # (b, c)'s ranges are nested in, touch, and miss (a, b)'s on b.
+    "nested_touching_disjoint": [
+        {"a": (0, 5), "b": (0, 3)},
+        {"b": (1, 2), "c": (0, 5)},
+        {"b": (3, 4), "c": (0, 2)},
+        {"a": (0, 5), "b": (5, 5)},
+        {"b": (5, 5), "c": (3, 5)},
+    ],
+    # Every (b, c) rectangle misses every (a, b) rectangle on b.
+    "all_empty": [
+        {"a": (0, 5), "b": (0, 1)},
+        {"b": (2, 3), "c": (0, 5)},
+        {"a": (2, 4), "b": (4, 4)},
+        {"b": (5, 5), "c": (1, 2)},
+    ],
+}
+
+
+#: Attribute sets the random configurations draw from: chains,
+#: triangles, disjoint pairs and 3-D statistics.
+ATTRIBUTE_SETS = [
+    ("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("a", "b", "c"), ("b", "c", "d")
+]
+
+
+class TestReferenceEnumeration:
+    """Level-by-level enumeration equals the recursive depth-first one
+    with ascending candidates (tests/reference.py), array for array."""
+
+    @pytest.mark.parametrize("stats", FIXTURES)
+    def test_fixtures(self, schema, stats):
+        _arrays_equal_reference(make_set(schema, 80, stats))
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shapes(self, shape):
+        _arrays_equal_reference(_statistic_set(_schema(), SHAPES[shape]))
+
+    def test_all_empty_level_adds_no_joint_term(self):
+        (component,) = _arrays_equal_reference(
+            _statistic_set(_schema(), SHAPES["all_empty"])
+        )
+        assert max(map(len, component.term_stats)) == 1
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_chunking_does_not_change_the_table(self, shape, monkeypatch):
+        monkeypatch.setattr(terms, "_CHUNK_CELLS", 1)
+        _arrays_equal_reference(_statistic_set(_schema(), SHAPES[shape]))
+
+    @given(configs=st.data())
+    def test_random_configurations(self, configs):
+        sizes = configs.draw(st.lists(st.integers(2, 6), min_size=4, max_size=4))
+        schema = _schema(sizes)
+        attribute_sets = configs.draw(
+            st.lists(st.sampled_from(ATTRIBUTE_SETS), min_size=1, max_size=4, unique=True)
+        )
+        rectangles = []
+        for attrs in attribute_sets:
+            # Cells of a grid cut along every attribute are pairwise
+            # disjoint; a chosen cell is then shrunk inside itself.
+            edges = []
+            for attr in attrs:
+                size = schema.domain(attr).size
+                cuts = configs.draw(st.sets(st.integers(1, size - 1), max_size=2))
+                bounds = [0, *sorted(cuts), size]
+                edges.append([(low, high - 1) for low, high in zip(bounds, bounds[1:])])
+            cells = list(itertools.product(*edges))
+            for cell in configs.draw(
+                st.lists(st.sampled_from(cells), min_size=1, max_size=4, unique=True)
+            ):
+                rect = {}
+                for attr, (low, high) in zip(attrs, cell):
+                    low = configs.draw(st.integers(low, high))
+                    rect[attr] = (low, configs.draw(st.integers(low, high)))
+                rectangles.append(rect)
+        # Interleave the groups' statistics: δ ids need not follow groups.
+        order = configs.draw(st.permutations(range(len(rectangles))))
+        _arrays_equal_reference(
+            _statistic_set(schema, [rectangles[index] for index in order])
+        )
+
+
+
+class TestTermCap:
+    def test_cap_is_exact(self):
+        statistic_set = _statistic_set(_schema(), SHAPES["triangle"])
+        (component,), _ = build_components(statistic_set)
+        build_components(statistic_set, max_terms=component.num_terms)
+        with pytest.raises(StatisticError, match="exceeds"):
+            build_components(statistic_set, max_terms=component.num_terms - 1)
+
+    def test_cap_crossed_in_the_middle_of_a_level(self, monkeypatch):
+        # Chain: level (a, b) leaves 3 terms (empty, {0}, {2}); level
+        # (b, c) meets them 2 + 2 + 1 times.  With one term per chunk the
+        # survivors are counted 5, 7, 8, so a cap of 6 falls inside the
+        # level, after its first chunk.
+        monkeypatch.setattr(terms, "_CHUNK_CELLS", 1)
+        statistic_set = _statistic_set(_schema(), SHAPES["chain"])
+        (component,), _ = build_components(statistic_set)
+        assert component.num_terms == 8
+        with pytest.raises(StatisticError, match=r"exceeds 6 terms in one component"):
+            build_components(statistic_set, max_terms=6)
