@@ -123,6 +123,10 @@ lint:
 	@# cross-thread stop) is not a deferred flush.
 	@! grep -rnwE "call_later|call_soon|max_batch|no_coalesce" src/repro/serve/ src/repro/cli.py
 	@! grep -rnI "window_ms" src/
+	@# One-pass executions run on the event loop, so the server decides
+	@# its chaos there and awaits a delay (FaultInjector.act_async); the
+	@# blocking act stays with the watcher and ingest threads.
+	@! grep -n "\.act(" src/repro/serve/server.py src/repro/serve/cluster.py
 	@# One query evaluator: ShardArena answers every model, sharded or
 	@# not.  The polynomial's masked kernels serve the solver, the world
 	@# sampler and the test oracle, never the query path.

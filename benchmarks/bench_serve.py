@@ -120,6 +120,7 @@ def test_shared_cache_throughput_speedup(store):
 #: from the coverage ratio below: it happens after the dispatch window
 #: that ``repro_request_seconds`` measures).
 STAGES = (
+    "queue",
     "parse",
     "canonicalize",
     "route",

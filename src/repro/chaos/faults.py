@@ -10,10 +10,10 @@ the scenario runner executes through the normal ``reload`` op.
 A :class:`FaultInjector` turns the plan into decisions at the **opt-in
 hooks** wired through the stack::
 
-    server.worker_kill      SummaryServer._execute_items — the
-                            execution dies; every waiter on it gets
-                            a 503, like a killed worker
-    server.backend          SummaryServer._execute_items — slow or
+    server.worker_kill      SummaryServer._evaluate — the execution
+                            dies; every waiter on it gets a 503, like
+                            a killed worker
+    server.backend          SummaryServer._evaluate — slow or
                             erroring backend calls
     server.drop_connection  SummaryServer._serve_request — the server
                             closes the client connection unanswered
@@ -42,6 +42,7 @@ confuse an injected fault with a real bug.
 
 from __future__ import annotations
 
+import asyncio
 import math
 import random
 import threading
@@ -270,9 +271,11 @@ class FaultPlan:
 class FaultInjector:
     """Turns a :class:`FaultPlan` into thread-safe, seeded decisions.
 
-    Components call :meth:`decide` (pure decision, safe on the event
-    loop) or :meth:`act` (decision + injected sleep / raise, executor
-    threads only).  Before :meth:`start` — and after :meth:`disable` —
+    Components call :meth:`decide` (pure decision, safe anywhere),
+    :meth:`act` (decision + injected sleep / raise: threads and
+    synchronous code — the watcher, ingest) or :meth:`act_async` (the
+    same with an awaited delay: the event loop, where the server
+    evaluates).  Before :meth:`start` — and after :meth:`disable` —
     every decision is "no fault", so a scenario can warm up and drain
     cleanly around its chaos phase.
     """
@@ -371,12 +374,24 @@ class FaultInjector:
     def act(self, hook: str) -> None:
         """Decide, then *apply* the fault: sleep ``delay_s`` and/or
         raise :class:`InjectedFault`.  Blocking — executor threads and
-        synchronous code only, never the event loop."""
+        synchronous code only; the event loop uses :meth:`act_async`."""
         spec = self.decide(hook)
         if spec is None:
             return
         if spec.delay_s > 0:
             time.sleep(spec.delay_s)
+        if spec.error:
+            raise InjectedFault(hook)
+
+    async def act_async(self, hook: str) -> None:
+        """:meth:`act` for the event loop: the same decision and raise,
+        the delay awaited with ``asyncio.sleep`` so a slow fault stalls
+        only the request it fires on, never every connection."""
+        spec = self.decide(hook)
+        if spec is None:
+            return
+        if spec.delay_s > 0:
+            await asyncio.sleep(spec.delay_s)
         if spec.error:
             raise InjectedFault(hook)
 

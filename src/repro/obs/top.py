@@ -14,6 +14,7 @@ __all__ = ["render_top"]
 
 #: The serving stages, in pipeline order (also the span names).
 STAGES = (
+    "queue",
     "parse",
     "canonicalize",
     "route",

@@ -1063,14 +1063,18 @@ class ClusterCoordinator(SummaryServer):
         return target
 
     # -- the fan-out evaluation path ---------------------------------------
-    def _inject_backend_chaos(self) -> None:
-        super()._inject_backend_chaos()
+    async def _inject_backend_chaos(self) -> None:
+        await super()._inject_backend_chaos()
         chaos = self.chaos
         if chaos is not None and chaos.decide("cluster.worker_kill") is not None:
             try:
                 self.kill_worker()
             except ReproError:
                 pass  # pool already fully down; degraded answers follow
+
+    def _runs_inline(self, items: list) -> bool:
+        # The fan-out blocks on worker sockets: always the executor hop.
+        return False
 
     def _execute_items(self, items: list) -> list:
         began = time.perf_counter()

@@ -29,8 +29,11 @@ class Coalescer:
     ``run_batch`` receives the items whose keys were not in flight
     (first submission wins per key) and returns one result per item, in
     order; a result that is an exception instance fails only that key's
-    waiters.  It runs in the submitting coroutine, so a CPU-bound one
-    should wrap its work in ``loop.run_in_executor``.
+    waiters.  It runs in the submitting coroutine.  One that never
+    suspends (the server's one-pass executions, computed on the event
+    loop) leaves the table before any other submission runs, so nothing
+    joins it; joiners share the executions that suspend, such as work
+    handed to ``loop.run_in_executor``.
     """
 
     def __init__(

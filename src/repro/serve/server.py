@@ -8,15 +8,20 @@ sessions over one shared backend loaded from a
 :class:`~repro.api.store.SummaryStore`, with
 
 * **single-flight evaluation** — a miss is evaluated by the request
-  that found it, with one executor hop; a request whose canonical key
-  is already being evaluated awaits that execution instead of starting
+  that found it: on the event loop when every plan is one polynomial
+  pass (routed ``summary``, ``sharded`` or ``none``, at most one GROUP
+  BY attribute — cheaper than a thread hand-off), in one executor hop
+  otherwise (exact and generic backends, multi-attribute GROUP BY, the
+  cluster fan-out); a request whose canonical key is already being
+  evaluated in the executor awaits that execution instead of starting
   a second one (:mod:`repro.serve.coalescer`);
 * a **shared result cache** — TTL + LRU keyed on ``(store version,
   canonical predicate key)``, shared across sessions and clients
   (:mod:`repro.serve.cache`);
 * **admission control** — bounded queue depth and per-client in-flight
-  limits with fast 503-style rejections carrying a ``Retry-After``
-  hint (:mod:`repro.serve.admission`);
+  limits, decided as each request's frame is read, with fast 503-style
+  rejections carrying a ``Retry-After`` hint
+  (:mod:`repro.serve.admission`);
 * **hot reload** — ``SIGHUP`` or the ``reload`` op swaps in another
   store version without dropping in-flight requests (each request
   pins the generation it started on).
@@ -237,6 +242,14 @@ _KNOWN_OPS = frozenset(
 )
 
 
+#: Ops that take an admission slot.
+_ADMITTED_OPS = frozenset({"query", "query_batch"})
+
+#: Routes whose plans compute in this process in one polynomial pass
+#: (or not at all): the executions that run on the event loop.
+_INLINE_ROUTES = frozenset({"summary", "sharded", "none"})
+
+
 def _op_label(request: dict) -> str:
     op = request.get("op", "query")
     return op if op in _KNOWN_OPS else "other"
@@ -265,6 +278,17 @@ class _Evaluated:
         self.payload = payload
         self.span = span
         self.leader = leader
+
+
+def _parse_line(line: bytes):
+    """One JSON-lines request dict, or the error to answer it with."""
+    try:
+        request = json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        return error
+    if not isinstance(request, dict):
+        return QueryError("request must be a JSON object")
+    return request
 
 
 async def _read_exactly(reader, count: int):
@@ -557,8 +581,12 @@ class SummaryServer:
                 break
             if not line.strip():
                 continue
+            request = _parse_line(line)
             task = asyncio.create_task(
-                self._serve_request(writer, write_lock, client, line)
+                self._serve_request(
+                    writer, write_lock, client, request,
+                    self._take_slot(client, request),
+                )
             )
             tasks.add(task)
             task.add_done_callback(tasks.discard)
@@ -602,12 +630,32 @@ class SummaryServer:
             else:
                 task = asyncio.create_task(
                     self._serve_binary_request(
-                        writer, write_lock, client, request_id, request
+                        writer, write_lock, client, request_id, request,
+                        self._take_slot(client, request),
                     )
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
             header = await _read_exactly(reader, wire.HEADER_SIZE)
+
+    def _take_slot(self, client: str, request):
+        """Admission, decided where the connection loop reads a frame,
+        before the request's task exists: a request that finishes on
+        the loop before the next one starts still counts against
+        ``max_queue`` / ``max_inflight`` while its pipelined successors
+        are read.  Returns the running ``queue`` span (slot held until
+        the reply is written), the :class:`ServerSaturated` to answer
+        with, or None for an op admission does not count."""
+        if (
+            not isinstance(request, dict)
+            or request.get("op", "query") not in _ADMITTED_OPS
+        ):
+            return None
+        try:
+            self.admission.acquire(client)
+        except ServerSaturated as busy:
+            return busy
+        return Span("queue")
 
     async def _write_frame(self, writer, write_lock, frame: bytes) -> None:
         async with write_lock:
@@ -617,14 +665,24 @@ class SummaryServer:
             except (ConnectionError, OSError):
                 pass  # client went away; nothing to do
 
-    async def _respond(self, client: str, request: dict) -> dict:
+    async def _respond(self, client: str, request: dict, admitted) -> dict:
         """Dispatch one request dict, mapping failures to the protocol's
-        error envelopes (shared by both wire protocols).  Also the
-        request-latency measurement point: every dispatch lands in the
-        op-labelled ``repro_request_seconds`` histogram."""
+        error envelopes (shared by both wire protocols).  ``admitted``
+        is :meth:`_take_slot`'s verdict.  Also the request-latency
+        measurement point: every dispatch lands in the op-labelled
+        ``repro_request_seconds`` histogram, an admitted request's from
+        its admission on."""
         op = _op_label(request)
         began = time.perf_counter()
+        if isinstance(admitted, Span):
+            # Admission to this task's first step is the request's
+            # ``queue`` stage, so its stages still sum to its latency.
+            admitted.finish()
+            began -= admitted.duration_s
+            current_trace().spans.append(admitted)
         try:
+            if isinstance(admitted, ServerSaturated):
+                raise admitted
             response = await self._dispatch(client, request)
         except ServerSaturated as busy:
             self._errors_total.labels(op=op).inc()
@@ -679,63 +737,66 @@ class SummaryServer:
         self.traces.record(trace)
 
     async def _serve_request(
-        self, writer, write_lock: asyncio.Lock, client: str, line: bytes
+        self, writer, write_lock: asyncio.Lock, client: str, request, admitted
     ) -> None:
-        request_id = None
-        chaos = self.chaos
-        if chaos is not None and chaos.decide("server.drop_connection"):
-            # Injected connection drop: close without answering.  The
-            # client sees EOF and reconnects — the transport-retry path
-            # the soak invariants hold to "zero dropped requests".
-            writer.close()
-            return
-        trace = None
+        """Answer one JSON-lines request (a dict, or the parse error to
+        answer with); its admission slot is released once the reply is
+        written."""
         try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise QueryError("request must be a JSON object")
-        except (QueryError, json.JSONDecodeError, UnicodeDecodeError) as error:
-            self._errors_total.labels(op="invalid").inc()
-            response = {"ok": False, "status": 400, "error": str(error)}
-        else:
-            request_id = request.get("id")
-            session = request.get("session")
-            trace = Trace(
-                op=_op_label(request),
-                session=str(session) if session is not None else None,
-                trace_id=_adopt_trace_id(request.get("trace")),
-            )
-            with activate(trace):
-                response = await self._respond(client, request)
-            response["trace"] = trace.hex_id
-        response["id"] = request_id
-        try:
-            # Strict encoding: a non-serializable value in a response is
-            # a server bug; answer 500 instead of shipping stringified
-            # garbage (the old ``default=str`` failure mode).
-            if trace is not None:
-                with trace.span("encode"):
-                    payload = wire.encode_json_line(response)
+            request_id = None
+            chaos = self.chaos
+            if chaos is not None and chaos.decide("server.drop_connection"):
+                # Injected connection drop: close without answering.  The
+                # client sees EOF and reconnects — the transport-retry path
+                # the soak invariants hold to "zero dropped requests".
+                writer.close()
+                return
+            trace = None
+            if isinstance(request, Exception):
+                self._errors_total.labels(op="invalid").inc()
+                response = {"ok": False, "status": 400, "error": str(request)}
             else:
-                payload = wire.encode_json_line(response)
-        except wire.WireError as error:
-            self._errors_total.labels(op="invalid").inc()
-            payload = wire.encode_json_line(
-                {
-                    "ok": False,
-                    "status": 500,
-                    "error": f"response not serializable: {error}",
-                    "id": request_id,
-                }
-            )
-        if trace is not None:
-            self._finish_trace(trace, response)
-        async with write_lock:
-            writer.write(payload)
+                request_id = request.get("id")
+                session = request.get("session")
+                trace = Trace(
+                    op=_op_label(request),
+                    session=str(session) if session is not None else None,
+                    trace_id=_adopt_trace_id(request.get("trace")),
+                )
+                with activate(trace):
+                    response = await self._respond(client, request, admitted)
+                response["trace"] = trace.hex_id
+            response["id"] = request_id
             try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away; nothing to do
+                # Strict encoding: a non-serializable value in a response is
+                # a server bug; answer 500 instead of shipping stringified
+                # garbage (the old ``default=str`` failure mode).
+                if trace is not None:
+                    with trace.span("encode"):
+                        payload = wire.encode_json_line(response)
+                else:
+                    payload = wire.encode_json_line(response)
+            except wire.WireError as error:
+                self._errors_total.labels(op="invalid").inc()
+                payload = wire.encode_json_line(
+                    {
+                        "ok": False,
+                        "status": 500,
+                        "error": f"response not serializable: {error}",
+                        "id": request_id,
+                    }
+                )
+            if trace is not None:
+                self._finish_trace(trace, response)
+            async with write_lock:
+                writer.write(payload)
+                try:
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    pass  # client went away; nothing to do
+        finally:
+            if isinstance(admitted, Span):
+                self.admission.release(client)
 
     async def _serve_binary_request(
         self,
@@ -744,55 +805,58 @@ class SummaryServer:
         client: str,
         request_id: int,
         request: dict,
+        admitted,
     ) -> None:
-        chaos = self.chaos
-        if chaos is not None and chaos.decide("server.drop_connection"):
-            # Injected drop, binary flavor: leave a *partial* frame on
-            # the wire before closing so clients exercise the
-            # mid-frame-failure path, not just clean EOF.
-            async with write_lock:
-                writer.write(wire.truncated_frame())
-                writer.close()
-            return
-        # The incoming id's spare upper bits may carry a client trace
-        # hint; the reply folds the server's own trace id back in.
-        echo_id, client_hint = wire.split_trace_hint(request_id)
-        session = request.get("session")
-        trace = Trace(
-            op=_op_label(request),
-            session=str(session) if session is not None else None,
-            trace_id=client_hint or None,
-        )
-        with activate(trace):
-            response = await self._respond(client, request)
-        response["trace"] = trace.hex_id
-        opcode = wire.OP_REPLY if response.get("ok") else wire.OP_ERROR
-        reply_id = wire.pack_trace_hint(echo_id, trace.hint)
         try:
-            with trace.span("encode"):
-                frame = wire.encode_frame(opcode, reply_id, response)
-        except wire.WireError as error:
-            self._errors_total.labels(op="invalid").inc()
-            frame = wire.error_frame(
-                reply_id, 500, f"response not serializable: {error}"
+            chaos = self.chaos
+            if chaos is not None and chaos.decide("server.drop_connection"):
+                # Injected drop, binary flavor: leave a *partial* frame on
+                # the wire before closing so clients exercise the
+                # mid-frame-failure path, not just clean EOF.
+                async with write_lock:
+                    writer.write(wire.truncated_frame())
+                    writer.close()
+                return
+            # The incoming id's spare upper bits may carry a client trace
+            # hint; the reply folds the server's own trace id back in.
+            echo_id, client_hint = wire.split_trace_hint(request_id)
+            session = request.get("session")
+            trace = Trace(
+                op=_op_label(request),
+                session=str(session) if session is not None else None,
+                trace_id=client_hint or None,
             )
-        self._finish_trace(trace, response)
-        await self._write_frame(writer, write_lock, frame)
+            with activate(trace):
+                response = await self._respond(client, request, admitted)
+            response["trace"] = trace.hex_id
+            opcode = wire.OP_REPLY if response.get("ok") else wire.OP_ERROR
+            reply_id = wire.pack_trace_hint(echo_id, trace.hint)
+            try:
+                with trace.span("encode"):
+                    frame = wire.encode_frame(opcode, reply_id, response)
+            except wire.WireError as error:
+                self._errors_total.labels(op="invalid").inc()
+                frame = wire.error_frame(
+                    reply_id, 500, f"response not serializable: {error}"
+                )
+            self._finish_trace(trace, response)
+            await self._write_frame(writer, write_lock, frame)
+        finally:
+            if isinstance(admitted, Span):
+                self.admission.release(client)
 
     async def _dispatch(self, client: str, request: dict) -> dict:
         op = request.get("op", "query")
-        if op in ("query", "query_batch"):
-            # One admission slot per request: a pipelined batch is one
-            # unit of client-side concurrency, however many statements
-            # ride in it.
-            self.admission.acquire(client)
+        if op in _ADMITTED_OPS:
+            # Admitted when its frame was read (:meth:`_take_slot`): one
+            # slot per request, so a pipelined batch is one unit of
+            # client-side concurrency however many statements it carries.
             began = time.perf_counter()
             try:
                 if op == "query":
                     return await self._query(request)
                 return await self._query_batch(request)
             finally:
-                self.admission.release(client)
                 # Feeds the Retry-After hint's service-time EWMA.
                 self.admission.observe(time.perf_counter() - began)
         self._requests_total.labels(op=_op_label(request)).inc()
@@ -917,9 +981,9 @@ class SummaryServer:
         """Plan ``sqls`` in the request's session on the pinned
         generation, answer result-cache hits, and send every miss
         through the single-flight table — the misses no other request
-        is evaluating run here, in one executor hop; the rest await the
-        execution already in flight.  Returns ``(generation, session
-        name, plans, payloads, cached flags)``."""
+        is evaluating run here, in one execution (:meth:`_evaluate`);
+        the rest await the execution already in flight.  Returns
+        ``(generation, session name, plans, payloads, cached flags)``."""
         session_name = str(request.get("session", "default"))
         generation = self._generation  # pin: reloads must not drop us
         explorer = generation.session(session_name)
@@ -961,17 +1025,25 @@ class SummaryServer:
 
     async def _evaluate(self, items: list) -> list:
         """The coalescer's ``run_batch``, awaited by the request that
-        found the misses: the one executor hop of the query path.  One
-        evaluate span times it, and every successful payload is wrapped
-        in :class:`_Evaluated` carrying that span and the evaluating
-        request's trace.  Exceptions stay unwrapped so the coalescer
-        fails only their keys' waiters."""
-        loop = asyncio.get_running_loop()
+        found the misses.  An execution that is one polynomial pass per
+        plan (:meth:`_runs_inline`) runs right here on the event loop:
+        the kernel costs less than a thread hand-off, and the execution
+        ends before any other request runs, so none can join it.  Any
+        other execution takes one executor hop.  The chaos hooks are
+        decided first, on the loop; a delay is awaited, never slept.  One
+        evaluate span times it all, and every successful payload is
+        wrapped in :class:`_Evaluated` carrying that span and the
+        evaluating request's trace.  Exceptions stay unwrapped so the
+        coalescer fails only their keys' waiters."""
         span = Span("evaluate", batch=len(items))
         try:
-            outputs = await loop.run_in_executor(
-                None, self._execute_items, items
-            )
+            await self._inject_backend_chaos()
+            if self._runs_inline(items):
+                outputs = self._execute_items(items)
+            else:
+                outputs = await asyncio.get_running_loop().run_in_executor(
+                    None, self._execute_items, items
+                )
         finally:
             span.finish()
         leader = current_trace()
@@ -982,23 +1054,35 @@ class SummaryServer:
             for output in outputs
         ]
 
-    def _inject_backend_chaos(self) -> None:
-        """Executor-thread chaos hooks: a ``server.worker_kill`` fault
-        raises and the execution dies (every waiter on it gets a
-        retryable 503), a ``server.backend`` fault models a slow or
-        erroring backend call.  No injector attached — no effect."""
+    async def _inject_backend_chaos(self) -> None:
+        """The execution's chaos hooks, on the event loop: a
+        ``server.worker_kill`` fault raises and the execution dies
+        (every waiter on it gets a retryable 503), a ``server.backend``
+        fault models a slow (awaited) or erroring backend call.  No
+        injector attached — no effect."""
         chaos = self.chaos
         if chaos is not None:
-            chaos.act("server.worker_kill")
-            chaos.act("server.backend")
+            await chaos.act_async("server.worker_kill")
+            await chaos.act_async("server.backend")
+
+    def _runs_inline(self, items: list) -> bool:
+        """Whether an execution runs on the event loop: every plan is
+        routed to a model or to nothing (:data:`_INLINE_ROUTES`) and
+        groups by at most one attribute.  Exact and generic backends
+        scan rows, and a multi-attribute GROUP BY loops in Python over
+        outer values; those keep the executor hop."""
+        return all(
+            plan.route.target in _INLINE_ROUTES and len(plan.query.group_by) <= 1
+            for _, plan in items
+        )
 
     def _execute_items(self, items: list) -> list:
-        """One execution (executor thread): the ``(generation, plan)``
-        misses of one request, so of one pinned generation.  Returns
+        """One execution (on the loop or an executor thread, see
+        :meth:`_evaluate`): the ``(generation, plan)`` misses of one
+        request, so of one pinned generation.  Returns
         JSON-ready payloads, a failing query mapped to its exception
         instead of poisoning the others — each result is serialized and
         cached exactly once here, however many requests wait on it."""
-        self._inject_backend_chaos()
         generation = items[0][0]
         plans = [plan for _, plan in items]
         payloads = self._execute_plans(generation, plans)

@@ -190,84 +190,92 @@ def packb(value) -> bytes:
     return b"".join(out)
 
 
-class _Reader:
-    __slots__ = ("view", "offset")
-
-    def __init__(self, buffer):
-        self.view = memoryview(buffer)
-        self.offset = 0
-
-    def take(self, count: int) -> memoryview:
-        end = self.offset + count
-        if end > len(self.view):
-            raise WireError("truncated value in frame body")
-        piece = self.view[self.offset : end]
-        self.offset = end
-        return piece
+_read_i64 = _I64.unpack_from
+_read_f64 = _F64.unpack_from
+_read_u32 = _U32.unpack_from
+_TAG_S, _TAG_D, _TAG_M, _TAG_L, _TAG_I, _TAG_T, _TAG_F, _TAG_N, _TAG_A, _TAG_B = b"sdmliTFNAb"
+_TRUNCATED = "truncated value in frame body"
 
 
-def _text(reader: _Reader) -> str:
-    (length,) = _U32.unpack(reader.take(4))
-    try:
-        return str(reader.take(length), "utf-8")
-    except UnicodeDecodeError as error:
-        raise WireError(f"string is not valid UTF-8: {error.reason}") from None
-
-
-def _unpack_map(reader: _Reader, count: int) -> dict:
-    result = {}
-    for _ in range(count):
-        key_tag = bytes(reader.take(1))
-        if key_tag != b"s":
-            raise WireError("dict keys must be strings")
-        key = _text(reader)
-        result[key] = _unpack(reader)
-    return result
-
-
-def _unpack(reader: _Reader):
-    tag = bytes(reader.take(1))
-    if tag == b"N":
-        return None
-    if tag == b"T":
-        return True
-    if tag == b"F":
-        return False
-    if tag == b"i":
-        return _I64.unpack(reader.take(8))[0]
-    if tag == b"d":
-        return _F64.unpack(reader.take(8))[0]
-    if tag == b"s":
-        return _text(reader)
-    if tag == b"b":
-        (length,) = _U32.unpack(reader.take(4))
-        return bytes(reader.take(length))
-    if tag == b"A":
-        (count,) = _U32.unpack(reader.take(4))
+def _unpack(buffer, offset: int):
+    """``(value, offset just past it)`` of the value packed at
+    ``offset``.  Reads tags and lengths straight from the buffer: every
+    reply a client receives passes through here, and the client's CPU
+    per query sets the served throughput whenever the kernel stacks
+    client and server on one CPU (``docs/serving.md``, "What a miss
+    costs").  Running off the end raises ``IndexError`` or
+    ``struct.error``, which :func:`unpackb` reports as truncation."""
+    tag = buffer[offset]
+    offset += 1
+    if tag == _TAG_S:
+        start = offset + 4
+        end = start + _read_u32(buffer, offset)[0]
+        if end > len(buffer):
+            raise WireError(_TRUNCATED)
+        return buffer[start:end].decode(), end
+    if tag == _TAG_D:
+        return _read_f64(buffer, offset)[0], offset + 8
+    if tag == _TAG_M:
+        count = _read_u32(buffer, offset)[0]
+        offset += 4
+        result = {}
+        for _ in range(count):
+            if buffer[offset] != _TAG_S:
+                raise WireError("dict keys must be strings")
+            start = offset + 5
+            end = start + _read_u32(buffer, offset + 1)[0]
+            if end > len(buffer):
+                raise WireError(_TRUNCATED)
+            result[buffer[start:end].decode()], offset = _unpack(buffer, end)
+        return result, offset
+    if tag == _TAG_T:
+        return True, offset
+    if tag == _TAG_F:
+        return False, offset
+    if tag == _TAG_I:
+        return _read_i64(buffer, offset)[0], offset + 8
+    if tag == _TAG_L:
+        count = _read_u32(buffer, offset)[0]
+        offset += 4
+        items = []
+        for _ in range(count):
+            item, offset = _unpack(buffer, offset)
+            items.append(item)
+        return items, offset
+    if tag == _TAG_N:
+        return None, offset
+    if tag == _TAG_A:
+        start = offset + 4
+        end = start + 8 * _read_u32(buffer, offset)[0]
+        if end > len(buffer):
+            raise WireError(_TRUNCATED)
         # Zero-copy: the array is a view over the frame bytes (which it
         # keeps alive); no Python floats are ever materialized.
-        return np.frombuffer(reader.take(count * 8), dtype=np.float64)
-    if tag == b"l":
-        (count,) = _U32.unpack(reader.take(4))
-        return [_unpack(reader) for _ in range(count)]
-    if tag == b"m":
-        (count,) = _U32.unpack(reader.take(4))
-        return _unpack_map(reader, count)
-    raise WireError(f"unknown codec tag {tag!r}")
+        return np.frombuffer(memoryview(buffer)[start:end], dtype=np.float64), end
+    if tag == _TAG_B:
+        start = offset + 4
+        end = start + _read_u32(buffer, offset)[0]
+        if end > len(buffer):
+            raise WireError(_TRUNCATED)
+        return buffer[start:end], end
+    raise WireError(f"unknown codec tag {bytes([tag])!r}")
 
 
 def unpackb(buffer):
     """Unpack one codec value; rejects trailing garbage.  Malformed
     input of any kind raises :class:`WireError` and nothing else."""
-    reader = _Reader(buffer)
+    if not isinstance(buffer, bytes):
+        buffer = bytes(buffer)
     try:
-        value = _unpack(reader)
+        value, end = _unpack(buffer, 0)
+    except (IndexError, struct.error):
+        raise WireError(_TRUNCATED) from None
+    except UnicodeDecodeError as error:
+        raise WireError(f"string is not valid UTF-8: {error.reason}") from None
     except RecursionError:
         raise WireError("value nested too deeply") from None
-    if reader.offset != len(reader.view):
-        raise WireError(
-            f"{len(reader.view) - reader.offset} trailing bytes after value"
-        )
+    if end != len(buffer):
+        raise WireError(f"{len(buffer) - end} trailing bytes after value")
     return value
 
 

@@ -11,7 +11,9 @@ needs: retryable 503s, clean reconnects, untouched pipeline state.
 
 from __future__ import annotations
 
+import asyncio
 import math
+import threading
 import time
 
 import numpy as np
@@ -283,6 +285,26 @@ class TestFaultInjector:
         injector.act("server.backend")  # slow fault: sleeps, no raise
         assert time.perf_counter() - began >= 0.04
 
+    def test_act_async_awaits_the_delay_then_raises(self):
+        injector = _armed("server.backend", delay_s=0.05, error=True)
+        ticks = []
+
+        async def ticker():
+            while True:
+                ticks.append(time.perf_counter())
+                await asyncio.sleep(0.005)
+
+        async def act():
+            beat = asyncio.create_task(ticker())
+            began = time.perf_counter()
+            with pytest.raises(InjectedFault):
+                await injector.act_async("server.backend")
+            beat.cancel()
+            return time.perf_counter() - began
+
+        assert asyncio.run(act()) >= 0.04
+        assert len(ticks) >= 3, "the delay must not block the event loop"
+
     def test_events_and_stats_record_injections(self):
         injector = _armed("server.backend", error=True)
         for _ in range(3):
@@ -373,6 +395,37 @@ class TestChaosWiring:
                 elapsed = time.perf_counter() - began
         assert payload["kind"] == "scalar"
         assert elapsed >= 0.07
+
+    def test_slow_backend_never_stalls_the_loop(self, summary):
+        """The delay is awaited on the loop, not slept: while one
+        connection's query sits in a 0.3 s injected delay, a second
+        connection still gets its ping answered at once."""
+        injector = _armed("server.backend", delay_s=0.3, stop_s=math.inf)
+        server = SummaryServer(
+            summary, config=ServeConfig(cache_size=0), chaos=injector
+        )
+
+        def slow_query():
+            with ServeClient(port=server.port) as client:
+                client.query("SELECT COUNT(*) FROM R")
+
+        with ServerThread(server):
+            slow = threading.Thread(target=slow_query)
+            slow.start()
+            deadline = time.monotonic() + 5.0
+            while (
+                injector.stats()["injected"]["server.backend"] == 0
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.002)
+            began = time.perf_counter()
+            with ServeClient(port=server.port) as other:
+                assert other.ping() == {"version": 0}
+            elapsed = time.perf_counter() - began
+            assert slow.is_alive(), "the ping must land inside the delay"
+            slow.join(timeout=5)
+            assert not slow.is_alive()
+        assert elapsed < 0.1
 
     def test_client_drop_raises_and_reconnects(self, summary):
         now = [0.0]

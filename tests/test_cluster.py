@@ -17,6 +17,7 @@ Two layers:
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import os
 import signal
@@ -496,6 +497,29 @@ class TestClusterServing:
             for sql in QUERIES:
                 got = client.call("query", sql=sql)["result"]
                 assert _close(_norm(got), _norm(single_payloads[sql])), sql
+
+    def test_every_execution_takes_the_executor_hop(self, cluster, monkeypatch):
+        """The fan-out blocks on worker sockets, so no coordinator
+        execution runs on the event loop — not even one whose plans a
+        single-process server would evaluate there."""
+        on_loop = []
+        execute = cluster._execute_items
+
+        def recorded(items):
+            try:
+                asyncio.get_running_loop()
+            except RuntimeError:
+                on_loop.append(False)
+            else:
+                on_loop.append(True)
+            return execute(items)
+
+        monkeypatch.setattr(cluster, "_execute_items", recorded)
+        with ServeClient(port=cluster.port) as client:
+            for sql in QUERIES:
+                client.query(sql)
+            client.query_many(QUERIES)
+        assert on_loop == [False] * (len(QUERIES) + 1)
 
     def test_a_bad_item_fails_alone(self, cluster, summary):
         """Over the real wire to a real worker: the malformed items of a

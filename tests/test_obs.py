@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import SummaryBuilder
+from repro.baselines.exact import ExactBackend
 from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
@@ -542,6 +543,17 @@ class TestSlowQueryIntegration:
         assert server.slow_log.stats()["recorded"] >= 1
 
 
+def _executor_server() -> SummaryServer:
+    """A cache-less server whose executions take the executor hop: an
+    exact backend scans rows, so they never run on the event loop, and
+    a held execution blocks a worker thread, not the loop.  Only such
+    executions can be joined — a one-pass execution on the loop ends
+    before any other request runs."""
+    return SummaryServer(
+        ExactBackend(_relation()), config=ServeConfig(cache_size=0)
+    )
+
+
 def _hold_flushes(server):
     """Block every execution in the executor until the returned
     ``gate`` is set; ``entered`` is set once one is in flight."""
@@ -572,11 +584,11 @@ class TestCoalescedTracePropagation:
     joiner charged only for the part of the execution it waited
     through."""
 
-    def test_shared_evaluate_span(self, summary):
+    def test_shared_evaluate_span(self):
         clients = 4
         # Cache off so every request must coalesce; the held flush keeps
         # the first request's execution in flight until all four joined.
-        server = SummaryServer(summary, config=ServeConfig(cache_size=0))
+        server = _executor_server()
         gate, _ = _hold_flushes(server)
         with ServerThread(server):
             failures: list[BaseException] = []
@@ -621,12 +633,12 @@ class TestCoalescedTracePropagation:
         assert server.coalescer.coalesced == clients - 1
         assert server.coalescer.flushes == 1
 
-    def test_joiner_is_charged_only_for_what_it_waited_through(self, summary):
+    def test_joiner_is_charged_only_for_what_it_waited_through(self):
         """A request that joins an execution mid-flight sees the shared
         span clipped to its own submit → resolve interval: its stages sum
         to no more than its own time, and evaluate is recorded once per
         execution in each waiter's stages."""
-        server = SummaryServer(summary, config=ServeConfig(cache_size=0))
+        server = _executor_server()
         gate, entered = _hold_flushes(server)
         holder_id, joiner_id = "0000000000000a01", "0000000000000a02"
         latency: dict[str, float] = {}

@@ -596,6 +596,90 @@ class TestServerRoundTrip:
         assert set(stats["coalescer"]) >= {"submitted", "coalesced", "flushes"}
 
 
+def _record_execution_threads(server) -> list:
+    """Wrap ``server._execute_items`` to note, per execution, whether it
+    ran on the thread that runs the server's event loop (an executor
+    thread runs no loop)."""
+    on_loop: list[bool] = []
+    execute = server._execute_items
+
+    def recorded(items):
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            on_loop.append(False)
+        else:
+            on_loop.append(True)
+        return execute(items)
+
+    server._execute_items = recorded
+    return on_loop
+
+
+class TestWhereExecutionsRun:
+    """One rule, pinned: an execution that is one polynomial pass per
+    plan runs on the event loop; one that scans rows or loops over
+    outer GROUP BY values takes the executor hop."""
+
+    ONE_PASS = [
+        "SELECT COUNT(*) FROM R WHERE state = 'CA'",
+        "SELECT SUM(hour) FROM R WHERE state = 'WA'",
+        "SELECT AVG(hour) FROM R WHERE state IN ('CA', 'NY')",
+        "SELECT state, COUNT(*) FROM R GROUP BY state",
+        "SELECT COUNT(*) FROM R WHERE state = 'CA' AND state = 'NY'",
+    ]
+    TWO_ATTRIBUTES = "SELECT state, hour, COUNT(*) FROM R GROUP BY state, hour"
+
+    @staticmethod
+    def _executions(backend, sqls) -> list:
+        server = SummaryServer(backend, config=ServeConfig(cache_size=0))
+        on_loop = _record_execution_threads(server)
+        with ServerThread(server):
+            with ServeClient(port=server.port) as client:
+                for sql in sqls:
+                    client.query(sql)
+        assert len(on_loop) == len(sqls)
+        return on_loop
+
+    @pytest.fixture(scope="class")
+    def sharded(self, relation):
+        return (
+            SummaryBuilder(relation)
+            .shards(2, by="hour", workers=1)
+            .pairs(("state", "hour"))
+            .per_pair_budget(4)
+            .iterations(50)
+            .fit()
+        )
+
+    def test_one_pass_plans_run_on_the_loop(self, summary, sharded):
+        for model in (summary, sharded):
+            assert self._executions(model, self.ONE_PASS) == [True] * 5
+
+    def test_two_attribute_group_by_takes_the_executor(self, summary, sharded):
+        for model in (summary, sharded):
+            assert self._executions(model, [self.TWO_ATTRIBUTES]) == [False]
+
+    def test_exact_backend_takes_the_executor(self, relation):
+        # The last ONE_PASS statement is a contradiction: routed "none"
+        # on every backend, it computes nothing and stays on the loop.
+        on_loop = self._executions(
+            ExactBackend(relation), [*self.ONE_PASS, self.TWO_ATTRIBUTES]
+        )
+        assert on_loop == [False] * 4 + [True, False]
+
+    def test_a_batch_with_one_multi_attribute_plan_takes_the_executor(
+        self, summary
+    ):
+        server = SummaryServer(summary, config=ServeConfig(cache_size=0))
+        on_loop = _record_execution_threads(server)
+        with ServerThread(server):
+            with ServeClient(port=server.port) as client:
+                client.query_many(self.ONE_PASS)
+                client.query_many([*self.ONE_PASS, self.TWO_ATTRIBUTES])
+        assert on_loop == [True, False]
+
+
 class TestCoalescedServing:
     """Single-flight over the wire, forced by holding the backend
     instead of by a timer: the first request's execution blocks in the
@@ -742,6 +826,46 @@ class TestAdmissionOverTheWire:
         # With max_queue=1 and 4 concurrent clients, someone had to be
         # turned away at least once — and everyone still finished.
         assert server.admission.rejected_queue > 0
+
+    def test_pipelined_loop_executions_meet_the_client_bound(self, summary):
+        """Summary-routed executions run on the event loop, each done
+        before the next request starts; admission is taken as each frame
+        is read, so a 40-deep pipeline still meets max_inflight."""
+        server = SummaryServer(
+            summary,
+            config=ServeConfig(cache_size=0, max_inflight_per_client=4),
+        )
+        queries = 40
+        frames = b"".join(
+            json.dumps(
+                {
+                    "id": index,
+                    "op": "query",
+                    "sql": f"SELECT COUNT(*) FROM R WHERE hour = {index % 4}",
+                }
+            ).encode() + b"\n"
+            for index in range(queries)
+        )
+        with ServerThread(server):
+            with socket.create_connection(
+                ("127.0.0.1", server.port), 5
+            ) as raw:
+                raw.sendall(frames)  # one write: the whole pipeline
+                reader = raw.makefile("rb")
+                responses = [
+                    json.loads(reader.readline()) for _ in range(queries)
+                ]
+        assert sorted(r["id"] for r in responses) == list(range(queries))
+        rejected = [r for r in responses if not r["ok"]]
+        accepted = [r for r in responses if r["ok"]]
+        assert rejected
+        for response in rejected:
+            assert response["status"] == 503
+            assert response["scope"] == "client"
+            assert response["retry_after"] > 0
+        assert all(r["result"]["kind"] == "scalar" for r in accepted)
+        assert server.admission.rejected_client == len(rejected)
+        assert server.admission.depth == 0
 
 
 class TestClientBackoff:

@@ -120,6 +120,13 @@ class TestCodec:
     def test_tuples_decode_as_lists(self):
         assert wire.unpackb(wire.packb((1, 2))) == [1, 2]
 
+    @pytest.mark.parametrize("view", [bytearray, memoryview])
+    def test_any_bytes_like_body_decodes(self, view):
+        value = {"labels": [["a"], ["b"]], "counts": np.array([1.0, 2.0])}
+        decoded = wire.unpackb(view(wire.packb(value)))
+        assert decoded["labels"] == [["a"], ["b"]]
+        np.testing.assert_array_equal(decoded["counts"], [1.0, 2.0])
+
     def test_oversize_int_rejected(self):
         with pytest.raises(wire.WireError, match="64 bits"):
             wire.packb(2**63)
@@ -143,6 +150,19 @@ class TestCodec:
     def test_truncated_body_rejected(self):
         with pytest.raises(wire.WireError, match="truncated"):
             wire.unpackb(wire.packb("hello")[:-2])
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"l\x00\x00\x00\x02s\x00\x00\x00\x09ab",  # a list's string item
+            b"m\x00\x00\x00\x01s\x00\x00\x00\x09k",  # a dict key
+            b"A\x00\x00\x00\x02" + bytes(8),  # a float64 vector
+            b"b\x00\x00\x00\x04ab",  # raw bytes
+        ],
+    )
+    def test_length_past_the_end_is_truncation(self, body):
+        with pytest.raises(wire.WireError, match="truncated"):
+            wire.unpackb(body)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(wire.WireError, match="unknown codec tag"):
