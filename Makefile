@@ -138,6 +138,12 @@ lint:
 	@# Compile the polynomial in numpy: terms are enumerated level by
 	@# level with chunked broadcasts, never by a per-term Python recursion.
 	@! grep -nE "_ValueIndex|MultiDimStat|def extend" src/repro/core/terms.py
+	@# One plan cache per loaded model: SQL text -> QueryPlan is one
+	@# cached step in the Explorer.  No engine facade over the planner,
+	@# no strict label-resolution fork, no AST / predicate LRUs and no
+	@# Explorer per client-chosen session name.
+	@! grep -rnwE --include='*.py' "SQLEngine|conjunction_from_conditions|strict" src/repro/query/ src/repro/plan/ src/repro/api/
+	@! grep -nwE "_asts|_predicates|_sessions" src/repro/api/explorer.py src/repro/serve/server.py
 
 # Documentation rot check: every ```python block in README.md and
 # docs/*.md must compile, every relative link must resolve.

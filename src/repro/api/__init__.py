@@ -3,7 +3,7 @@
 One coherent surface over the whole reproduction:
 
 * :class:`Explorer` — a session facade (``attach``/``open``) with a
-  fluent query builder, SQL execution, per-session caches, and batched
+  fluent query builder, SQL execution, plan and result caches, and batched
   ``run_many()`` execution;
 * :class:`SummaryBuilder` — keyword-free summary construction;
   ``.shards(n, by=...)`` fits a partitioned

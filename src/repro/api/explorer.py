@@ -11,10 +11,12 @@ that session object.  It owns
   every query normalizes to a :class:`~repro.plan.CanonicalPredicate`,
   routes through the cost/capability model, and runs on the shared
   physical operators (``explain()`` shows the three stages),
-* per-session LRU caches keyed on the *canonical* form, so repeated
-  interactive queries — including syntactic variants like ``BETWEEN 3
-  AND 7`` vs ``x >= 3 AND x <= 7`` — skip label resolution and
-  re-inference entirely,
+* two LRU caches: *plans* keyed on the query itself (the SQL text, or
+  the ``repr`` of an AST / fluent query), so a repeated query skips
+  parsing, label resolution and routing; and *results* keyed on the
+  plan's semantic :attr:`~repro.plan.QueryPlan.cache_key`, so
+  syntactic variants like ``BETWEEN 3 AND 7`` vs ``x >= 3 AND x <= 7``
+  share one answer,
 * ``run_many()`` — batched execution through the planner's shared
   batched executor (one backend call per batch: the model's arena
   kernel once per query, whether the model is sharded or not).
@@ -35,26 +37,28 @@ from typing import Sequence
 from repro.api.query import Query
 from repro.errors import QueryError, ReproError
 from repro.obs import span
-from repro.plan.canonical import CanonicalPredicate
-from repro.plan.planner import Planner, QueryPlan, make_cache_key
+from repro.plan.planner import Planner, QueryPlan
 from repro.query.ast import CountQuery
-from repro.query.engine import QueryResult, SQLEngine
+from repro.query.results import QueryResult
 from repro.stats.predicates import Conjunction
+
+#: Entries each of an Explorer's two LRUs (plans, results) keeps.
+CACHE_SIZE = 256
 
 
 class _LRUCache:
-    """Tiny LRU map; ``maxsize=0`` disables caching entirely.
+    """Tiny LRU map.
 
     Every operation is atomic under an internal lock: one Explorer may
-    be shared across threads (the serving layer multiplexes many
-    concurrent clients onto one session), and an unguarded
-    ``OrderedDict.move_to_end`` racing a ``popitem`` corrupts the map.
+    be shared across threads (the serving layer plans every client's
+    queries through one), and an unguarded ``OrderedDict.move_to_end``
+    racing a ``popitem`` corrupts the map.
     """
 
     __slots__ = ("maxsize", "data", "hits", "misses", "_lock")
 
     def __init__(self, maxsize: int):
-        self.maxsize = max(int(maxsize), 0)
+        self.maxsize = maxsize
         self.data: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -72,8 +76,6 @@ class _LRUCache:
             return value
 
     def put(self, key, value) -> None:
-        if not self.maxsize:
-            return
         with self._lock:
             self.data[key] = value
             self.data.move_to_end(key)
@@ -110,9 +112,14 @@ class _InFlight:
 
 
 class Explorer:
-    """Session facade over one backend: fluent queries, SQL, batching."""
+    """Session facade over one backend: fluent queries, SQL, batching.
 
-    def __init__(self, backend, *, table_name: str = "R", cache_size: int = 256):
+    One plan cache (query text → :class:`QueryPlan`) and one result
+    cache (canonical key → :class:`QueryResult`), both sized by
+    :data:`CACHE_SIZE`; the server plans every client through one
+    Explorer per loaded model version."""
+
+    def __init__(self, backend, *, table_name: str = "R"):
         if not hasattr(backend, "count"):
             raise ReproError(
                 f"{type(backend).__name__} is not a query backend "
@@ -121,11 +128,9 @@ class Explorer:
             )
         self.backend = backend
         self.table_name = table_name
-        self.engine = SQLEngine(backend, table_name=table_name)
-        self.planner: Planner = self.engine.planner
-        self._asts = _LRUCache(cache_size)
-        self._predicates = _LRUCache(cache_size)
-        self._results = _LRUCache(cache_size)
+        self.planner = Planner(backend, table_name=table_name)
+        self._plans = _LRUCache(CACHE_SIZE)
+        self._results = _LRUCache(CACHE_SIZE)
         # Single-flight registry: concurrent threads asking the same
         # canonical query share one execution instead of racing to
         # recompute it (see execute()).
@@ -142,7 +147,6 @@ class Explorer:
         *,
         rounded: bool = False,
         table_name: str = "R",
-        cache_size: int = 256,
     ) -> "Explorer":
         """Open a session on a relation, summary, backend, or Explorer.
 
@@ -172,7 +176,7 @@ class Explorer:
             backend = ExactBackend(source)
         else:
             backend = source
-        return cls(backend, table_name=table_name, cache_size=cache_size)
+        return cls(backend, table_name=table_name)
 
     @classmethod
     def open(
@@ -184,7 +188,6 @@ class Explorer:
         tag: str | None = None,
         rounded: bool = False,
         table_name: str = "R",
-        cache_size: int = 256,
     ) -> "Explorer":
         """Open a session on a summary stored in a :class:`SummaryStore`
         (or a filesystem path to one)."""
@@ -193,9 +196,7 @@ class Explorer:
         if not isinstance(store, SummaryStore):
             store = SummaryStore(store)
         summary = store.load(name, version=version, tag=tag)
-        return cls.attach(
-            summary, rounded=rounded, table_name=table_name, cache_size=cache_size
-        )
+        return cls.attach(summary, rounded=rounded, table_name=table_name)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -216,10 +217,7 @@ class Explorer:
         if self.summary is None:
             raise ReproError("rounded() requires a summary backend")
         return Explorer.attach(
-            self.summary,
-            rounded=flag,
-            table_name=self.table_name,
-            cache_size=self._results.maxsize,
+            self.summary, rounded=flag, table_name=self.table_name
         )
 
     def describe(self) -> dict:
@@ -234,16 +232,11 @@ class Explorer:
         return card
 
     def cache_info(self) -> dict:
-        return {
-            "asts": self._asts.stats(),
-            "predicates": self._predicates.stats(),
-            "results": self._results.stats(),
-        }
+        return {"plans": self._plans.stats(), "results": self._results.stats()}
 
     def clear_cache(self) -> None:
         """Drop the session caches (and the model caches, if any)."""
-        self._asts.clear()
-        self._predicates.clear()
+        self._plans.clear()
         self._results.clear()
         summary = self.summary
         if summary is not None:
@@ -260,67 +253,43 @@ class Explorer:
         """Execute SQL text (cached)."""
         return self.execute(text)
 
-    @staticmethod
-    def _predicate_key(query: CountQuery):
-        """Syntactic pre-key of a WHERE clause — maps repeated query
-        texts to their cached :class:`CanonicalPredicate` without
-        re-resolving labels.  Semantic dedup happens one level down:
-        the *result* cache keys on the canonical form itself."""
-        return tuple(
-            sorted(
-                (condition.attribute, condition.op, repr(condition.values))
-                for condition in query.conditions
-            )
-        )
-
-    def _normalize(self, query) -> CountQuery:
-        if isinstance(query, Query):
-            query = query.to_ast()
-        if isinstance(query, str):
-            # Raw-text pre-key: repeated interactive queries skip the
-            # tokenizer entirely (the semantic dedup still happens at
-            # the canonical-predicate level below).
-            cached = self._asts.get(query)
-            if cached is not None:
-                return cached
-            parsed = self.planner.parse(query)
-            self._asts.put(query, parsed)
-            return parsed
-        return self.planner.parse(query)
-
-    def _canonical(self, query: CountQuery) -> CanonicalPredicate:
-        """Normalize a validated query's WHERE clause (cached)."""
-        key = self._predicate_key(query)
-        canonical = self._predicates.get(key)
-        if canonical is None:
-            canonical = self.planner.normalize(query)
-            self._predicates.put(key, canonical)
-        return canonical
-
     def plan(self, query: "CountQuery | Query | str") -> QueryPlan:
-        """The full normalize → route → execute plan for a query.
+        """The normalize → route → execute plan for a query (cached).
 
-        Each stage annotates the ambient request trace when one is
-        active (the serving path); standalone use pays one ContextVar
-        read per stage and no more."""
+        A SQL text is its own cache key; an AST or fluent query keys on
+        the ``repr`` of its :class:`CountQuery`, which spells every
+        literal with its type, tagged so that a SQL text spelled like
+        that ``repr`` never shares its entry.  Each stage annotates the
+        ambient request trace when one is active (the serving path): a
+        hit returns inside ``parse``, a miss adds ``canonicalize`` and
+        ``route``.  Standalone use pays one ContextVar read per stage
+        and no more."""
         with span("parse"):
-            query = self._normalize(query)
+            if isinstance(query, Query):
+                query = query.to_ast()
+            key = query if isinstance(query, str) else ("ast", repr(query))
+            plan = self._plans.get(key)
+            if plan is not None:
+                return plan
+            query = self.planner.parse(query)
         with span("canonicalize"):
-            predicate = self._canonical(query)
+            predicate = self.planner.normalize(query)
         with span("route"):
-            return self.planner.plan(query, predicate=predicate)
+            plan = self.planner.plan(query, predicate=predicate)
+        self._plans.put(key, plan)
+        return plan
 
     def explain(self, query: "CountQuery | Query | str") -> str:
         """Render a query's plan: one line per planning stage."""
         return self.plan(query).explain()
 
     def execute(self, query: "CountQuery | Query | str") -> QueryResult:
-        """Execute one query with predicate + result caching.
+        """Execute one query with plan + result caching.
 
-        Both caches key on canonical forms, so syntactic variants of
-        one query (reordered conjuncts, ``BETWEEN`` vs ``>=``/``<=``)
-        share entries.  A cache hit stops after the normalize stage —
-        routing and execution only run on misses.
+        Results key on the plan's semantic cache key, so syntactic
+        variants of one query (reordered conjuncts, ``BETWEEN`` vs
+        ``>=``/``<=``) share one entry: a respelled text is a plan miss
+        and a result hit.
 
         Thread-safe with *single-flight* semantics: when several
         threads miss on the same canonical key at once, exactly one
@@ -329,9 +298,8 @@ class Explorer:
         through a shared Explorer but evaluates through its own
         single-flight table; it never calls this method.)
         """
-        query = self._normalize(query)
-        canonical = self._canonical(query)
-        key = make_cache_key(query, canonical)
+        plan = self.plan(query)
+        key = plan.cache_key
         cached = self._results.get(key)
         if cached is not None:
             return cached
@@ -356,7 +324,6 @@ class Explorer:
             flight.done.set()
             return cached
         try:
-            plan = self.planner.plan(query, predicate=canonical)
             result = self.planner.execute(plan)
             self._results.put(key, result)
             flight.value = result
@@ -382,30 +349,21 @@ class Explorer:
         run per-query.  Results come back in input order and populate
         the session cache like sequential ``run()`` calls.
         """
-        parsed = [self._normalize(query) for query in queries]
-        canonicals = [self._canonical(query) for query in parsed]
-        keys = [
-            make_cache_key(query, canonical)
-            for query, canonical in zip(parsed, canonicals)
-        ]
+        plans = [self.plan(query) for query in queries]
         results: list[QueryResult | None] = [
-            self._results.get(key) for key in keys
+            self._results.get(plan.cache_key) for plan in plans
         ]
-        # Equivalent queries inside one batch share a canonical key, so
-        # each distinct key is planned and evaluated once; cache hits
-        # are never planned at all.
+        # Equivalent queries inside one batch share a cache key, so
+        # each distinct key is evaluated once.
         pending: dict[tuple, list[int]] = {}
         for index, result in enumerate(results):
             if result is None:
-                pending.setdefault(keys[index], []).append(index)
-        unique = [
-            self.planner.plan(parsed[indices[0]], predicate=canonicals[indices[0]])
-            for indices in pending.values()
-        ]
-        for indices, result in zip(
-            pending.values(), self.planner.execute_many(unique)
+                pending.setdefault(plans[index].cache_key, []).append(index)
+        unique = [plans[indices[0]] for indices in pending.values()]
+        for (key, indices), result in zip(
+            pending.items(), self.planner.execute_many(unique)
         ):
-            self._results.put(keys[indices[0]], result)
+            self._results.put(key, result)
             for index in indices:
                 results[index] = result
         return results  # type: ignore[return-value]

@@ -24,7 +24,7 @@ from repro.query.ast import Condition, CountQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.explorer import Explorer
-    from repro.query.engine import QueryResult
+    from repro.query.results import QueryResult
 
 #: lookup suffix → Condition operator
 _LOOKUPS = {

@@ -1,6 +1,6 @@
 """The query planning layer: normalize → route → execute.
 
-One planner sits under every query surface (SQL engine, Explorer, CLI,
+One planner sits under every query surface (Explorer, CLI, server,
 evaluation harness), so semantically equal queries share one canonical
 cache key, contradictions answer ``0`` without touching a backend,
 shard pruning is decided once per query, and compatible scalar counts
@@ -21,7 +21,7 @@ from repro.plan.canonical import (
     canonicalize_conjunction,
 )
 from repro.plan.operators import execute_batch, pick_operator
-from repro.plan.planner import Planner, QueryPlan, make_cache_key
+from repro.plan.planner import Planner, QueryPlan
 from repro.plan.router import Route, route_query
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "canonicalize_conditions",
     "canonicalize_conjunction",
     "execute_batch",
-    "make_cache_key",
     "pick_operator",
     "route_query",
 ]

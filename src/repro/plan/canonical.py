@@ -15,9 +15,10 @@ dense domain indices:
   with ``0`` in O(1) without touching any backend.
 
 The canonical form is hashable: :attr:`CanonicalPredicate.key` is the
-single cache key shared by the Explorer's result LRU, the SQL engine,
-and shard pruning, so syntactic variants of one query hit one cache
-entry.
+predicate part of every :attr:`~repro.plan.planner.QueryPlan.cache_key`,
+which the Explorer's result LRU and the server's result cache share, so
+syntactic variants of one query hit one cache entry.  A repeated SQL
+text never gets here: the Explorer caches its whole plan.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def canonicalize_conditions(
     masks: dict[int, np.ndarray] = {}
     for condition in conditions:
         pos = schema.position(condition.attribute)
-        mask = condition_mask(schema.domain(pos), condition, strict=False)
+        mask = condition_mask(schema.domain(pos), condition)
         if pos in masks:
             masks[pos] = masks[pos] & mask
         else:

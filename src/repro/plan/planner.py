@@ -4,10 +4,12 @@ EntropyDB's core claim (Sec 4.2) is that a counting query is one cheap
 polynomial evaluation.  Everything around that evaluation — resolving
 labels to index masks, merging intervals, deciding which backend (or
 which shards) to touch, batching compatible queries — is planning, and
-it lives here exactly once.  The SQL engine, the Explorer, the CLI, and
-the evaluation harness all build :class:`QueryPlan` objects through a
-:class:`Planner` and run them through the shared operators in
-:mod:`repro.plan.operators`.
+it lives here exactly once.  The Explorer (and through it the CLI and
+the server), and the evaluation harness all build :class:`QueryPlan`
+objects through a :class:`Planner` and run them through the shared
+operators in :mod:`repro.plan.operators`.  A plan depends only on the
+query and the backend, so the Explorer caches one per SQL text; the
+planner itself caches nothing.
 
 A plan has three stages, visible via :meth:`QueryPlan.explain`:
 
@@ -39,25 +41,6 @@ from repro.query.results import QueryResult
 from repro.stats.predicates import Conjunction
 
 
-def make_cache_key(query: CountQuery, predicate: CanonicalPredicate) -> tuple:
-    """Semantic result-cache key of a (query, canonical predicate) pair.
-
-    Hashable, and equal for syntactic variants of one query (``BETWEEN
-    3 AND 7`` vs ``x >= 3 AND x <= 7``, reordered conjuncts).  Exposed
-    separately from :class:`QueryPlan` so caches can be consulted after
-    the normalize stage alone — a cache hit never pays for routing.
-    """
-    return (
-        query.table.lower(),
-        query.aggregate,
-        query.aggregate_attr,
-        predicate.key,
-        tuple(query.group_by),
-        query.order,
-        query.limit,
-    )
-
-
 class QueryPlan:
     """One planned query: canonical predicate, route, operator.
 
@@ -79,7 +62,15 @@ class QueryPlan:
         self.predicate = predicate
         self.route = route
         self.operator = operator
-        self.cache_key = make_cache_key(query, predicate)
+        self.cache_key = (
+            query.table.lower(),
+            query.aggregate,
+            query.aggregate_attr,
+            predicate.key,
+            tuple(query.group_by),
+            query.order,
+            query.limit,
+        )
 
     # -- predicate views --------------------------------------------------
     def conjunction(self) -> Conjunction:
@@ -145,8 +136,9 @@ class Planner:
     ) -> QueryPlan:
         """Full planning pass: parse/validate → normalize → route.
 
-        Callers holding a cached :class:`CanonicalPredicate` (the
-        Explorer's predicate LRU) pass it to skip re-normalization.
+        Callers that normalized already (the Explorer, to time the
+        stages apart) pass the :class:`CanonicalPredicate` to skip
+        re-normalization.
         """
         query = self.parse(query)
         if predicate is None:

@@ -58,9 +58,15 @@ class Route:
 
     @property
     def detail(self) -> dict:
-        """Routing details (backend name, live/pruned shards, ...)."""
-        if self._thunk is not None:
-            self._detail.update(self._thunk())
+        """Routing details (backend name, live/pruned shards, ...).
+
+        A cached plan is shared across threads, so the thunk is read
+        once: two readers that both see it compute the same detail
+        twice, which is harmless; checking ``self._thunk`` and then
+        calling it would let the loser of the race call ``None``."""
+        thunk = self._thunk
+        if thunk is not None:
+            self._detail.update(thunk())
             self._thunk = None
         return self._detail
 

@@ -1,4 +1,4 @@
-"""The backend adapter exposing EntropyDB summaries to the SQL engine.
+"""The backend adapter exposing EntropyDB summaries to the query planner.
 
 :class:`SummaryBackend` serves an :class:`EntropySummary` and a
 :class:`~repro.core.sharding.ShardedSummary` alike: both answer through

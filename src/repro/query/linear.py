@@ -2,9 +2,10 @@
 
 Two jobs live here:
 
-* Translate parsed WHERE conditions (over *labels*: state codes, raw
-  numbers for bucketized attributes, ...) into a
-  :class:`~repro.stats.predicates.Conjunction` over dense indices.
+* Resolve one parsed WHERE condition (over *labels*: state codes, raw
+  numbers for bucketized attributes, ...) into a mask over the dense
+  domain indices; :mod:`repro.plan.canonical` intersects the masks
+  into a canonical predicate.
 * Provide the paper's formal :class:`LinearQuery` — a vector ``q ∈ R^d``
   over the possible-tuple space with answer ``⟨q, n^I⟩`` (Fig. 1).  It
   is materializable only for small schemas and is used by tests and
@@ -12,8 +13,6 @@ Two jobs live here:
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError
 from repro.query.ast import Condition
-from repro.stats.predicates import Conjunction, conjunction_from_masks
+from repro.stats.predicates import Conjunction
 
 
 # ----------------------------------------------------------------------
@@ -59,8 +58,8 @@ def _comparison_mask(domain: Domain, op: str, literal) -> np.ndarray:
     """Mask for ``A <op> literal`` under per-label-kind semantics:
 
     * plain labels compare by value (numbers) — the domain must be
-      sorted for a range to result, which :func:`conjunction_from_masks`
-      does not require anyway;
+      sorted for a range to result; an unsorted one gives a set, which
+      the canonical predicate accepts as well;
     * bucket labels use overlap semantics (``A < v`` keeps buckets
       starting below ``v``; ``A > v`` keeps buckets ending above it).
     """
@@ -103,93 +102,28 @@ def _comparison_mask(domain: Domain, op: str, literal) -> np.ndarray:
     return mask
 
 
-def condition_mask(
-    domain: Domain, condition: Condition, *, strict: bool = True
-) -> np.ndarray:
+def condition_mask(domain: Domain, condition: Condition) -> np.ndarray:
     """Boolean value mask of one condition over a domain.
 
-    ``strict=True`` (the legacy behavior) raises :class:`QueryError`
-    when the condition selects no value; ``strict=False`` returns the
-    empty mask instead, letting the query planner treat unsatisfiable
-    conditions as contradictions that answer ``0`` without touching a
-    backend.  Type errors (comparing a number with a string label, ...)
-    raise in both modes.
+    A condition that selects no value (a literal outside the active
+    domain, a range past the last label) gives the empty mask, which
+    the query planner turns into a contradiction that answers ``0``
+    without touching a backend.  Type errors (comparing a number with a
+    string label, ...) raise :class:`QueryError`.
     """
-    if condition.op == "=":
-        index = _literal_matches(domain, condition.values[0])
-        mask = np.zeros(domain.size, dtype=bool)
-        if index is None:
-            if strict:
-                raise QueryError(
-                    f"value {condition.values[0]!r} is not in the active "
-                    f"domain of {domain.name!r}"
-                )
-            return mask
-        mask[index] = True
-        return mask
-    if condition.op == "!=":
-        # strict mode still rejects out-of-domain values (a typo check);
-        # lenient mode keeps every label, the correct NOT-EQUAL reading.
-        mask = condition_mask(
-            domain,
-            Condition(condition.attribute, "=", condition.values),
-            strict=strict,
-        )
-        return ~mask
-    if condition.op == "in":
+    if condition.op in ("=", "!=", "in"):
         mask = np.zeros(domain.size, dtype=bool)
         for literal in condition.values:
             index = _literal_matches(domain, literal)
-            if index is None:
-                if strict:
-                    raise QueryError(
-                        f"value {literal!r} is not in the active domain of "
-                        f"{domain.name!r}"
-                    )
-                continue
-            mask[index] = True
-        return mask
+            if index is not None:
+                mask[index] = True
+        return ~mask if condition.op == "!=" else mask
     if condition.op == "between":
         low, high = condition.values
-        lower = _comparison_mask(domain, ">=", low)
-        upper = _comparison_mask(domain, "<=", high)
-        mask = lower & upper
-        if strict and not mask.any():
-            raise QueryError(
-                f"BETWEEN {low!r} AND {high!r} selects no value of "
-                f"{domain.name!r}"
-            )
-        return mask
-    mask = _comparison_mask(domain, condition.op, condition.values[0])
-    if strict and not mask.any():
-        raise QueryError(
-            f"{condition!r} selects no value of {domain.name!r}"
+        return _comparison_mask(domain, ">=", low) & _comparison_mask(
+            domain, "<=", high
         )
-    return mask
-
-
-def conjunction_from_conditions(
-    schema: Schema, conditions: Sequence[Condition]
-) -> Conjunction:
-    """Resolve parsed conditions into a dense-index conjunction.
-
-    Multiple conditions on one attribute intersect (``x >= 3 AND
-    x <= 7`` equals ``x BETWEEN 3 AND 7``); an empty intersection
-    raises, matching the strict semantics of :func:`condition_mask`.
-    """
-    masks: dict[int, np.ndarray] = {}
-    for condition in conditions:
-        pos = schema.position(condition.attribute)
-        mask = condition_mask(schema.domain(pos), condition)
-        if pos in masks:
-            mask = masks[pos] & mask
-            if not mask.any():
-                raise QueryError(
-                    f"conditions on {condition.attribute!r} contradict each "
-                    "other; no value satisfies all of them"
-                )
-        masks[pos] = mask
-    return conjunction_from_masks(schema, masks)
+    return _comparison_mask(domain, condition.op, condition.values[0])
 
 
 def numeric_weights(domain: Domain) -> np.ndarray:

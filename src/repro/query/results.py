@@ -1,8 +1,7 @@
 """Query results: a scalar count or a list of group rows.
 
-Split out of :mod:`repro.query.engine` so the planning layer
-(:mod:`repro.plan`) and the engine can share the result types without
-an import cycle — results sit below both.
+They sit below the planning layer (:mod:`repro.plan`), which builds
+them, so every query surface shares them without an import cycle.
 """
 
 from __future__ import annotations

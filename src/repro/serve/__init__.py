@@ -5,7 +5,8 @@ caller*; this package multiplexes many concurrent clients onto those
 same shared structures:
 
 * :class:`SummaryServer` / :class:`ServeConfig` — asyncio TCP server
-  hosting named sessions over one backend, with hot reload of store
+  planning every client's queries through one cached
+  :class:`~repro.api.Explorer` per loaded version, with hot reload of store
   versions (``SIGHUP`` or the ``reload`` op); speaks the binary
   framed protocol (:mod:`repro.serve.wire`) and line-delimited JSON
   on the same port (first-byte sniff per connection);

@@ -1,6 +1,6 @@
 """Process-wide TTL + LRU result cache for the serving layer.
 
-One cache is shared by every session the server hosts: entries key on
+One cache is shared by every client the server answers: entries key on
 ``(store version, canonical predicate key)``, so
 
 * syntactic variants of one query from *different* clients share one

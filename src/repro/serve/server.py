@@ -3,8 +3,9 @@
 The paper's pitch is *interactive* exploration — approximate answers in
 milliseconds so many analysts can probe a dataset without touching the
 base relation.  :class:`SummaryServer` is that claim as a process: an
-asyncio TCP server speaking newline-delimited JSON, hosting many named
-sessions over one shared backend loaded from a
+asyncio TCP server speaking newline-delimited JSON, answering every
+client through one :class:`~repro.api.explorer.Explorer` (one plan
+cache) over a backend loaded from a
 :class:`~repro.api.store.SummaryStore`, with
 
 * **single-flight evaluation** — a miss is evaluated by the request
@@ -16,7 +17,7 @@ sessions over one shared backend loaded from a
   evaluated in the executor awaits that execution instead of starting
   a second one (:mod:`repro.serve.coalescer`);
 * a **shared result cache** — TTL + LRU keyed on ``(store version,
-  canonical predicate key)``, shared across sessions and clients
+  canonical predicate key)``, shared across clients
   (:mod:`repro.serve.cache`);
 * **admission control** — bounded queue depth and per-client in-flight
   limits, decided as each request's frame is read, with fast 503-style
@@ -147,40 +148,24 @@ class ServeConfig:
 
 
 class _Generation:
-    """One loaded store version: a shared backend plus named sessions.
+    """One loaded store version and the one :class:`Explorer` that plans
+    every request against it.
 
-    Sessions are :class:`Explorer` instances over the *same* backend
-    object — each gets its own AST/predicate caches (now thread-safe),
-    while results share the server-wide TTL cache keyed on this
-    generation's version.  Requests capture the generation they start
-    on, so a hot reload never yanks a backend out from under an
-    in-flight query.
+    Plans are cached per SQL text inside the Explorer (a plan depends
+    only on the text and the model), results in the server-wide TTL
+    cache keyed on this generation's version.  A request's ``session``
+    is a label echoed in its reply, trace and slow-log entry; it holds
+    no state here.  Requests capture the generation they start on, so
+    a hot reload never yanks a backend out from under an in-flight
+    query.
     """
 
-    __slots__ = ("version", "label", "explorer", "_sessions", "_lock")
+    __slots__ = ("version", "label", "explorer")
 
     def __init__(self, version: int, explorer: Explorer, label: str):
         self.version = version
         self.label = label
         self.explorer = explorer
-        self._sessions: dict[str, Explorer] = {"default": explorer}
-        self._lock = threading.Lock()
-
-    def session(self, name: str) -> Explorer:
-        with self._lock:
-            explorer = self._sessions.get(name)
-            if explorer is None:
-                explorer = Explorer.attach(
-                    self.explorer.backend,
-                    table_name=self.explorer.table_name,
-                )
-                self._sessions[name] = explorer
-            return explorer
-
-    @property
-    def session_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._sessions)
 
 
 def _plain(value):
@@ -978,16 +963,15 @@ class SummaryServer:
         }
 
     async def _answer(self, request: dict, sqls: list):
-        """Plan ``sqls`` in the request's session on the pinned
-        generation, answer result-cache hits, and send every miss
-        through the single-flight table — the misses no other request
-        is evaluating run here, in one execution (:meth:`_evaluate`);
-        the rest await the execution already in flight.  Returns
-        ``(generation, session name, plans, payloads, cached flags)``."""
+        """Plan ``sqls`` on the pinned generation, answer result-cache
+        hits, and send every miss through the single-flight table — the
+        misses no other request is evaluating run here, in one execution
+        (:meth:`_evaluate`); the rest await the execution already in
+        flight.  Returns ``(generation, session name, plans, payloads,
+        cached flags)``."""
         session_name = str(request.get("session", "default"))
         generation = self._generation  # pin: reloads must not drop us
-        explorer = generation.session(session_name)
-        plans = [explorer.plan(sql) for sql in sqls]  # parse + normalize
+        plans = [generation.explorer.plan(sql) for sql in sqls]
         payloads: list = [None] * len(plans)
         cached_flags = [False] * len(plans)
         misses: list[tuple[int, tuple, object]] = []
@@ -1121,7 +1105,6 @@ class SummaryServer:
         return {
             "version": generation.version,
             "summary": generation.label,
-            "sessions": generation.session_names,
             "requests": int(
                 sample_value(snapshot, "repro_requests_total")
             ),

@@ -2,14 +2,14 @@
 
 SUM over a numeric attribute is a weighted linear query; the model
 answers it with one gradient pass.  Exact and sampling backends
-implement the same interface, so the SQL engine runs SUM/AVG against
-all three.
+implement the same interface, so one Explorer per backend runs
+SUM/AVG against all three.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import SummaryBuilder
+from repro.api import Explorer, SummaryBuilder
 from repro.baselines.exact import ExactBackend
 from repro.baselines.uniform import uniform_sample
 from repro.data.binning import EquiWidthBinner
@@ -18,7 +18,6 @@ from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError
 from repro.query.backends import SummaryBackend
-from repro.query.engine import SQLEngine
 from repro.query.linear import numeric_weights
 from repro.query.parser import parse_query
 
@@ -49,9 +48,9 @@ def engines(relation):
         .fit()
     )
     return {
-        "exact": SQLEngine(ExactBackend(relation)),
-        "summary": SQLEngine(SummaryBackend(summary)),
-        "sample": SQLEngine(uniform_sample(relation, fraction=0.2, seed=1)),
+        "exact": Explorer(ExactBackend(relation)),
+        "summary": Explorer(SummaryBackend(summary)),
+        "sample": Explorer(uniform_sample(relation, fraction=0.2, seed=1)),
     }
 
 

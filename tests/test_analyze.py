@@ -349,7 +349,7 @@ class TestDeprecatedApi:
         found = flags(
             """\
             def attach(summary):
-                return SQLEngine(summary)
+                return SummaryBackend(summary)
             """,
             "deprecated-api",
             INGEST,
@@ -359,11 +359,11 @@ class TestDeprecatedApi:
     def test_passes_in_defining_module(self):
         found = flags(
             """\
-            class SQLEngine:
+            class SummaryBackend:
                 pass
 
             def default():
-                return SQLEngine()
+                return SummaryBackend()
             """,
             "deprecated-api",
             CORE,
@@ -374,7 +374,7 @@ class TestDeprecatedApi:
         found = flags(
             """\
             def attach(summary):
-                return SQLEngine(summary)
+                return SummaryBackend(summary)
             """,
             "deprecated-api",
             "src/repro/api/explorer.py",

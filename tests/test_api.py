@@ -12,7 +12,6 @@ from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError, ReproError
 from repro.query.backends import SummaryBackend
-from repro.query.engine import SQLEngine
 
 
 @pytest.fixture
@@ -119,7 +118,7 @@ class TestFluentEquivalence:
     def test_scalar_counts_match_sql(self, relation, summary, build, sql):
         for source in (relation, summary):
             explorer = Explorer.attach(source)
-            raw_engine = SQLEngine(explorer.backend, table_name="R")
+            raw_engine = Explorer(explorer.backend, table_name="R")
             assert build(explorer.query()).value() == pytest.approx(
                 raw_engine.count(sql)
             )
@@ -134,7 +133,7 @@ class TestFluentEquivalence:
             .limit(2)
             .run()
         )
-        raw = SQLEngine(ExactBackend(relation), table_name="R").execute(
+        raw = Explorer(ExactBackend(relation), table_name="R").execute(
             "SELECT state, COUNT(*) AS cnt FROM R WHERE hour >= 1 "
             "GROUP BY state ORDER BY cnt DESC LIMIT 2"
         )
@@ -156,7 +155,7 @@ class TestFluentEquivalence:
         exact = Explorer.attach(relation)
         approx = Explorer.attach(summary)
         exact_sum = exact.query().sum("hour").where(state="CA").value()
-        raw = SQLEngine(ExactBackend(relation), table_name="R").count
+        raw = Explorer(ExactBackend(relation), table_name="R").count
         # hour labels are their numeric values, so SUM is well-defined.
         assert exact_sum == pytest.approx(
             sum(
@@ -228,6 +227,7 @@ class TestExplorer:
         assert explorer.cache_info()["results"]["hits"] == 1
         explorer.clear_cache()
         assert explorer.cache_info()["results"]["hits"] == 0
+        assert explorer.cache_info()["plans"]["size"] == 0
 
     def test_group_by_results_cached(self, relation):
         explorer = Explorer.attach(relation)
@@ -241,15 +241,10 @@ class TestExplorer:
         explorer = Explorer.attach(summary)
         explorer.sql("SELECT COUNT(*) FROM R WHERE state = 'CA'")
         info = explorer.cache_info()
-        assert set(info) == {"asts", "predicates", "results"}
+        assert set(info) == {"plans", "results"}
         for section in info.values():
             assert set(section) == {"size", "hits", "misses"}
             assert all(value >= 0 for value in section.values())
-
-    def test_cache_disabled(self, summary):
-        explorer = Explorer.attach(summary, cache_size=0)
-        sql = "SELECT COUNT(*) FROM R WHERE state = 'CA'"
-        assert explorer.sql(sql) is not explorer.sql(sql)
 
     def test_describe(self, summary):
         card = Explorer.attach(summary).describe()
@@ -262,6 +257,57 @@ class TestExplorer:
         assert explorer.count("SELECT COUNT(*) FROM Flights") == 300
         with pytest.raises(QueryError, match="unknown table"):
             explorer.sql("SELECT COUNT(*) FROM R")
+
+
+class TestPlanCache:
+    """One plan per query text: a repeated query skips every planning
+    stage; results still key on the canonical form."""
+
+    @staticmethod
+    def _spy_normalize(explorer, monkeypatch):
+        calls = []
+        normalize = explorer.planner.normalize
+
+        def spy(query):
+            calls.append(query)
+            return normalize(query)
+
+        monkeypatch.setattr(explorer.planner, "normalize", spy)
+        return calls
+
+    def test_repeated_text_normalizes_once(self, summary, monkeypatch):
+        explorer = Explorer.attach(summary)
+        calls = self._spy_normalize(explorer, monkeypatch)
+        sql = "SELECT COUNT(*) FROM R WHERE state = 'CA' AND hour >= 1"
+        plans = {id(explorer.plan(sql)) for _ in range(3)}
+        explorer.sql(sql)
+        assert len(calls) == 1
+        assert len(plans) == 1
+
+    def test_repeated_fluent_query_normalizes_once(self, summary, monkeypatch):
+        explorer = Explorer.attach(summary)
+        calls = self._spy_normalize(explorer, monkeypatch)
+        for _ in range(3):
+            explorer.query().where(state__in=("CA", "NY"), hour=2).run()
+        assert len(calls) == 1
+
+    def test_respelled_text_is_plan_miss_and_result_hit(self, summary):
+        explorer = Explorer.attach(summary)
+        first = explorer.sql("SELECT COUNT(*) FROM R WHERE hour BETWEEN 1 AND 2")
+        second = explorer.sql(
+            "SELECT COUNT(*) FROM R WHERE hour >= 1 AND hour <= 2"
+        )
+        assert second is first
+        info = explorer.cache_info()
+        assert info["plans"] == {"size": 2, "hits": 0, "misses": 2}
+        assert (info["results"]["size"], info["results"]["hits"]) == (1, 1)
+
+    def test_failed_plan_is_not_cached(self, relation):
+        explorer = Explorer.attach(relation)
+        for _ in range(2):
+            with pytest.raises(QueryError, match="unknown table"):
+                explorer.sql("SELECT COUNT(*) FROM other")
+        assert explorer.cache_info()["plans"]["size"] == 0
 
 
 class TestRunMany:
@@ -480,11 +526,14 @@ class TestExplorerThreadSafety:
         info = explorer.cache_info()
         assert info["results"]["size"] == len(self.QUERIES)
 
-    def test_concurrent_distinct_queries_all_correct(self, relation):
+    def test_concurrent_distinct_queries_all_correct(self, relation, monkeypatch):
         import threading
 
+        from repro.api import explorer as explorer_module
+
+        monkeypatch.setattr(explorer_module, "CACHE_SIZE", 2)  # force evictions
         backend = _SlowSpyBackend(relation, delay=0.0005)
-        explorer = Explorer.attach(backend, cache_size=2)  # force evictions
+        explorer = Explorer.attach(backend)
         reference = Explorer.attach(ExactBackend(relation))
         queries = [
             f"SELECT COUNT(*) FROM R WHERE hour >= {h} AND state = '{s}'"

@@ -1,16 +1,16 @@
-"""Tests for the SQL engine against exact and summary backends."""
+"""Tests for SQL execution through the Explorer against exact and summary
+backends."""
 
 import numpy as np
 import pytest
 
-from repro.api import SummaryBuilder
+from repro.api import Explorer, SummaryBuilder
 from repro.baselines.exact import ExactBackend
 from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError
 from repro.query.backends import SummaryBackend
-from repro.query.engine import SQLEngine
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ def relation():
 
 @pytest.fixture
 def exact_engine(relation):
-    return SQLEngine(ExactBackend(relation), table_name="R")
+    return Explorer(ExactBackend(relation), table_name="R")
 
 
 class TestExactExecution:
@@ -104,7 +104,7 @@ class TestSummaryExecution:
             .iterations(60)
             .fit()
         )
-        return SQLEngine(SummaryBackend(summary), table_name="R")
+        return Explorer(SummaryBackend(summary), table_name="R")
 
     def test_estimates_track_exact(self, summary_engine, exact_engine):
         for sql in (

@@ -7,7 +7,7 @@ do, including the paper's headline behaviours on small instances.
 import numpy as np
 import pytest
 
-from repro.api import SummaryBuilder
+from repro.api import Explorer, SummaryBuilder
 from repro.baselines.exact import ExactBackend
 from repro.baselines.uniform import uniform_sample
 from repro.core.summary import EntropySummary
@@ -16,7 +16,6 @@ from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.evaluation.metrics import f_measure
 from repro.query.backends import SummaryBackend
-from repro.query.engine import SQLEngine
 from repro.workloads.selection_queries import light_hitters, nonexistent_values
 
 
@@ -112,8 +111,8 @@ class TestSQLAgainstExact:
             .iterations(60)
             .fit()
         )
-        approx = SQLEngine(SummaryBackend(summary), table_name="flights")
-        exact = SQLEngine(ExactBackend(relation), table_name="flights")
+        approx = Explorer(SummaryBackend(summary), table_name="flights")
+        exact = Explorer(ExactBackend(relation), table_name="flights")
         queries = [
             "SELECT COUNT(*) FROM flights WHERE s = 'a'",
             "SELECT COUNT(*) FROM flights WHERE s = 'b' AND d BETWEEN 2 AND 4",
@@ -133,7 +132,7 @@ class TestSQLAgainstExact:
             .iterations(60)
             .fit()
         )
-        engine = SQLEngine(SummaryBackend(summary), table_name="flights")
+        engine = Explorer(SummaryBackend(summary), table_name="flights")
         result = engine.execute(
             "SELECT s, COUNT(*) AS cnt FROM flights GROUP BY s "
             "ORDER BY cnt DESC LIMIT 2"
@@ -184,8 +183,8 @@ class TestPersistenceEndToEnd:
         summary.save(tmp_path / "model")
         loaded = EntropySummary.load(tmp_path / "model")
         sql = "SELECT COUNT(*) FROM R WHERE s = 'b' AND d = 3"
-        original = SQLEngine(SummaryBackend(summary)).count(sql)
-        restored = SQLEngine(SummaryBackend(loaded)).count(sql)
+        original = Explorer(SummaryBackend(summary)).count(sql)
+        restored = Explorer(SummaryBackend(loaded)).count(sql)
         assert restored == pytest.approx(original, rel=1e-12)
 
 

@@ -9,11 +9,8 @@ from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError
 from repro.query.ast import Condition
-from repro.query.linear import (
-    LinearQuery,
-    condition_mask,
-    conjunction_from_conditions,
-)
+from repro.plan.canonical import canonicalize_conditions
+from repro.query.linear import LinearQuery, condition_mask
 from repro.stats.predicates import RangePredicate, SetPredicate
 
 
@@ -43,9 +40,14 @@ class TestConditionMask:
         mask = condition_mask(schema.domain("city"), Condition("city", "=", ["CA/LA"]))
         assert mask.tolist() == [True, False, False]
 
-    def test_unknown_value_raises(self, schema):
-        with pytest.raises(QueryError, match="not in the active domain"):
-            condition_mask(schema.domain("state"), Condition("state", "=", ["TX"]))
+    def test_unknown_value_selects_nothing(self, schema):
+        domain = schema.domain("state")
+        mask = condition_mask(domain, Condition("state", "=", ["TX"]))
+        assert mask.tolist() == [False, False, False]
+        mask = condition_mask(domain, Condition("state", "!=", ["TX"]))
+        assert mask.tolist() == [True, True, True]
+        mask = condition_mask(domain, Condition("state", "in", ["TX", "WA"]))
+        assert mask.tolist() == [False, False, True]
 
     def test_not_equal(self, schema):
         mask = condition_mask(schema.domain("state"), Condition("state", "!=", ["NY"]))
@@ -97,27 +99,29 @@ class TestConditionMask:
         with pytest.raises(QueryError, match="cannot compare"):
             condition_mask(schema.domain("city"), Condition("city", "<", [5]))
 
-    def test_empty_between_raises(self, schema):
-        with pytest.raises(QueryError, match="selects no value"):
-            condition_mask(schema.domain("day"), Condition("day", "between", [10, 20]))
+    def test_empty_between_selects_nothing(self, schema):
+        mask = condition_mask(
+            schema.domain("day"), Condition("day", "between", [10, 20])
+        )
+        assert mask.tolist() == [False, False, False, False]
 
 
 class TestConjunctionFromConditions:
     def test_builds_tightest_predicates(self, schema):
-        conjunction = conjunction_from_conditions(
+        conjunction = canonicalize_conditions(
             schema,
             [
                 Condition("state", "=", ["CA"]),
                 Condition("day", "between", [1, 3]),
                 Condition("dist", "in", [5, 85]),
             ],
-        )
+        ).to_conjunction()
         assert conjunction.predicate_at(0) == RangePredicate.point(0)
         assert conjunction.predicate_at(3) == RangePredicate(1, 3)
         assert conjunction.predicate_at(1) == SetPredicate([0, 4])
 
     def test_empty_conditions(self, schema):
-        conjunction = conjunction_from_conditions(schema, [])
+        conjunction = canonicalize_conditions(schema, []).to_conjunction()
         assert conjunction.is_trivial()
 
 

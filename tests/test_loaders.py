@@ -110,8 +110,8 @@ class TestLoadCsv:
 
     def test_end_to_end_summary(self, csv_path):
         """CSV → relation → summary → query."""
-        from repro.api import SummaryBuilder
-        from repro.query import SQLEngine, SummaryBackend
+        from repro.api import Explorer, SummaryBuilder
+        from repro.query import SummaryBackend
 
         relation = load_csv(
             csv_path,
@@ -121,6 +121,6 @@ class TestLoadCsv:
             ],
         )
         summary = SummaryBuilder(relation).iterations(30).fit()
-        engine = SQLEngine(SummaryBackend(summary))
+        engine = Explorer(SummaryBackend(summary))
         estimate = engine.count("SELECT COUNT(*) FROM R WHERE state = 'CA'")
         assert estimate == pytest.approx(4.0, abs=0.2)

@@ -373,6 +373,47 @@ class TestRouting:
         unconstrained = explorer.plan("SELECT COUNT(*) FROM R")
         assert len(unconstrained.route.detail["live_shards"]) == 2
 
+    def test_cached_sharded_detail_is_safe_across_threads(self, sharded):
+        # A cached plan is shared: the cluster's executor thread reads
+        # route.detail while the slow log renders explain() on the loop,
+        # and the first readers race to resolve the lazy detail.
+        import sys
+        import threading
+
+        explorer = Explorer.attach(sharded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for hour in range(HOURS):
+                text = f"SELECT COUNT(*) FROM R WHERE hour = {hour}"
+                plan = explorer.plan(text)
+                assert explorer.plan(text) is plan
+                barrier = threading.Barrier(8, timeout=10)
+                seen, errors = [], []
+
+                def read():
+                    try:
+                        barrier.wait()
+                        detail = plan.route.detail
+                        seen.append(
+                            (detail["live_shards"], detail["pruned_shards"])
+                        )
+                    except BaseException as error:
+                        errors.append(error)
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors, errors[0]
+                assert len(seen) == 8 and len(set(seen)) == 1
+                live, pruned = seen[0]
+                assert len(live) == 1 and len(pruned) == 1
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_contradiction_routes_nowhere(self, summary):
         plan = Explorer.attach(summary).plan(
             "SELECT COUNT(*) FROM R WHERE hour = 99"
@@ -424,11 +465,9 @@ class TestExplain:
         assert "GroupBy" in text
 
     def test_engine_explain_matches_explorer(self, relation):
-        from repro.query.engine import SQLEngine
-
         sql = "SELECT COUNT(*) FROM R WHERE hour = 3"
-        engine = SQLEngine(ExactBackend(relation))
-        assert engine.explain(sql) == Explorer.attach(relation).explain(sql)
+        planner = Planner(ExactBackend(relation))
+        assert planner.explain(sql) == Explorer.attach(relation).explain(sql)
 
 
 class TestPlannerDirect:
@@ -457,15 +496,3 @@ class TestPlannerDirect:
         )
         with pytest.raises(QueryError, match="contradictory"):
             canonical.to_conjunction()
-
-    def test_compile_still_strict_for_contradictions(self, relation):
-        from repro.query.engine import SQLEngine
-
-        engine = SQLEngine(ExactBackend(relation))
-        query = parse_query(
-            "SELECT COUNT(*) FROM R WHERE hour >= 5 AND hour <= 2"
-        )
-        with pytest.raises(QueryError, match="contradiction"):
-            engine.compile(query)
-        # ... while execute() short-circuits the same query to 0.
-        assert engine.execute(query).scalar == 0.0

@@ -554,10 +554,36 @@ class TestServerRoundTrip:
 
     def test_named_sessions(self, running):
         with ServeClient(port=running.port, session="analyst-7") as client:
-            client.query("SELECT COUNT(*) FROM R", session="analyst-7")
+            reply = client.call(
+                "query", sql="SELECT COUNT(*) FROM R", session="analyst-7"
+            )
+            batch = client.call(
+                "query_batch", sqls=["SELECT COUNT(*) FROM R"],
+                session="analyst-7",
+            )
             stats = client.stats()
-        assert "analyst-7" in stats["sessions"]
-        assert "default" in stats["sessions"]
+        assert reply["session"] == "analyst-7"
+        assert batch["session"] == "analyst-7"
+        assert "sessions" not in stats
+
+    def test_session_names_grow_no_server_state(self, running):
+        # A session is a label echoed in the reply: 500 client-chosen
+        # names leave the number of live Explorers where it was.
+        import gc
+
+        def live_explorers() -> int:
+            gc.collect()
+            return sum(isinstance(obj, Explorer) for obj in gc.get_objects())
+
+        sql = "SELECT COUNT(*) FROM R WHERE hour = 1"
+        with ServeClient(port=running.port) as client:
+            client.query(sql, session="warm-up")
+            before = live_explorers()
+            for index in range(500):
+                reply = client.call("query", sql=sql, session=f"user-{index}")
+                assert reply["session"] == f"user-{index}"
+            after = live_explorers()
+        assert after == before
 
     def test_bad_sql_is_a_400_not_a_dropped_connection(self, running):
         with ServeClient(port=running.port) as client:

@@ -199,8 +199,6 @@ GUARDED_FIELDS: dict[str, dict[str, str]] = {
     # api/explorer.py — the session caches the serving layer shares
     "_LRUCache": {"data": "_lock", "hits": "_lock", "misses": "_lock"},
     "Explorer": {"_inflight": "_inflight_lock"},
-    # serve/server.py — named-session map on the shared generation
-    "_Generation": {"_sessions": "_lock"},
     "SummaryServer": {},  # seeded so annotations in server.py attach here
 }
 
@@ -326,7 +324,6 @@ class LockDisciplineRule(Rule):
 #: and ``plan/`` are the blessed call sites (scoped out below); tests
 #: are out of scope entirely (rule scope is src/).
 _DEPRECATED_CONSTRUCTORS = {
-    "SQLEngine": "construct queries through Explorer/Planner (repro.api)",
     "SummaryBackend": "use Explorer.attach(summary) (repro.api)",
 }
 
@@ -335,14 +332,14 @@ _DEPRECATED_CONSTRUCTORS = {
 class DeprecatedApiRule(Rule):
     """No new calls to retired construction paths.
 
-    Backend/engine objects are wired up by the ``repro.api`` facade;
-    code that constructs them directly dodges the planner and the
-    session caches.  The defining module is exempt (a class may build
-    its own kind), as are ``repro.api`` and ``plan/``.
+    Backend objects are wired up by the ``repro.api`` facade; code
+    that constructs them directly dodges the planner and the session
+    caches.  The defining module is exempt (a class may build its own
+    kind), as are ``repro.api`` and ``plan/``.
     """
 
     name = "deprecated-api"
-    summary = "no direct SQLEngine/SummaryBackend construction outside repro.api"
+    summary = "no direct SummaryBackend construction outside repro.api"
     scope = ("src/repro/*.py", "src/repro/**/*.py")
     exclude = (
         "src/repro/api/*.py",
