@@ -144,6 +144,13 @@ lint:
 	@# Explorer per client-chosen session name.
 	@! grep -rnwE --include='*.py' "SQLEngine|conjunction_from_conditions|strict" src/repro/query/ src/repro/plan/ src/repro/api/
 	@! grep -nwE "_asts|_predicates|_sessions" src/repro/api/explorer.py src/repro/serve/server.py
+	@# Appends read only the batch: the ingest pipeline holds just the
+	@# summary, never a copy of the rows it was fitted on, and
+	@# `repro ingest` needs no base relation (its --data flag and the
+	@# --write-data round trip are gone; `repro build --data` stays).
+	@! grep -rnE "Relation\.concat|sample_rows|_shard_relations|delta_refresh" src/repro/ingest/ src/repro/api/builder.py
+	@! grep -nE "write.data" src/repro/cli.py
+	@! grep -Pzo 'ingest\.add_argument\(\s*"--data"' src/repro/cli.py
 
 # Documentation rot check: every ```python block in README.md and
 # docs/*.md must compile, every relative link must resolve.

@@ -127,7 +127,7 @@ def test_delta_refresh_speedup_and_accuracy():
     rebuilt = _builder(combined).name("flights-rebuilt").fit()
     rebuild_s = time.perf_counter() - start
 
-    pipeline = IngestPipeline(summary, base, max_iterations=ITERATIONS)
+    pipeline = IngestPipeline(summary, max_iterations=ITERATIONS)
     start = time.perf_counter()
     report = pipeline.append(batch)
     delta_s = time.perf_counter() - start
@@ -202,13 +202,17 @@ def test_warm_start_reports_and_converges():
     base = _relation()
     summary = _builder(base).name("flights-warm").fit()
     batch = _single_shard_batch(base, summary, max(base.num_rows // 20, 10))
-    pipeline = IngestPipeline(summary, base, max_iterations=ITERATIONS)
-    report = pipeline.append(batch)
+    report = IngestPipeline(summary, max_iterations=ITERATIONS).append(batch)
     refit_shard = report.summary.shards[0]
     assert refit_shard.report is not None
     assert refit_shard.report.warm_started
+    # Shard 0's rows after the append: the base rows it owns plus the
+    # batch, which was crafted for shard 0 only.
+    combined = Relation.concat([base, batch])
+    low, high = summary.owned_ranges[0]
+    column = combined.column(summary.by_position)
     cold = summary.shards[0].refit(
-        pipeline._shard_relations[0],
+        combined.sample_rows(np.flatnonzero((column >= low) & (column <= high))),
         max_iterations=ITERATIONS,
         warm_start=False,
     )

@@ -2,7 +2,7 @@
 
 The serving stack's resilience claim, as a gate: a seeded all-fault
 soak — N reader tenants, one streaming ingester publishing
-``delta_refresh`` micro-batches, scheduled operator reloads and
+``IngestPipeline`` micro-batches, scheduled operator reloads and
 rollbacks, and a :class:`~repro.chaos.FaultInjector` attacking every
 layer (killed workers, slow/erroring backends, dropped connections on
 both sides, failing watcher polls, transient ingest failures) —

@@ -20,6 +20,10 @@ relation is partitioned, the 2D bucket budget is divided across the
 shards (total model size stays constant), and ``fit()`` returns a
 :class:`~repro.core.sharding.ShardedSummary` whose shard models were
 fitted in parallel worker processes.
+
+The builder fits once.  Appended rows reach a fitted summary through
+:class:`~repro.ingest.IngestPipeline`, which reads only the batch, so
+the builder's relation is never needed again.
 """
 
 from __future__ import annotations
@@ -224,42 +228,6 @@ class SummaryBuilder:
             threshold=self._threshold,
             name=self._name,
         )
-
-    def append(
-        self,
-        summary: "EntropySummary | ShardedSummary",
-        rows,
-        *,
-        store=None,
-        tag: str | None = None,
-    ):
-        """Delta-refresh a summary fitted from this builder's relation.
-
-        ``rows`` is an append batch (label rows, a
-        :class:`~repro.data.relation.Relation`, or an
-        :class:`~repro.ingest.AppendBatch`).  Only the shards whose
-        value ranges the batch touches are refit — warm-started from
-        their previous solutions — and the builder's relation advances
-        to include the appended rows, so repeated ``append`` calls
-        chain.  With ``store`` set, the refreshed summary is published
-        as a child version with lineage metadata.
-
-        Returns the :class:`~repro.ingest.IngestReport`; the refreshed
-        summary is ``report.summary``.
-        """
-        from repro.ingest import IngestPipeline
-
-        pipeline = IngestPipeline(
-            summary,
-            self._relation,
-            store=store,
-            name=self._name if store is not None else None,
-            max_iterations=self._iterations,
-            threshold=self._threshold,
-        )
-        report = pipeline.append(rows, tag=tag)
-        self._relation = pipeline.relation
-        return report
 
     def _stat_options(self) -> dict:
         """:func:`~repro.stats.selection.build_statistic_set` options for

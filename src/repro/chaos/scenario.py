@@ -3,7 +3,7 @@
 One :func:`run_soak` call stands up the whole serving stack the way a
 deployment runs it — a store-backed :class:`SummaryServer` with its
 :class:`StoreWatcher` polling, N named reader sessions, one streaming
-ingester publishing ``delta_refresh`` micro-batches, an operator thread
+ingester publishing :class:`IngestPipeline` micro-batches, an operator thread
 executing scheduled hot reloads and rollbacks — and lets a seeded
 :class:`~repro.chaos.faults.FaultInjector` attack every layer at once
 for ``duration_s`` seconds.  Everything that happens is recorded into a
@@ -46,7 +46,7 @@ from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import ChaosError, InjectedFault, ReproError
-from repro.ingest.pipeline import IngestPipeline
+from repro.ingest import AppendBatch, IngestPipeline
 from repro.serve.client import ServeClient, ServeError, ServerBusy, backoff_delay
 from repro.serve.server import ServeConfig, ServerThread, SummaryServer
 
@@ -410,10 +410,7 @@ class _Scenario:
     # -- the streaming ingester --------------------------------------------
     def _ingest_loop(self) -> None:
         pipeline = IngestPipeline.from_store(
-            self.store,
-            self.NAME,
-            self.base_relation,
-            chaos=self.injector,
+            self.store, self.NAME, chaos=self.injector
         )
         index = 0
         while not self.stop.wait(self.config.ingest_every_s):
@@ -602,28 +599,28 @@ class _Scenario:
         applied = max(
             self.batches_applied, record.version - 1
         )  # versions 2..k+1 are batches 0..k-1
-        combined = self.base_relation
-        replay_summary = None
-        if applied >= 0:
-            base_fit = self.store.load(self.NAME, version=1)
-            replay = IngestPipeline(base_fit, self.base_relation)
-            for index in range(applied):
-                replay.append(
-                    soak_batch(
-                        self.schema,
-                        self.config.batch_rows,
-                        self.config.seed,
-                        index,
-                    )
-                )
-            combined = replay.relation
-            replay_summary = replay.summary
-        error_drift = measure_drift(final_summary, combined)
-        baseline_drift = (
-            measure_drift(replay_summary, combined)
-            if replay_summary is not None
-            else error_drift
+        batches = [
+            soak_batch(
+                self.schema, self.config.batch_rows, self.config.seed, index
+            )
+            for index in range(applied)
+        ]
+        replay = IngestPipeline(self.store.load(self.NAME, version=1))
+        for rows in batches:
+            replay.append(rows)
+        replay_summary = replay.summary
+        # Soak batches never grow a domain: the ground truth is one
+        # concatenation over the base schema.
+        combined = Relation.concat(
+            [
+                self.base_relation,
+                AppendBatch.from_rows(
+                    self.schema, [row for rows in batches for row in rows]
+                ).relation,
+            ]
         )
+        error_drift = measure_drift(final_summary, combined)
+        baseline_drift = measure_drift(replay_summary, combined)
         return SoakResult(
             config=self.config,
             plan=self.plan,

@@ -20,8 +20,7 @@ versioned summary store (``--store`` + ``--name``).
     python -m repro query --store models --name flights --explain \\
         --sql "SELECT COUNT(*) FROM R WHERE distance BETWEEN 500 AND 900"
     python -m repro info --store models --name flights
-    python -m repro ingest --store models --name flights \\
-        --data data/flights --batch data/new_rows --write-data data/flights
+    python -m repro ingest --store models --name flights --batch data/new_rows
     python -m repro store list --dir models
     python -m repro serve --store models --name flights --port 9042 --watch 2
     python -m repro ping --port 9042
@@ -135,12 +134,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--store", required=True, help="summary store directory")
     ingest.add_argument("--name", required=True, help="summary name inside the store")
     ingest.add_argument(
-        "--data",
-        required=True,
-        help="base relation prefix — the data the stored summary was fitted "
-        "from (plus every batch already ingested)",
-    )
-    ingest.add_argument(
         "--batch",
         required=True,
         help="relation prefix of the rows to append (labels are re-indexed; "
@@ -156,11 +149,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=30,
         help="solver sweep cap for the delta refits (warm starts usually "
         "converge well inside it; default 30)",
-    )
-    ingest.add_argument(
-        "--write-data",
-        help="also save the combined relation to this prefix, so the next "
-        "ingest can pass it as --data",
     )
 
     def add_serve_tuning(command):
@@ -595,12 +583,10 @@ def _cmd_ingest(args) -> int:
 
     if args.iterations < 1:
         raise ReproError(f"--iterations must be >= 1, got {args.iterations}")
-    relation = load_relation(args.data)
     batch = load_relation(args.batch)
     pipeline = IngestPipeline.from_store(
         SummaryStore(args.store),
         args.name,
-        relation,
         version=args.version,
         max_iterations=args.iterations,
     )
@@ -612,10 +598,6 @@ def _cmd_ingest(args) -> int:
             "  live servers watching this store (repro serve --watch) "
             "pick the new version up automatically"
         )
-    if args.write_data:
-        combined = pipeline.relation
-        save_relation(combined, args.write_data)
-        print(f"  combined relation ({combined.num_rows} rows) saved to {args.write_data}")
     return 0
 
 

@@ -148,10 +148,11 @@ class Relation:
 
     @classmethod
     def concat(cls, relations: Sequence["Relation"]) -> "Relation":
-        """Row-wise concatenation of same-schema relations (bag union).
+        """Row-wise concatenation of same-schema relations (bag union):
+        the rows of each relation, in order.
 
-        The ingest layer's append primitive: base rows followed by the
-        batch rows, in order.
+        Builds exact ground truth over a base relation plus appended
+        batches; the ingest layer itself never concatenates rows.
         """
         if not relations:
             raise SchemaError("concat needs at least one relation")

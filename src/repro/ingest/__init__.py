@@ -12,8 +12,10 @@ append-mostly feed without ever paying for a full rebuild:
   solver warm-started from its previous solution, bucket structure
   reused), and publishes the refreshed shard set to a
   :class:`~repro.api.store.SummaryStore` as a child version with
-  lineage metadata;
-* :func:`delta_refresh` — the one-shot form.
+  lineage metadata.  It holds only the summary: an append reads its
+  batch and nothing else, so a stored summary takes appends without the
+  data it was built from (``IngestPipeline(summary).append(batch)`` is
+  the one-shot form).
 
 The serve layer's :class:`~repro.serve.watcher.StoreWatcher` closes the
 loop: it notices the published version and hot-reloads live sessions,
@@ -21,12 +23,11 @@ so data staleness becomes a tunable, not a redeploy.
 """
 
 from repro.ingest.batch import AppendBatch, widen_schema
-from repro.ingest.pipeline import IngestPipeline, IngestReport, delta_refresh
+from repro.ingest.pipeline import IngestPipeline, IngestReport
 
 __all__ = [
     "AppendBatch",
     "IngestPipeline",
     "IngestReport",
-    "delta_refresh",
     "widen_schema",
 ]

@@ -150,18 +150,6 @@ class AppendBatch:
             },
         )
 
-    @classmethod
-    def empty(cls, schema: Schema) -> "AppendBatch":
-        """The zero-row batch (an ingest no-op)."""
-        return cls(
-            schema,
-            Relation(
-                schema,
-                [np.empty(0, dtype=np.int64) for _ in schema.domains],
-            ),
-            {},
-        )
-
     def __repr__(self):
         growth = f", grew {sorted(self.new_labels)}" if self.new_labels else ""
         return f"AppendBatch(rows={self.num_rows}{growth})"

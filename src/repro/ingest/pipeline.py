@@ -1,9 +1,11 @@
 """The append pipeline: route → delta-refit → publish.
 
 One :class:`IngestPipeline` owns the mutable ingest state of one
-summary: the per-shard base relations, the current fitted model, and
-(optionally) the :class:`~repro.api.store.SummaryStore` it publishes
-refreshed versions to.  Each :meth:`append`:
+summary: the current fitted model and (optionally) the
+:class:`~repro.api.store.SummaryStore` it publishes refreshed versions
+to.  It holds no rows — each append reads only its batch, so a stored
+summary takes appends without the data it was built from.  Each
+:meth:`append`:
 
 1. **routes** the batch rows to shards — attribute-partitioned
    summaries send each row to the shard owning its value range
@@ -79,15 +81,16 @@ class IngestReport:
 class IngestPipeline:
     """Incremental maintenance of one summary over an append-mostly feed.
 
+    The pipeline holds the summary and nothing else of the data: every
+    append reads only its batch, because counting queries over disjoint
+    row bags add (see :meth:`EntropySummary.refit_appended`).  So a
+    stored summary takes appends without the relation it was built from.
+
     Parameters
     ----------
     summary:
         The currently fitted :class:`EntropySummary` or
         :class:`ShardedSummary`.
-    relation:
-        The exact relation the summary was fitted from (row counts are
-        verified; a mismatch raises :class:`IngestError` instead of
-        silently drifting the statistics).
     store / name:
         When given, every non-empty append publishes the refreshed
         summary to the store under ``name`` with lineage metadata.
@@ -99,7 +102,6 @@ class IngestPipeline:
     def __init__(
         self,
         summary: "EntropySummary | ShardedSummary",
-        relation: Relation,
         *,
         store=None,
         name: str | None = None,
@@ -112,17 +114,6 @@ class IngestPipeline:
         #: before any state mutates — an injected failure leaves the
         #: pipeline consistent and the batch safely retryable.
         self.chaos = chaos
-        if relation.schema != summary.schema:
-            raise IngestError(
-                "base relation schema does not match the summary's "
-                f"({relation.schema!r} vs {summary.schema!r})"
-            )
-        if relation.num_rows != summary.total:
-            raise IngestError(
-                f"base relation has {relation.num_rows} rows but the summary "
-                f"was fitted over {summary.total}; pass the relation the "
-                "summary was built from (plus every batch already ingested)"
-            )
         self.summary = summary
         self.store = store
         self.name = name if name is not None else summary.name
@@ -147,7 +138,6 @@ class IngestPipeline:
                 and latest.shards == shards
             ):
                 self.parent_version = latest.version
-        self._shard_relations = self._split(relation)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -155,7 +145,7 @@ class IngestPipeline:
         cls,
         store,
         name: str,
-        relation: Relation,
+        relation: Relation | None = None,
         *,
         version: int | None = None,
         tag: str | None = None,
@@ -163,11 +153,24 @@ class IngestPipeline:
         threshold: float = 1e-6,
         chaos=None,
     ) -> "IngestPipeline":
-        """Pipeline over a stored summary (latest version by default)."""
+        """Pipeline over a stored summary (latest version by default).
+
+        ``relation`` is checked, never held: its schema and row count
+        must be the loaded summary's.  The argument goes once the
+        end-to-end benchmark stops passing its base relation here.
+        """
         record, summary = store.load_with_record(name, version=version, tag=tag)
+        if relation is not None and (relation.schema, relation.num_rows) != (
+            summary.schema,
+            summary.total,
+        ):
+            raise IngestError(
+                f"the relation given ({relation.num_rows} rows) is not the "
+                f"one {name!r} v{record.version} was fitted over "
+                f"({summary.total} rows of the summary's schema)"
+            )
         pipeline = cls(
             summary,
-            relation,
             store=store,
             name=name,
             max_iterations=max_iterations,
@@ -183,110 +186,16 @@ class IngestPipeline:
         return self.summary.schema
 
     @property
-    def relation(self) -> Relation:
-        """The full base relation, in an order :meth:`_split` inverts.
-
-        Round-robin shard sets interleave (shard ``i``'s rows occupy
-        global positions ``i, i+n, i+2n, ...`` — the same assignment
-        ``partition_relation`` uses), so saving this relation and
-        re-opening a pipeline on it (the ``repro ingest --write-data``
-        round trip) reconstructs each shard's rows *exactly*.  Ranged
-        shard sets concatenate; their split is by value, not position.
-        """
-        relations = self._shard_relations
-        if len(relations) == 1:
-            return relations[0]
-        if (
-            isinstance(self.summary, ShardedSummary)
-            and self.summary.owned_ranges is None
-        ):
-            total = sum(rel.num_rows for rel in relations)
-            count = len(relations)
-            columns = []
-            for pos in range(self.schema.num_attributes):
-                column = np.empty(total, dtype=np.int64)
-                for index, rel in enumerate(relations):
-                    column[index::count] = rel.column(pos)
-                columns.append(column)
-            return Relation(self.schema, columns)
-        columns = [
-            np.concatenate([rel.column(pos) for rel in relations])
-            for pos in range(self.schema.num_attributes)
-        ]
-        return Relation(self.schema, columns)
-
-    @property
     def total(self) -> int:
         return self.summary.total
 
     # ------------------------------------------------------------------
-    def _split(self, relation: Relation) -> list[Relation]:
-        """Reconstruct the per-shard base relations of the summary."""
-        summary = self.summary
-        if isinstance(summary, EntropySummary):
-            return [relation]
-        if summary.owned_ranges is not None:
-            pos = summary.by_position
-            column = relation.column(pos)
-            shards = []
-            for low, high in summary.owned_ranges:
-                keep = (column >= low) & (column <= high)
-                shards.append(relation.sample_rows(np.flatnonzero(keep)))
-        else:
-            rows = np.arange(relation.num_rows)
-            shards = [
-                relation.sample_rows(rows[start :: summary.num_shards])
-                for start in range(summary.num_shards)
-            ]
-        round_robin = summary.owned_ranges is None
-        for index, (shard_relation, shard) in enumerate(
-            zip(shards, summary.shards)
-        ):
-            if shard_relation.num_rows != shard.total:
-                raise IngestError(
-                    f"shard {index}: base relation yields "
-                    f"{shard_relation.num_rows} rows but the shard model was "
-                    f"fitted over {shard.total}; the relation does not match "
-                    "the summary"
-                )
-            if round_robin:
-                # Positional splitting yields the right row *counts* for
-                # any row order — only the marginals can tell a reordered
-                # relation (whose rows would land in the wrong shards)
-                # from the one the shards were actually fitted on.
-                for pos, counts in enumerate(shard.statistic_set.one_dim):
-                    observed = shard_relation.marginal(pos).astype(float)
-                    if not np.array_equal(observed, np.asarray(counts)):
-                        raise IngestError(
-                            f"shard {index}: base relation rows do not match "
-                            "the shard model (marginals differ on attribute "
-                            f"{relation.schema.attribute_names[pos]!r}); "
-                            "round-robin ingest needs the relation in its "
-                            "original row order — e.g. the one written by "
-                            "`repro ingest --write-data`"
-                        )
-        return shards
-
     def _normalize(self, batch) -> AppendBatch:
         if isinstance(batch, AppendBatch):
             return batch
         if isinstance(batch, Relation):
             return AppendBatch.from_relation(self.schema, batch)
         return AppendBatch.from_rows(self.schema, batch)
-
-    @staticmethod
-    def _rebased(relation: Relation, schema) -> Relation:
-        """The same rows under a widened schema (indices are unchanged
-        by widening, so the columns carry over)."""
-        if relation.schema == schema:
-            return relation
-        return Relation(
-            schema,
-            [
-                relation.column(pos)
-                for pos in range(schema.num_attributes)
-            ],
-        )
 
     # ------------------------------------------------------------------
     def route(self, batch: AppendBatch) -> list[np.ndarray]:
@@ -298,8 +207,7 @@ class IngestPipeline:
         summaries *continue the cycle*: the batch row at global
         position ``N + k`` goes to shard ``(N + k) % n``, exactly the
         assignment ``partition_relation`` gave the original rows — so
-        shard sizes stay balanced within one row and the
-        :attr:`relation` round trip stays exact.
+        shard sizes stay balanced within one row.
         """
         summary = self.summary
         if isinstance(summary, EntropySummary):
@@ -342,27 +250,24 @@ class IngestPipeline:
             )
         schema = batch.schema  # widened when the batch grew a domain
         grew = batch.grows_domains
-        routed = self.route(batch)
 
         summary = self.summary
         if isinstance(summary, EntropySummary):
-            base = self._rebased(self._shard_relations[0], schema)
-            combined = Relation.concat([base, batch.relation])
             refreshed: EntropySummary | ShardedSummary = summary.refit_appended(
                 batch.relation,
                 max_iterations=self.max_iterations,
                 threshold=self.threshold,
             )
-            self._shard_relations = [combined]
             refit_ids: tuple[int, ...] = (0,)
         else:
+            routed = self.route(batch)
+            columns = [
+                batch.relation.column(pos)
+                for pos in range(schema.num_attributes)
+            ]
             replacements: dict[int, EntropySummary] = {}
-            new_relations = list(self._shard_relations)
-            touched = []
             for index, rows in enumerate(routed):
-                base = self._rebased(new_relations[index], schema)
                 if rows.size == 0:
-                    new_relations[index] = base
                     if grew:
                         # Another shard grew a domain: re-anchor this
                         # one on the widened schema without re-solving
@@ -371,16 +276,13 @@ class IngestPipeline:
                             schema
                         )
                     continue
-                shard_batch = batch.relation.sample_rows(rows)
-                # Statistics update additively over the batch rows only
-                # — O(batch), not O(shard) — see refit_appended.
+                # Statistics update additively over the shard's batch
+                # rows only — O(batch), not O(shard) — see refit_appended.
                 replacements[index] = summary.shards[index].refit_appended(
-                    shard_batch,
+                    Relation(schema, [column[rows] for column in columns]),
                     max_iterations=self.max_iterations,
                     threshold=self.threshold,
                 )
-                new_relations[index] = Relation.concat([base, shard_batch])
-                touched.append(index)
             ranges = summary.owned_ranges
             if ranges is not None and grew:
                 # The top shard owns everything above the old ranges.
@@ -389,8 +291,9 @@ class IngestPipeline:
                 low, high = ranges[-1]
                 ranges = [*ranges[:-1], (low, max(high, top))]
             refreshed = summary.with_shards(replacements, ranges=ranges)
-            self._shard_relations = new_relations
-            refit_ids = tuple(touched)
+            refit_ids = tuple(
+                index for index, rows in enumerate(routed) if rows.size
+            )
 
         self.summary = refreshed
         lineage = {
@@ -429,22 +332,4 @@ class IngestPipeline:
         )
 
 
-def delta_refresh(
-    summary: "EntropySummary | ShardedSummary",
-    relation: Relation,
-    batch,
-    *,
-    max_iterations: int = 30,
-    threshold: float = 1e-6,
-) -> IngestReport:
-    """One-shot append without a pipeline (no store publishing)."""
-    pipeline = IngestPipeline(
-        summary,
-        relation,
-        max_iterations=max_iterations,
-        threshold=threshold,
-    )
-    return pipeline.append(batch)
-
-
-__all__ = ["AppendBatch", "IngestPipeline", "IngestReport", "delta_refresh"]
+__all__ = ["AppendBatch", "IngestPipeline", "IngestReport"]

@@ -679,8 +679,8 @@ def _assert_arena_current(summary):
 
 
 class TestFoldedConstants:
-    def test_ingest_appends_rebuild_the_constants(self, relation, by_component):
-        pipeline = IngestPipeline(by_component, relation)
+    def test_ingest_appends_rebuild_the_constants(self, by_component):
+        pipeline = IngestPipeline(by_component)
         before = _answers(by_component.arena, by_component.schema)
         low, _ = by_component.owned_ranges[0]
 
@@ -712,7 +712,7 @@ class TestFoldedConstants:
         store = SummaryStore(tmp_path / "models")
         store.save(by_component, "demo")
         server = SummaryServer(store=store, name="demo", config=ServeConfig())
-        IngestPipeline.from_store(store, "demo", relation).append([(3, 5, 2)] * 40)
+        IngestPipeline.from_store(store, "demo").append([(3, 5, 2)] * 40)
         assert server.reload() == 2
         served = server._generation.explorer.backend.summary
         assert served.total == by_component.total + 40

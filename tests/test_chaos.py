@@ -481,9 +481,7 @@ class TestChaosWiring:
         store = SummaryStore(tmp_path / "models")
         store.save(_fit(relation, "demo"), "demo")
         injector = _armed("ingest.append", error=True, stop_s=math.inf)
-        pipeline = IngestPipeline.from_store(
-            store, "demo", relation, chaos=injector
-        )
+        pipeline = IngestPipeline.from_store(store, "demo", chaos=injector)
         rows_before = pipeline.total
         batch = [("CA", 1), ("NY", 2), ("WA", 3)]
         with pytest.raises(InjectedFault):
@@ -818,7 +816,8 @@ class TestServeIngestProperty:
         with tempfile.TemporaryDirectory(prefix="repro-chaos-prop-") as tmp:
             store = SummaryStore(tmp)
             store.save(_fit(relation, "prop"), "prop")
-            pipeline = IngestPipeline.from_store(store, "prop", relation)
+            pipeline = IngestPipeline.from_store(store, "prop")
+            appended = [relation]
             server = SummaryServer(
                 store=store, name="prop"
             )
@@ -834,13 +833,16 @@ class TestServeIngestProperty:
                                 pipeline.schema, op
                             )
                             pipeline.append(batch)
+                            appended.append(batch.relation)
                     # Serve the final version regardless of how the ops
                     # interleaved publishes and reloads.
                     client.reload()
                     assert client.ping()["version"] == store.latest_version(
                         "prop"
                     )
-                    exact = Explorer.attach(ExactBackend(pipeline.relation))
+                    exact = Explorer.attach(
+                        ExactBackend(Relation.concat(appended))
+                    )
                     total = client.count("SELECT COUNT(*) FROM R")
                     truth = exact.sql("SELECT COUNT(*) FROM R").scalar
                     assert total == pytest.approx(truth, rel=0.02, abs=1.5)

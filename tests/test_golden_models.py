@@ -2,7 +2,8 @@
 
 Each case fits a small model the way a user would — statistic
 selection, construction, solve, and the maintenance paths (``refit``,
-``refit_appended`` with and without domain growth, ``migrated``) — and
+``refit_appended`` with and without domain growth, ``migrated``, and
+their composition by :class:`~repro.ingest.IngestPipeline`) — and
 digests the statistics document and the parameter arrays.  The checked-in
 digests pin every byte of the fitted model, so a refactor of how
 statistics are measured cannot drift the model without failing here.
@@ -24,6 +25,7 @@ from repro.api import SummaryBuilder
 from repro.data.domain import integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
+from repro.ingest import IngestPipeline
 
 
 def model_digest(summary) -> str:
@@ -110,6 +112,36 @@ def _widened(relation: Relation) -> Relation:
     )
 
 
+def _pairs_sharded(relation, count: int, by=None):
+    return (
+        _builder(relation)
+        .pairs(("a", "b"), ("d", "c"))
+        .per_pair_budget(6)
+        .shards(count, by=by, workers=1)
+        .fit()
+    )
+
+
+def _uneven(relation: Relation) -> Relation:
+    """2399 rows: round-robin shards of 800, 800 and 799."""
+    return relation.sample_rows(np.arange(relation.num_rows - 1))
+
+
+#: Label rows whose ``a`` values 6 and 7 are new: they grow the shard
+#: attribute of a model ranged on ``a``, route to its top shard only,
+#: and leave the other shard to be migrated onto the widened schema.
+_GROW_A = [(6, 1, 2, 3, 0), (7, 2, 1, 0, 3)] * 5
+
+
+def _appended(summary, *batches):
+    """The composed ingest result: route, refit, migrate and re-range
+    through :class:`IngestPipeline`, one append per batch."""
+    pipeline = IngestPipeline(summary)
+    for batch in batches:
+        pipeline.append(batch)
+    return pipeline.summary
+
+
 #: name -> fit(relation) for the base relation.
 CASES = {
     "one_dim": lambda relation: _builder(relation).fit(),
@@ -143,6 +175,15 @@ CASES = {
         _extra(grow=1), max_iterations=20
     ),
     "migrated": lambda relation: _pairs(relation).migrated(golden_schema(grow=1)),
+    "pipeline_unsharded": lambda relation: _appended(
+        _pairs(relation), _extra(), _extra(grow=1)
+    ),
+    "pipeline_round_robin": lambda relation: _appended(
+        _pairs_sharded(_uneven(relation), 3), _extra(), _extra(grow=1)
+    ),
+    "pipeline_ranged_growth": lambda relation: _appended(
+        _pairs_sharded(relation, 2, by="a"), _extra(), _GROW_A
+    ),
 }
 
 #: Digests computed before statistics were measured from count tensors.
@@ -176,6 +217,18 @@ GOLDEN = {
     ),
     "pairs": (
         "3d0f7cc37f8796d9b623b9751656564db993ea94bc97ced670869ab127de0efc"
+    ),
+    # The pipeline_* digests were computed when IngestPipeline still
+    # kept a row copy of every shard; reading only the batch must
+    # reproduce them byte for byte.
+    "pipeline_ranged_growth": (
+        "229197657de98dc62a9237a4092945b0c0f6f532f6ff016a3078d1a8f9bdda5c"
+    ),
+    "pipeline_round_robin": (
+        "a5271aa6d0f94939d599dc787eedbf2ed656e9cd78ffcd936e10df6f531987d9"
+    ),
+    "pipeline_unsharded": (
+        "9f67e83f53f3de4b45786b3dcd40660f8d526dcf2af04951c9c50b2cecd00005"
     ),
     "refit": (
         "75f239058529839cbad5ede9cf874206ecfe51fc16ee0af8f12123719fbd7601"

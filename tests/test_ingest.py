@@ -23,7 +23,7 @@ from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import IngestError, ReproError
-from repro.ingest import AppendBatch, IngestPipeline, delta_refresh, widen_schema
+from repro.ingest import AppendBatch, IngestPipeline, widen_schema
 from repro.serve import ServeClient, ServeConfig, ServerThread, SummaryServer
 from repro.stats.predicates import Conjunction, RangePredicate
 
@@ -220,28 +220,24 @@ class TestRefit:
 # ----------------------------------------------------------------------
 
 class TestPipeline:
-    def test_base_relation_must_match(self):
+    def test_base_relation_must_match(self, tmp_path):
         relation = _relation()
-        summary = _fit(relation)
+        store = SummaryStore(tmp_path / "models")
+        store.save(_fit(relation), "demo")
         with pytest.raises(IngestError, match="fitted over"):
-            IngestPipeline(summary, _relation(rows=900))
-
-    def test_round_robin_rejects_reordered_base_relation(self):
-        """Positional splitting cannot detect a reordered relation by
-        row counts alone; the marginal fingerprint must catch it."""
-        relation = _relation()
-        sharded = _fit(relation, count=3)
-        order = np.argsort(relation.column(0), kind="stable")
-        reordered = relation.sample_rows(order)
-        with pytest.raises(IngestError, match="original row order"):
-            IngestPipeline(sharded, reordered)
-        # The faithful relation still splits cleanly.
-        assert IngestPipeline(sharded, relation).total == relation.num_rows
+            IngestPipeline.from_store(store, "demo", _relation(rows=900))
+        wide = Schema(
+            [Domain("state", ["CA", "NY", "WA", "TX", "OR"]), integer_domain("hour", 8)]
+        )
+        with pytest.raises(IngestError, match="fitted over"):
+            IngestPipeline.from_store(
+                store, "demo", Relation(wide, [relation.column(0), relation.column(1)])
+            )
 
     def test_unsharded_append(self):
         relation = _relation()
         summary = _fit(relation)
-        report = delta_refresh(summary, relation, [("CA", 0)] * 60)
+        report = IngestPipeline(summary).append([("CA", 0)] * 60)
         assert report.rows_appended == 60
         assert report.shards_refit == (0,)
         assert report.summary.total == relation.num_rows + 60
@@ -253,7 +249,7 @@ class TestPipeline:
     def test_ranged_append_refits_only_touched_shard(self):
         relation = _relation()
         sharded = _fit(relation, count=2, by="hour")
-        pipeline = IngestPipeline(sharded, relation)
+        pipeline = IngestPipeline(sharded)
         low, high = sharded.owned_ranges[0]
         report = pipeline.append([("CA", low), ("NY", high)] * 30)
         assert report.shards_refit == (0,)
@@ -268,40 +264,19 @@ class TestPipeline:
     def test_round_robin_append_rebalances(self):
         relation = _relation()
         sharded = _fit(relation, count=3)
-        pipeline = IngestPipeline(sharded, relation)
-        sizes_before = [rel.num_rows for rel in pipeline._shard_relations]
-        report = pipeline.append([("TX", 2)] * 7)
-        sizes_after = [rel.num_rows for rel in pipeline._shard_relations]
+        sizes_before = [shard.total for shard in sharded.shards]
+        report = IngestPipeline(sharded).append([("TX", 2)] * 7)
+        sizes_after = [shard.total for shard in report.summary.shards]
         assert sum(sizes_after) == sum(sizes_before) + 7
         assert max(sizes_after) - min(sizes_after) <= 1
         assert len(report.shards_refit) == 3
-
-    def test_round_robin_relation_round_trips(self):
-        """The documented --write-data loop: saving pipeline.relation
-        and re-opening a pipeline on it must reconstruct each shard's
-        exact rows (not just matching row counts)."""
-        relation = _relation(rows=1201)  # uneven: shard sizes differ
-        sharded = _fit(relation, count=3)
-        pipeline = IngestPipeline(sharded, relation)
-        pipeline.append([("TX", 2), ("CA", 5), ("NY", 1)] * 4)
-        refreshed = pipeline.summary
-        combined = pipeline.relation
-        reopened = IngestPipeline(refreshed, combined)
-        for mine, theirs in zip(
-            pipeline._shard_relations, reopened._shard_relations
-        ):
-            for pos in range(combined.schema.num_attributes):
-                assert np.array_equal(mine.column(pos), theirs.column(pos))
-        # And the reopened pipeline keeps working.
-        report = reopened.append([("WA", 0)] * 5)
-        assert report.summary.total == combined.num_rows + 5
 
     def test_empty_batch_is_a_noop_version_wise(self, tmp_path):
         relation = _relation()
         summary = _fit(relation, count=2, by="hour")
         store = SummaryStore(tmp_path / "models")
         store.save(summary, "demo")
-        pipeline = IngestPipeline.from_store(store, "demo", relation)
+        pipeline = IngestPipeline.from_store(store, "demo")
         report = pipeline.append([])
         assert report.rows_appended == 0
         assert report.shards_refit == ()
@@ -310,14 +285,16 @@ class TestPipeline:
         assert report.summary is pipeline.summary
         assert store.latest_version("demo") == 1
         # And an empty batch normalized from an empty relation too.
-        empty = AppendBatch.empty(relation.schema)
+        empty = Relation(
+            relation.schema, [np.empty(0, dtype=np.int64) for _ in range(2)]
+        )
         assert pipeline.append(empty).record is None
         assert store.latest_version("demo") == 1
 
     def test_domain_growth_on_plain_attribute(self):
         relation = _relation()
         sharded = _fit(relation, count=2, by="hour")
-        pipeline = IngestPipeline(sharded, relation)
+        pipeline = IngestPipeline(sharded)
         before = {
             state: _count(sharded, relation.schema, state=state)
             for state in range(4)
@@ -337,7 +314,7 @@ class TestPipeline:
     def test_domain_growth_on_shard_attribute_widens_top_range(self):
         relation = _relation()
         sharded = _fit(relation, count=2, by="hour")
-        pipeline = IngestPipeline(sharded, relation)
+        pipeline = IngestPipeline(sharded)
         report = pipeline.append([("CA", 8), ("CA", 9)])  # hours 8, 9 are new
         refreshed = report.summary
         assert refreshed.schema.domain("hour").size == 10
@@ -359,7 +336,7 @@ class TestPipeline:
         summary = _fit(relation, count=2, by="hour")
         store = SummaryStore(tmp_path / "models")
         store.save(summary, "demo", tag="seed")
-        pipeline = IngestPipeline.from_store(store, "demo", relation)
+        pipeline = IngestPipeline.from_store(store, "demo")
         first = pipeline.append([("CA", 0)] * 10, tag="fresh")
         second = pipeline.append([("NY", 7)] * 5)
         assert first.record.version == 2
@@ -392,33 +369,37 @@ class TestPipeline:
         store.save(_fit(bigger, count=2, by="hour"), "demo")  # v2 — different
         # A summary that *is* the latest version gets claimed as parent.
         latest_pipeline = IngestPipeline(
-            store.load("demo"), bigger, store=store, name="demo"
+            store.load("demo"), store=store, name="demo"
         )
         assert latest_pipeline.parent_version == 2
         # Direct constructor with the *v1* summary: latest (v2) does not
         # match it, so lineage must not claim v2 as parent.
-        pipeline = IngestPipeline(
-            summary, relation, store=store, name="demo"
-        )
+        pipeline = IngestPipeline(summary, store=store, name="demo")
         assert pipeline.parent_version is None
         report = pipeline.append([("CA", 0)] * 5)
         assert report.lineage["parent_version"] is None
 
-    def test_builder_append_chains(self):
-        relation = _relation()
-        builder = (
-            SummaryBuilder(relation)
-            .pairs(("state", "hour"))
-            .per_pair_budget(16)
-            .iterations(30)
-            .name("demo")
-        )
-        summary = builder.fit()
-        report = builder.append(summary, [("WA", 3)] * 20)
-        assert report.summary.total == relation.num_rows + 20
-        # The builder's relation advanced: a second append chains.
-        second = builder.append(report.summary, [("WA", 4)] * 10)
-        assert second.summary.total == relation.num_rows + 30
+    def test_append_to_stored_summary_without_its_data(self, tmp_path):
+        """The paper's setting: a stored summary takes appends with no
+        relation at hand, chained across reopened pipelines."""
+        relation = _relation(rows=1201)
+        store = SummaryStore(tmp_path / "models")
+        store.save(_fit(relation, count=2, by="hour"), "demo")
+        pipeline = IngestPipeline.from_store(store, "demo")
+        low, high = store.load("demo").owned_ranges[0]
+        first = pipeline.append([("CA", low)] * 10)
+        second = pipeline.append([("NY", high + 1)] * 5)
+        assert first.shards_refit == (0,)
+        assert second.shards_refit == (1,)
+        reopened = IngestPipeline.from_store(store, "demo")
+        assert reopened.total == relation.num_rows + 15
+        third = reopened.append([("WA", low), ("TX", high + 1)] * 4)
+        assert third.shards_refit == (0, 1)
+        assert third.summary.total == relation.num_rows + 23
+        records = store.versions("demo")
+        assert [record.version for record in records] == [1, 2, 3, 4]
+        assert [record.parent_version for record in records] == [None, 1, 2, 3]
+        assert store.load("demo").total == relation.num_rows + 23
 
 
 # ----------------------------------------------------------------------
@@ -444,13 +425,13 @@ class TestServingFreshness:
             ServeConfig(watch_interval=-1).validated()
 
     def test_watcher_flips_to_published_version(self, served_store):
-        store, relation = served_store
+        store, _ = served_store
         server = SummaryServer(
             store=store,
             name="demo",
             config=ServeConfig(watch_interval=0.05),
         )
-        pipeline = IngestPipeline.from_store(store, "demo", relation)
+        pipeline = IngestPipeline.from_store(store, "demo")
         with ServerThread(server):
             with ServeClient(port=server.port) as client:
                 assert client.ping() == {"version": 1}
@@ -474,8 +455,8 @@ class TestServingFreshness:
 
         from repro.serve.watcher import StoreWatcher
 
-        store, relation = served_store
-        IngestPipeline.from_store(store, "demo", relation).append(
+        store, _ = served_store
+        IngestPipeline.from_store(store, "demo").append(
             [("CA", 0)] * 10
         )  # v2 exists before the server starts
         server = SummaryServer(store=store, name="demo", config=ServeConfig())
@@ -501,7 +482,7 @@ class TestServingFreshness:
 
         from repro.serve.watcher import StoreWatcher
 
-        store, relation = served_store
+        store, _ = served_store
         server = SummaryServer(store=store, name="demo", config=ServeConfig())
         watcher = StoreWatcher(server, interval=0.01)
         calls = {"count": 0}
@@ -517,7 +498,7 @@ class TestServingFreshness:
 
         async def drive():
             assert await watcher.check_once() is False  # swallowed
-            IngestPipeline.from_store(store, "demo", relation).append(
+            IngestPipeline.from_store(store, "demo").append(
                 [("CA", 0)] * 10
             )
             return await watcher.check_once()  # next poll still works
@@ -531,12 +512,10 @@ class TestServingFreshness:
         """Acceptance: `repro ingest` against a served store flips
         clients to the new version with zero dropped requests, and
         in-flight answers stay on the generation they started on."""
-        store, relation = served_store
-        data_prefix = tmp_path / "base"
+        store, _ = served_store
         batch_prefix = tmp_path / "batch"
         from repro.data.serialize import save_relation
 
-        save_relation(relation, data_prefix)
         save_relation(_relation(rows=80, seed=23), batch_prefix)
 
         server = SummaryServer(
@@ -582,7 +561,6 @@ class TestServingFreshness:
                     "ingest",
                     "--store", str(store.root),
                     "--name", "demo",
-                    "--data", str(data_prefix),
                     "--batch", str(batch_prefix),
                 ]
             )
@@ -603,49 +581,41 @@ class TestServingFreshness:
         assert versions_seen <= {1, 2}
         assert 2 in versions_seen
 
-    def test_cli_ingest_writes_combined_data(self, served_store, tmp_path, capsys):
+    def test_cli_ingest_needs_only_the_batch(self, served_store, tmp_path, capsys):
         store, relation = served_store
-        from repro.data.serialize import load_relation, save_relation
+        from repro.data.serialize import save_relation
 
-        data_prefix = tmp_path / "base"
         batch_prefix = tmp_path / "batch"
-        combined_prefix = tmp_path / "combined"
-        save_relation(relation, data_prefix)
         save_relation(_relation(rows=40, seed=29), batch_prefix)
         code = main(
             [
                 "ingest",
                 "--store", str(store.root),
                 "--name", "demo",
-                "--data", str(data_prefix),
                 "--batch", str(batch_prefix),
                 "--tag", "fresh",
-                "--write-data", str(combined_prefix),
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "+40 rows" in out
         assert "v2" in out
-        combined = load_relation(combined_prefix)
-        assert combined.num_rows == relation.num_rows + 40
+        assert store.load("demo").total == relation.num_rows + 40
         record = store.record("demo")
         assert record.version == 2
         assert record.tag == "fresh"
         assert record.lineage["rows_appended"] == 40
 
     def test_cli_ingest_rejects_bad_iterations(self, served_store, tmp_path, capsys):
-        store, relation = served_store
+        store, _ = served_store
         from repro.data.serialize import save_relation
 
-        save_relation(relation, tmp_path / "base")
         save_relation(_relation(rows=5, seed=2), tmp_path / "batch")
         code = main(
             [
                 "ingest",
                 "--store", str(store.root),
                 "--name", "demo",
-                "--data", str(tmp_path / "base"),
                 "--batch", str(tmp_path / "batch"),
                 "--iterations", "0",
             ]
