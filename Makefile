@@ -138,6 +138,10 @@ lint:
 	@# Compile the polynomial in numpy: terms are enumerated level by
 	@# level with chunked broadcasts, never by a per-term Python recursion.
 	@! grep -nE "_ValueIndex|MultiDimStat|def extend" src/repro/core/terms.py
+	@# Fit the δ variables one attribute-set run at a time: no
+	@# per-statistic plan, no unbuffered multiply.at, and no reduceat
+	@# (it does not reproduce a slice's pairwise .sum() bit for bit).
+	@! grep -nE "multiply\.at|reduceat|delta_plan" src/repro/core/terms.py src/repro/core/solver.py
 	@# One plan cache per loaded model: SQL text -> QueryPlan is one
 	@# cached step in the Explorer.  No engine facade over the planner,
 	@# no strict label-resolution fork, no AST / predicate LRUs and no

@@ -79,10 +79,9 @@ class _Packing:
                 cache[pos] = poly.expected_one_dim(parts, params, total, pos)
             out[slot] = cache[pos][index]
         offset = len(self.one_dim_slots)
+        expected = poly.expected_multi_dim(parts, params, total)
         for slot, stat_id in enumerate(self.delta_slots):
-            out[offset + slot] = poly.expected_multi_dim(
-                parts, params, total, stat_id
-            )
+            out[offset + slot] = expected[stat_id]
         return out
 
 
@@ -123,12 +122,8 @@ def dual_gradient(
         expected = polynomial.expected_one_dim(parts, params, total, pos)
         one_dim.append(np.asarray(counts) - expected)
     multi = np.asarray(
-        [
-            statistic.value
-            - polynomial.expected_multi_dim(parts, params, total, stat_id)
-            for stat_id, statistic in enumerate(statistic_set.multi_dim)
-        ]
-    )
+        [statistic.value for statistic in statistic_set.multi_dim], dtype=float
+    ) - polynomial.expected_multi_dim(parts, params, total)
     return {"one_dim": one_dim, "multi_dim": multi}
 
 

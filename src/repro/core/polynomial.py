@@ -173,8 +173,13 @@ class CompressedPolynomial:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluation_parts(self, params: ModelParameters) -> EvaluationParts:
-        """Evaluate the unmasked ``P`` and keep every intermediate factor."""
+    def evaluation_parts(
+        self, params: ModelParameters, delta_products: list[np.ndarray] | None = None
+    ) -> EvaluationParts:
+        """Evaluate the unmasked ``P`` and keep every intermediate factor.
+
+        ``delta_products`` are a previous pass's, reused when the caller
+        knows the δ variables have not moved since (the 1D sweep)."""
         prefixes = [
             np.concatenate([[0.0], np.cumsum(alpha, dtype=float)])
             for alpha in params.alphas
@@ -183,19 +188,20 @@ class CompressedPolynomial:
 
         range_sums: list[dict[int, np.ndarray]] = []
         range_products: list[np.ndarray] = []
-        delta_products: list[np.ndarray] = []
+        if delta_products is None:
+            delta_products = [
+                component.delta_products(params.deltas) for component in self.components
+            ]
         component_values: list[float] = []
-        for component in self.components:
+        for component, dprod in zip(self.components, delta_products):
             sums = {}
             product = np.ones(component.num_terms, dtype=float)
             for pos in component.positions:
                 prefix = prefixes[pos]
-                sums[pos] = prefix[component.hi[pos] + 1] - prefix[component.lo[pos]]
+                sums[pos] = prefix[1:].take(component.hi[pos]) - prefix.take(component.lo[pos])
                 product = product * sums[pos]
-            dprod = component.delta_products(params.deltas)
             range_sums.append(sums)
             range_products.append(product)
-            delta_products.append(dprod)
             component_values.append(float(np.dot(product, dprod)))
 
         free_product = 1.0
@@ -357,14 +363,30 @@ class CompressedPolynomial:
             return values
         return parts.free_product * product_excluding(values)
 
-    def delta_gradient(self, parts: EvaluationParts, params: ModelParameters, stat_id: int) -> float:
-        """``∂P/∂δ_{stat_id}`` — sum over the terms containing the
-        statistic, with its ``(δ−1)`` factor removed."""
-        index = self.component_of_stat(stat_id)
-        grad_q = self.components[index].delta_partial(
-            stat_id, np.append(params.deltas, 2.0), parts.range_products[index]
+    @property
+    def delta_runs(self) -> list:
+        """``(component index, DeltaRun)`` of every run of statistics,
+        in ``multi_dim`` order — the order the solver updates δ in."""
+        return sorted(
+            (
+                (index, run)
+                for index, component in enumerate(self.components)
+                for run in component.runs
+            ),
+            key=lambda entry: entry[1].start,
         )
-        return grad_q * self.outer_products(parts)[index]
+
+    def delta_gradients(self, parts: EvaluationParts, params: ModelParameters) -> np.ndarray:
+        """``∂P/∂δ_j`` of every multi-dimensional statistic ``j`` — the
+        sum over the terms containing it, with its ``(δ−1)`` factor
+        removed; one pass per run."""
+        extended = np.append(params.deltas, 2.0)
+        outer = self.outer_products(parts)
+        gradients = np.empty(self.num_deltas)
+        for index, run in self.delta_runs:
+            partials = run.partials(extended, parts.range_products[index])
+            gradients[run.start : run.stop] = np.multiply(partials, outer[index])
+        return gradients
 
     # ------------------------------------------------------------------
     # Expected values (Eq. 8)
@@ -380,13 +402,13 @@ class CompressedPolynomial:
         return total * params.alphas[pos] * gradient / parts.value
 
     def expected_multi_dim(
-        self, parts: EvaluationParts, params: ModelParameters, total: int, stat_id: int
-    ) -> float:
-        """``E[⟨c_j, I⟩]`` for one multi-dimensional statistic."""
+        self, parts: EvaluationParts, params: ModelParameters, total: int
+    ) -> np.ndarray:
+        """``E[⟨c_j, I⟩] = n δ_j P_δj / P`` for every multi-dimensional
+        statistic at once."""
         if parts.value <= 0:
             raise SolverError("polynomial evaluates to 0; model is degenerate")
-        gradient = self.delta_gradient(parts, params, stat_id)
-        return total * float(params.deltas[stat_id]) * gradient / parts.value
+        return total * params.deltas * self.delta_gradients(parts, params) / parts.value
 
 
 def initial_parameters(polynomial: CompressedPolynomial) -> ModelParameters:

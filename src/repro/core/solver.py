@@ -14,8 +14,12 @@ independent.  The solver exploits both facts:
   values simultaneously (a difference-array accumulation over terms),
   after which the per-value updates run with ``P`` maintained
   incrementally;
-* multi-dimensional variables update one at a time through a per-term
-  index, with component values maintained incrementally.
+* multi-dimensional variables go one *run* at a time — a stretch of
+  consecutive statistics over one attribute set.  Such statistics are
+  disjoint, so no term holds two of them and none of their partials
+  depends on another's δ: one numpy pass over the run's terms yields
+  every ``Q_{δ_j}``, after which the per-statistic updates run with the
+  component value maintained incrementally, as in the 1D sweep.
 
 Statistics with ``s_j = 0`` pin their variable to exactly 0 — the
 paper's ZERO-statistic observation (Sec 4.3) — and are never revisited.
@@ -23,6 +27,7 @@ paper's ZERO-statistic observation (Sec 4.3) — and are never revisited.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable
 
@@ -93,24 +98,9 @@ class MirrorDescentSolver:
         self.threshold = threshold
 
     # ------------------------------------------------------------------
-    def _delta_partial(self, stat_id, extended, range_products):
-        """``(c, ∂Q_c/∂δ_j)`` through the component's padded plan;
-        ``extended`` is the δ vector plus the sentinel slot that keeps
-        ``(δ − 1) = 1`` for padding."""
-        index = self.polynomial.component_of_stat(stat_id)
-        component = self.polynomial.components[index]
-        return index, component.delta_partial(stat_id, extended, range_products[index])
-
     def _multi_dim_errors(self, parts, params: ModelParameters) -> np.ndarray:
-        """``|s_j − E[⟨c_j, I⟩]|`` of every multi-dimensional statistic
-        (``expected_multi_dim`` without its Python loop over terms)."""
-        extended = np.append(params.deltas, 2.0)
-        outer = self.polynomial.outer_products(parts)
-        gradients = np.empty(params.deltas.shape[0])
-        for stat_id in range(gradients.shape[0]):
-            index, grad_q = self._delta_partial(stat_id, extended, parts.range_products)
-            gradients[stat_id] = grad_q * outer[index]
-        expected = self.statistic_set.total * params.deltas * gradients / parts.value
+        """``|s_j − E[⟨c_j, I⟩]|`` of every multi-dimensional statistic."""
+        expected = self.polynomial.expected_multi_dim(parts, params, self.statistic_set.total)
         targets = [statistic.value for statistic in self.statistic_set.multi_dim]
         return np.abs(expected - np.asarray(targets, dtype=float))
 
@@ -132,26 +122,39 @@ class MirrorDescentSolver:
         report = SolverReport()
         report.warm_started = warm_started
         start = time.perf_counter()
-        for iteration in range(self.max_iterations):
-            self._sweep_one_dim(params)
-            self._sweep_multi_dim(params)
-            error = self.max_constraint_error(params)
-            report.error_trace.append(error)
-            report.iterations = iteration + 1
-            if callback is not None:
-                callback(iteration, error)
-            if error < self.threshold:
-                report.converged = True
-                break
-        report.seconds = time.perf_counter() - start
+        try:
+            for iteration in range(self.max_iterations):
+                self._sweep_one_dim(params)
+                self._sweep_multi_dim(params)
+                error = self.max_constraint_error(params)
+                report.error_trace.append(error)
+                report.iterations = iteration + 1
+                if not math.isfinite(error):
+                    raise SolverError(
+                        f"constraint residual is {error} after sweep "
+                        f"{iteration + 1}: the parameters are not finite",
+                        report,
+                    )
+                if callback is not None:
+                    callback(iteration, error)
+                if error < self.threshold:
+                    report.converged = True
+                    break
+        finally:
+            report.seconds = time.perf_counter() - start
+            for component in poly.components:
+                component.release_plans()
         return params, report
 
     # ------------------------------------------------------------------
     def _sweep_one_dim(self, params: ModelParameters) -> None:
         poly = self.polynomial
         total = self.statistic_set.total
+        delta_products = None
         for pos in range(poly.schema.num_attributes):
-            parts = poly.evaluation_parts(params)
+            # A 1D sweep leaves every δ where it was.
+            parts = poly.evaluation_parts(params, delta_products)
+            delta_products = parts.delta_products
             gradient = poly.masked_gradient(parts, params, {}, pos)
             value = parts.value
             alpha = params.alphas[pos]
@@ -190,35 +193,36 @@ class MirrorDescentSolver:
         free_product = parts.free_product
         range_products = parts.range_products
         # Extended δ vector: the trailing sentinel slot keeps (δ−1) = 1
-        # for the padding entries of the per-statistic index matrices.
+        # for the padding entries of the runs' index matrices.
         extended = np.append(params.deltas, 2.0)
+        multi_dim = self.statistic_set.multi_dim
 
-        for stat_id, statistic in enumerate(self.statistic_set.multi_dim):
-            target = statistic.value
-            component_index, grad_q = self._delta_partial(
-                stat_id, extended, range_products
-            )
+        for index, run in poly.delta_runs:
+            # Only this component's value moves within a run.
             outer = free_product
             for other_index, other_value in enumerate(component_values):
-                if other_index != component_index:
+                if other_index != index:
                     outer *= other_value
-            grad = grad_q * outer
-            value = outer * component_values[component_index]
-
-            old = float(extended[stat_id])
-            if target == 0.0:
-                updated = 0.0
-            elif abs(grad) <= _TINY_GRADIENT or target >= total:
-                continue
-            else:
-                rest = value - old * grad
-                if rest < 0.0:
-                    rest = 0.0
-                updated = target * rest / ((total - target) * grad)
-                if updated < 0.0:
+            component_value = component_values[index]
+            partials = run.partials(extended, range_products[index])
+            for stat_id, grad_q in zip(range(run.start, run.stop), partials):
+                target = multi_dim[stat_id].value
+                grad = grad_q * outer
+                old = float(extended[stat_id])
+                if target == 0.0:
                     updated = 0.0
-            extended[stat_id] = updated
-            component_values[component_index] += (updated - old) * grad_q
+                elif abs(grad) <= _TINY_GRADIENT or target >= total:
+                    continue
+                else:
+                    rest = outer * component_value - old * grad
+                    if rest < 0.0:
+                        rest = 0.0
+                    updated = target * rest / ((total - target) * grad)
+                    if updated < 0.0:
+                        updated = 0.0
+                extended[stat_id] = updated
+                component_value += (updated - old) * grad_q
+            component_values[index] = component_value
         params.deltas[:] = extended[:-1]
 
     # ------------------------------------------------------------------
@@ -229,14 +233,17 @@ class MirrorDescentSolver:
         parts = poly.evaluation_parts(params)
         if parts.value <= 0:
             raise SolverError("polynomial evaluates to 0")
-        worst = 0.0
-        for pos in range(poly.schema.num_attributes):
-            expected = poly.expected_one_dim(parts, params, total, pos)
-            targets = np.asarray(self.statistic_set.one_dim[pos])
-            worst = max(worst, float(np.abs(expected - targets).max()))
+        # np.max, not max(): a NaN residual must come out as NaN.
+        worst = [
+            np.abs(
+                poly.expected_one_dim(parts, params, total, pos)
+                - np.asarray(self.statistic_set.one_dim[pos])
+            ).max()
+            for pos in range(poly.schema.num_attributes)
+        ]
         if poly.num_deltas:
-            worst = max(worst, float(self._multi_dim_errors(parts, params).max()))
-        return worst / total
+            worst.append(self._multi_dim_errors(parts, params).max())
+        return float(np.max(worst)) / total
 
     def constraint_errors(self, params: ModelParameters) -> dict:
         """Detailed per-family errors (used by diagnostics and tests)."""

@@ -57,6 +57,63 @@ MAX_TERMS_PER_COMPONENT = 2_000_000
 #: temporaries to a few MiB.
 _CHUNK_CELLS = 1 << 20
 
+#: ``ndarray.sum`` without its Python wrapper: the same pairwise sum.
+_add_reduce = np.add.reduce
+
+
+class DeltaRun:
+    """The solver's plan for one run: statistics ``start … stop − 1``,
+    consecutive in ``StatisticSet.multi_dim`` and over one attribute set.
+
+    Such statistics are disjoint, so no term holds two of them and none
+    of their partials depends on another's δ: one pass yields them all.
+
+    Attributes
+    ----------
+    rows:
+        The term rows of each statistic in turn (ascending per
+        statistic), concatenated.
+    bounds:
+        ``rows[bounds[i]:bounds[i + 1]]`` are statistic ``start + i``'s.
+    others:
+        ``(width × entries)``: the *other* statistics of each row in CSR
+        order, one column per row.  Padding holds ``-1``, which indexes
+        the sentinel slot of the extended δ vector (δ = 2.0, so
+        ``δ − 1`` multiplies by exactly 1.0).
+    """
+
+    __slots__ = ("start", "stop", "rows", "bounds", "others")
+
+    def __init__(self, start, stop, rows, bounds, others):
+        self.start = start
+        self.stop = stop
+        self.rows = rows
+        self.bounds = bounds
+        self.others = others
+
+    def partials(self, extended: np.ndarray, range_products: np.ndarray) -> list[float]:
+        """``∂Q_c/∂δ_j`` of every statistic of the run: the terms holding
+        ``j`` with its ``(δ_j − 1)`` factor dropped.  ``extended`` is the
+        δ vector plus the trailing sentinel slot; ``range_products`` is
+        the component's per-term range product.
+
+        Bit for bit this is, per statistic, ``np.prod(rows × width,
+        axis=1)`` and then ``.sum()``: the columns multiply left to
+        right, and each statistic's slice is summed on its own by
+        ``.sum()``'s own reduction, so numpy keeps its pairwise
+        summation (``docs/architecture.md`` says why no segmented sum
+        will do)."""
+        factors = extended[self.others] - 1.0
+        dprod = factors[0]
+        for factor in factors[1:]:
+            dprod *= factor
+        terms = range_products[self.rows] * dprod
+        bounds = self.bounds
+        return [
+            float(_add_reduce(terms[bounds[i] : bounds[i + 1]]))
+            for i in range(len(bounds) - 1)
+        ]
+
 
 class Component:
     """One connected component of the compressed polynomial.
@@ -76,12 +133,16 @@ class Component:
         range bounds (the empty-set term uses the full domain).
     stat_indptr, stat_ids:
         CSR layout of each term's statistic set ``S`` (global δ ids).
+    run_bounds:
+        ``(start, stop)`` of each run of statistics here: a maximal
+        stretch of consecutive δ ids over one attribute set, ascending.
     stat_terms:
-        For each δ id used here, the term rows containing it — derived
-        from the CSR layout on first use (only fitting needs it).
-    delta_plan:
-        For each δ id, its ``stat_terms`` rows and the padded matrix
-        behind :meth:`delta_partial` — derived on first use.
+        For each δ id used here, the term rows containing it, rebuilt
+        from the CSR layout on every access (a test view).
+    runs:
+        The :class:`DeltaRun` plan of each run, built on first use with
+        the padded statistic matrix that :meth:`delta_products` then
+        reuses; :meth:`release_plans` drops both when a fit ends.
     term_stats:
         Each term's statistic set as a tuple, rebuilt from the CSR
         layout on every access (a debugging/test view, not a hot path).
@@ -94,66 +155,79 @@ class Component:
         "hi",
         "stat_indptr",
         "stat_ids",
-        "_stat_terms",
-        "_delta_plan",
+        "run_bounds",
+        "_runs",
+        "_stat_matrix",
     )
 
-    def __init__(self, positions, lo, hi, stat_indptr, stat_ids):
+    def __init__(self, positions, lo, hi, stat_indptr, stat_ids, run_bounds):
         self.positions = tuple(positions)
         self.lo = lo
         self.hi = hi
         self.stat_indptr = stat_indptr
         self.stat_ids = stat_ids
+        self.run_bounds = tuple(run_bounds)
         self.num_terms = int(stat_indptr.shape[0] - 1)
-        self._stat_terms = None
-        self._delta_plan = None
+        self._runs = None
+        self._stat_matrix = None
+
+    def _rows_by_stat(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(owners, rows)``: every CSR entry's statistic and term row,
+        grouped by statistic (a stable sort keeps each statistic's rows
+        in ascending term order)."""
+        order = np.argsort(self.stat_ids, kind="stable")
+        term_of_entry = np.repeat(np.arange(self.num_terms), np.diff(self.stat_indptr))
+        return self.stat_ids[order], term_of_entry[order]
 
     @property
     def stat_terms(self) -> dict[int, np.ndarray]:
-        if self._stat_terms is None:
-            # Stable sort keeps each statistic's rows in ascending term order.
-            order = np.argsort(self.stat_ids, kind="stable")
-            stats, starts = np.unique(self.stat_ids[order], return_index=True)
-            term_of_entry = np.repeat(
-                np.arange(self.num_terms), np.diff(self.stat_indptr)
-            )
-            self._stat_terms = dict(
-                zip(stats.tolist(), np.split(term_of_entry[order], starts[1:]))
-            )
-        return self._stat_terms
+        owners, rows = self._rows_by_stat()
+        stats, starts = np.unique(owners, return_index=True)
+        return dict(zip(stats.tolist(), np.split(rows, starts[1:])))
+
+    def _padded_stats(self) -> np.ndarray:
+        """``(width × T)``: each term's statistics in CSR order, one
+        column per term, padded with ``-1`` to the widest term."""
+        lengths = np.diff(self.stat_indptr)
+        slots = np.arange(lengths.max())[:, None]
+        matrix = self.stat_ids[
+            np.minimum(self.stat_indptr[:-1] + slots, self.stat_ids.size - 1)
+        ]
+        matrix[slots >= lengths] = -1
+        return matrix
 
     @property
-    def delta_plan(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """``{j: (rows, others)}``: the rows holding statistic ``j`` and
-        a matrix of the *other* statistics of each row, padded to the
-        widest.  Padding and ``j``'s own slot hold ``-1``, which indexes
-        the trailing sentinel slot of :meth:`delta_partial`'s extended δ
-        vector, so ``Π (δ_other − 1)`` is one vectorized ``np.prod``."""
-        if self._delta_plan is None:
-            plan = {}
-            for stat_id, rows in self.stat_terms.items():
-                starts = self.stat_indptr[rows]
-                lengths = self.stat_indptr[rows + 1] - starts
-                slots = np.arange(lengths.max())
-                others = self.stat_ids[
-                    np.minimum(starts[:, None] + slots, self.stat_ids.size - 1)
-                ]
-                others[slots >= lengths[:, None]] = -1
-                others[others == stat_id] = -1
-                plan[stat_id] = (rows, others)
-            self._delta_plan = plan
-        return self._delta_plan
+    def runs(self) -> list[DeltaRun]:
+        if self._runs is None:
+            self._stat_matrix = self._padded_stats()
+            owners, rows_by_stat = self._rows_by_stat()
+            runs = []
+            for start, stop in self.run_bounds:
+                bounds = np.searchsorted(owners, np.arange(start, stop + 1))
+                rows = rows_by_stat[bounds[0] : bounds[-1]]
+                # Drop each row's own slot (its factor is the one the
+                # partial leaves out); the others keep their CSR order.
+                columns = self._stat_matrix[:, rows].T
+                owner = owners[bounds[0] : bounds[-1], None]
+                others = columns[columns != owner].reshape(rows.size, -1).T
+                if not others.shape[0]:
+                    others = np.full((1, rows.size), -1)
+                runs.append(
+                    DeltaRun(
+                        start,
+                        stop,
+                        rows,
+                        (bounds - bounds[0]).tolist(),
+                        np.ascontiguousarray(others),
+                    )
+                )
+            self._runs = runs
+        return self._runs
 
-    def delta_partial(
-        self, stat_id: int, extended: np.ndarray, range_products: np.ndarray
-    ) -> float:
-        """``∂Q_c/∂δ_j``: the terms holding statistic ``j`` with its
-        ``(δ_j − 1)`` factor dropped.  ``extended`` is the δ vector plus
-        a trailing sentinel slot holding 2.0 (``δ − 1 = 1`` for padding);
-        ``range_products`` is this component's per-term range product."""
-        rows, others = self.delta_plan[stat_id]
-        dprod_excl = np.prod(extended[others] - 1.0, axis=1)
-        return float((range_products[rows] * dprod_excl).sum())
+    def release_plans(self) -> None:
+        """Drop the run plans and the padded matrix built with them: a
+        fit's working state, which a fitted model does not need."""
+        self._runs = self._stat_matrix = None
 
     @property
     def term_stats(self) -> list[tuple[int, ...]]:
@@ -161,15 +235,16 @@ class Component:
         return [tuple(ids[indptr[t] : indptr[t + 1]]) for t in range(self.num_terms)]
 
     def delta_products(self, deltas: np.ndarray) -> np.ndarray:
-        """``Π_{j∈S_t} (δ_j − 1)`` for every term ``t``."""
-        out = np.ones(self.num_terms, dtype=float)
-        if self.stat_ids.size:
-            entries = deltas[self.stat_ids] - 1.0
-            term_of_entry = np.repeat(
-                np.arange(self.num_terms),
-                np.diff(self.stat_indptr),
-            )
-            np.multiply.at(out, term_of_entry, entries)
+        """``Π_{j∈S_t} (δ_j − 1)`` for every term ``t``: the columns of
+        the padded ``(width × T)`` statistic matrix multiplied left to
+        right, so each term's factors associate in CSR order; padding
+        reads the sentinel slot, ``δ − 1 = 1``.  The matrix is the one
+        kept with the run plans while a fit runs, else built here."""
+        matrix = self._padded_stats() if self._stat_matrix is None else self._stat_matrix
+        factors = np.append(deltas, 2.0)[matrix] - 1.0
+        out = factors[0].copy()
+        for factor in factors[1:]:
+            out *= factor
         return out
 
     def __repr__(self):
@@ -318,4 +393,15 @@ def _enumerate_component(groups, sizes, max_terms) -> Component:
         dict(zip(positions, hi.take(order, axis=1))),
         indptr,
         stat_ids,
+        _runs_of([ids for _, (ids, _, _) in groups]),
     )
+
+
+def _runs_of(group_ids) -> list[tuple[int, int]]:
+    """``(start, stop)`` of every run, ascending: a group's (ascending)
+    ids split where they stop being consecutive."""
+    runs = []
+    for ids in group_ids:
+        for run in np.split(ids, np.flatnonzero(np.diff(ids) != 1) + 1):
+            runs.append((int(run[0]), int(run[-1]) + 1))
+    return sorted(runs)

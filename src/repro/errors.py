@@ -27,7 +27,14 @@ class StatisticError(ReproError):
 
 class SolverError(ReproError):
     """The Mirror Descent solver failed to make progress or was given an
-    infeasible statistic set."""
+    infeasible statistic set.
+
+    ``report`` is the :class:`~repro.core.solver.SolverReport` of the
+    solve that failed, when the failure came from a running solve."""
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class QueryError(ReproError):

@@ -22,6 +22,11 @@ reference for what one cluster worker should answer for one item.
 the recursive depth-first enumeration of Theorem 4.1's statistic sets,
 one call per term, trying groups and their statistics in ascending
 order.  Its emission order is the canonical term order.
+
+:func:`delta_partial` is the oracle for the solver's run plan
+(``core.terms.DeltaRun``): one statistic's δ partial from the per-term
+tuples, the padded ``np.prod(axis=1)`` then ``.sum()`` that the run
+plan must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -198,3 +203,17 @@ def enumerate_terms(statistic_set) -> tuple[dict, list[int]]:
         tables[tuple(positions)] = (lo, hi, indptr, ids)
     used = {pos for key in groups for pos in key}
     return tables, [pos for pos in range(len(sizes)) if pos not in used]
+
+
+def delta_partial(component, stat_id, extended, range_products) -> float:
+    """``∂Q_c/∂δ_j`` of one statistic: its rows' other statistics padded
+    with the sentinel slot of ``extended`` (``δ − 1 = 1``), multiplied
+    along each row by ``np.prod``, times the rows' range products,
+    summed by ``.sum()``."""
+    rows = component.stat_terms[stat_id].tolist()
+    others = [[o for o in component.term_stats[t] if o != stat_id] for t in rows]
+    padded = np.full((len(rows), max(map(len, others)) + 1), extended.size - 1)
+    for row, row_others in enumerate(others):
+        padded[row, : len(row_others)] = row_others
+    dprod = np.prod(extended[padded] - 1.0, axis=1)
+    return float((range_products[rows] * dprod).sum())

@@ -22,10 +22,13 @@ import numpy as np
 import pytest
 
 from repro.api import SummaryBuilder
+from repro.core.summary import EntropySummary
+from repro.data.counts import Counts
 from repro.data.domain import integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.ingest import IngestPipeline
+from repro.stats.statistic import Statistic, StatisticSet, range_statistic_2d
 
 
 def model_digest(summary) -> str:
@@ -101,6 +104,40 @@ def _auto(strategy: str, heuristic: str):
     return fit
 
 
+def _chain(relation):
+    # Three pairs sharing ``a``, as M1's pairs share ``distance``: one
+    # component whose deepest terms hold a statistic of every pair.
+    return (
+        _builder(relation)
+        .pairs(("a", "b"), ("a", "c"), ("a", "d"))
+        .per_pair_budget(6)
+        .fit()
+    )
+
+
+#: (a, b) and (b, c) rectangles in an interleaved ``multi_dim`` order:
+#: runs of one attribute set are 1, 1, 2, 3 and 1 statistics long.
+_INTERLEAVED = [
+    ("a", (0, 2), "b", (0, 3)),
+    ("b", (0, 1), "c", (0, 4)),
+    ("a", (3, 5), "b", (0, 3)),
+    ("a", (0, 2), "b", (4, 7)),
+    ("b", (2, 4), "c", (0, 1)),
+    ("b", (2, 4), "c", (2, 4)),
+    ("b", (5, 7), "c", (0, 4)),
+    ("a", (3, 5), "b", (4, 7)),
+]
+
+
+def _interleaved(relation):
+    measured = []
+    for attr_a, range_a, attr_b, range_b in _INTERLEAVED:
+        shape = range_statistic_2d(relation.schema, attr_a, range_a, attr_b, range_b, 0.0)
+        measured.append(Statistic(shape.predicate, float(shape.measure(relation))))
+    statistic_set = StatisticSet.from_counts(Counts.of(relation), measured)
+    return EntropySummary.from_statistics(statistic_set, max_iterations=20, name="golden")
+
+
 def _extra(grow: int = 0) -> Relation:
     return golden_relation(rows=300, seed=17, grow=grow)
 
@@ -146,6 +183,8 @@ def _appended(summary, *batches):
 CASES = {
     "one_dim": lambda relation: _builder(relation).fit(),
     "pairs": _pairs,
+    "chain": _chain,
+    "interleaved": _interleaved,
     **{
         f"auto_{strategy}_{heuristic}": _auto(strategy, heuristic)
         for strategy in ("cover", "correlation")
@@ -208,6 +247,15 @@ GOLDEN = {
     ),
     "auto_exclude": (
         "9cc98f1d163aa91c30eb85d211366a4022ed87f18631bbcef47d6a7964b19eae"
+    ),
+    # chain and interleaved were computed while the solver still took
+    # each δ partial statistic by statistic; fitting one attribute-set
+    # run at a time must reproduce them byte for byte.
+    "chain": (
+        "674488deec84dba8f84cfb8cad7b32946425958e389f9f34f32da2071548ef15"
+    ),
+    "interleaved": (
+        "9c303bf7fc1fab17b66220833a3597892a36d95e523ff40a2b456ece98ce34dd"
     ),
     "migrated": (
         "8337bf58e74eaffa7520e3e7d56c5ce713a40ef2c8d17c90f8eafc4abd7369d2"

@@ -15,6 +15,7 @@ from repro.core.solver import MirrorDescentSolver, solve_statistics
 from repro.data.counts import Counts
 from repro.errors import SolverError
 
+from tests import reference
 from tests.conftest import masked_models, relations_with_stats
 
 
@@ -93,6 +94,18 @@ class TestConvergence:
         warmed, report = solver.solve(params=params)
         assert report.final_error < 1e-6
 
+    def test_nan_parameter_raises_with_its_report(self, small_statistics):
+        # max(0.0, nan) is 0.0: a NaN fit used to report convergence.
+        poly = CompressedPolynomial(small_statistics)
+        params, _ = solve_statistics(poly, max_iterations=5)
+        params.alphas[0][0] = np.nan
+        with pytest.raises(SolverError, match="not finite") as caught:
+            MirrorDescentSolver(poly, max_iterations=5).solve(params=params)
+        report = caught.value.report
+        assert report.warm_started and not report.converged
+        assert report.iterations == 1
+        assert np.isnan(report.final_error)
+
     def test_invalid_max_iterations(self, small_statistics):
         poly = CompressedPolynomial(small_statistics)
         with pytest.raises(SolverError):
@@ -150,18 +163,25 @@ class TestModelAgreesWithData:
 
 
 def _reference_multi_dim_errors(poly, params, statistic_set):
-    """The residual the solver used to compute: ``expected_multi_dim``
-    once per statistic, a Python loop over that statistic's terms."""
+    """The residual statistic by statistic, each δ partial from the
+    per-term tuples (``reference.delta_partial``)."""
     parts = poly.evaluation_parts(params)
-    return np.array(
-        [
-            abs(
-                poly.expected_multi_dim(parts, params, statistic_set.total, stat_id)
-                - statistic.value
-            )
-            for stat_id, statistic in enumerate(statistic_set.multi_dim)
-        ]
-    )
+    outer = poly.outer_products(parts)
+    extended = np.append(params.deltas, 2.0)
+    errors = []
+    for stat_id, statistic in enumerate(statistic_set.multi_dim):
+        index = poly.component_of_stat(stat_id)
+        grad_q = reference.delta_partial(
+            poly.components[index], stat_id, extended, parts.range_products[index]
+        )
+        expected = (
+            statistic_set.total
+            * float(params.deltas[stat_id])
+            * (grad_q * outer[index])
+            / parts.value
+        )
+        errors.append(abs(expected - statistic.value))
+    return np.array(errors)
 
 
 class TestVectorisedResidual:

@@ -198,13 +198,23 @@ FIXTURES = [
         ("b", (2, 5), "c", (0, 2)),
         ("b", (0, 3), "d", (1, 3)),
     ],
+    # Two attribute sets interleaved: runs of 1, 1, 2, 2 and 1 statistics.
+    [
+        ("a", (0, 2), "b", (0, 2)),
+        ("b", (0, 2), "c", (0, 5)),
+        ("a", (3, 5), "b", (0, 2)),
+        ("a", (0, 5), "b", (3, 5)),
+        ("b", (3, 5), "c", (0, 2)),
+        ("b", (3, 5), "c", (3, 5)),
+        ("a", (0, 2), "d", (0, 5)),
+    ],
 ]
 
 
 class TestIndexesFromCsr:
-    """``stat_terms`` and the solver's delta plan are derived from the
-    CSR layout with numpy; the per-term tuples they used to be built
-    from remain the reference."""
+    """``stat_terms``, the solver's run plan and the δ products are
+    derived from the CSR layout with numpy; the per-term tuples they used
+    to be built from remain the reference."""
 
     @pytest.mark.parametrize("stats", FIXTURES)
     def test_stat_terms_equal_the_tuple_built_index(self, schema, stats):
@@ -221,54 +231,74 @@ class TestIndexesFromCsr:
 
     @pytest.mark.parametrize("stats", FIXTURES)
     def test_delta_plan_equals_the_tuple_built_plan(self, schema, stats):
+        """The δ plan is one :class:`DeltaRun` per maximal stretch of an
+        attribute set; its rows and other-statistic columns are the
+        per-term tuples'."""
         from repro.core.polynomial import CompressedPolynomial
 
-        poly = CompressedPolynomial(make_set(schema, 80, stats))
-        extended = np.append(np.random.default_rng(3).random(poly.num_deltas) * 3, 2.0)
+        statistic_set = make_set(schema, 80, stats)
+        multi_dim = statistic_set.multi_dim
+        poly = CompressedPolynomial(statistic_set)
         planned = []
-        for index, component in enumerate(poly.components):
-            for stat_id, (rows, others) in component.delta_plan.items():
-                planned.append(stat_id)
+        for index, run in poly.delta_runs:
+            component = poly.components[index]
+            ids = list(range(run.start, run.stop))
+            planned.extend(ids)
+            # A run is a maximal stretch of one attribute set.
+            assert {multi_dim[j].positions for j in ids} == {multi_dim[run.start].positions}
+            for edge in (run.start - 1, run.stop):
+                if 0 <= edge < len(multi_dim):
+                    assert multi_dim[edge].positions != multi_dim[run.start].positions
+            assert run.others.shape[1] == run.rows.size
+            for offset, stat_id in enumerate(ids):
                 assert index == poly.component_of_stat(stat_id)
+                rows = run.rows[run.bounds[offset] : run.bounds[offset + 1]]
                 assert rows.tolist() == component.stat_terms[stat_id].tolist()
-                expected = [
+                columns = run.others[:, run.bounds[offset] : run.bounds[offset + 1]]
+                kept = [[o for o in column if o != -1] for column in columns.T.tolist()]
+                assert kept == [
                     [other for other in component.term_stats[term] if other != stat_id]
                     for term in rows.tolist()
                 ]
-                kept = [[o for o in row if o != -1] for row in others.tolist()]
-                assert kept == expected
-                # Padding (-1: the sentinel slot) multiplies by exactly 1.0,
-                # wherever it sits.
-                width = max(map(len, expected), default=0)
-                padded = np.full((len(expected), max(width, 1)), poly.num_deltas)
-                for row_index, row in enumerate(expected):
-                    padded[row_index, : len(row)] = row
-                np.testing.assert_array_equal(
-                    np.prod(extended[others] - 1.0, axis=1),
-                    np.prod(extended[padded] - 1.0, axis=1),
-                )
-        assert sorted(planned) == list(range(poly.num_deltas))
+        assert planned == list(range(poly.num_deltas))
 
     @pytest.mark.parametrize("stats", FIXTURES)
     def test_delta_partial_equals_the_per_term_sum(self, schema, stats):
+        """The run's δ partials, bit for bit: per statistic, the padded
+        ``np.prod(axis=1)`` of its other statistics' factors, times the
+        range products, summed with ``.sum()``."""
         from repro.core.polynomial import CompressedPolynomial
 
         poly = CompressedPolynomial(make_set(schema, 80, stats))
         rng = np.random.default_rng(5)
         extended = np.append(rng.random(poly.num_deltas) * 3, 2.0)
-        for component in poly.components:
-            products = rng.random(component.num_terms)
-            for stat_id, rows in component.stat_terms.items():
-                expected = sum(
-                    products[term]
-                    * np.prod(
-                        [extended[o] - 1.0 for o in component.term_stats[term] if o != stat_id]
-                    )
-                    for term in rows.tolist()
-                )
-                assert component.delta_partial(
-                    stat_id, extended, products
-                ) == pytest.approx(expected, rel=1e-12)
+        products = [rng.random(component.num_terms) for component in poly.components]
+        for index, run in poly.delta_runs:
+            expected = [
+                reference.delta_partial(poly.components[index], j, extended, products[index])
+                for j in range(run.start, run.stop)
+            ]
+            np.testing.assert_array_equal(
+                run.partials(extended, products[index]), expected
+            )
+
+    @pytest.mark.parametrize("stats", FIXTURES)
+    def test_delta_products_equal_multiply_at(self, schema, stats):
+        components, _ = build_components(make_set(schema, 80, stats))
+        rng = np.random.default_rng(7)
+        for component in components:
+            deltas = rng.random(int(component.stat_ids.max()) + 1) * 3
+            expected = np.ones(component.num_terms)
+            np.multiply.at(
+                expected,
+                np.repeat(np.arange(component.num_terms), np.diff(component.stat_indptr)),
+                deltas[component.stat_ids] - 1.0,
+            )
+            np.testing.assert_array_equal(component.delta_products(deltas), expected)
+            # The same with the matrix kept by the run plans of a fit.
+            assert component.runs
+            np.testing.assert_array_equal(component.delta_products(deltas), expected)
+            component.release_plans()
 
 
 def _arrays_equal_reference(statistic_set):
