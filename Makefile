@@ -142,6 +142,12 @@ lint:
 	@# per-statistic plan, no unbuffered multiply.at, and no reduceat
 	@# (it does not reproduce a slice's pairwise .sum() bit for bit).
 	@! grep -nE "multiply\.at|reduceat|delta_plan" src/repro/core/terms.py src/repro/core/solver.py
+	@# One evaluation state per fit: the solver evaluates P from scratch
+	@# only in solve, max_constraint_error and constraint_errors, and the
+	@# sweeps refresh what moved; the 1D gradient scatters in one bincount.
+	@! grep -nE "subtract\.at" src/repro/core/polynomial.py
+	@n=$$(grep -c "evaluation_parts(" src/repro/core/solver.py); [ "$$n" -le 3 ] || \
+		{ echo "core/solver.py calls evaluation_parts( $$n times (at most 3)"; exit 1; }
 	@# One plan cache per loaded model: SQL text -> QueryPlan is one
 	@# cached step in the Explorer.  No engine facade over the planner,
 	@# no strict label-resolution fork, no AST / predicate LRUs and no

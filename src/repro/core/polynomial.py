@@ -55,6 +55,26 @@ def product_excluding(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return before * after
 
 
+def _prefix(alpha: np.ndarray) -> np.ndarray:
+    """``[0, α_0, α_0 + α_1, …]``: range sums as prefix differences."""
+    return np.concatenate([[0.0], np.cumsum(alpha, dtype=float)])
+
+
+def _range_sums(component, pos: int, prefix: np.ndarray) -> np.ndarray:
+    """Attribute ``pos``'s range sum over every term of ``component``."""
+    return prefix[1:].take(component.hi[pos]) - prefix.take(component.lo[pos])
+
+
+def _range_product(component, sums: Mapping[int, np.ndarray]) -> np.ndarray:
+    """``Π_p rangesum_p`` per term, multiplied left to right in the
+    component's position order (a component spans >= 2 attributes)."""
+    first, second, *rest = component.positions
+    product = sums[first] * sums[second]
+    for pos in rest:
+        product *= sums[pos]
+    return product
+
+
 class EvaluationParts:
     """Intermediate factors of one polynomial evaluation, cached so the
     solver and the inference layer can reuse them for gradients."""
@@ -114,10 +134,6 @@ class CompressedPolynomial:
         for index, component in enumerate(self.components):
             for pos in component.positions:
                 self._component_of_position[pos] = index
-        self._component_of_stat = {
-            stat_id: self._component_of_position[statistic.positions[0]]
-            for stat_id, statistic in enumerate(statistic_set.multi_dim)
-        }
 
     # ------------------------------------------------------------------
     # Size accounting (Sec 4.1 / Theorem 4.2)
@@ -161,55 +177,29 @@ class CompressedPolynomial:
     def component_of_position(self, pos: int) -> int | None:
         return self._component_of_position.get(pos)
 
-    def component_of_stat(self, stat_id: int) -> int:
-        try:
-            return self._component_of_stat[stat_id]
-        except KeyError:
-            raise SolverError(
-                f"multi-dimensional statistic {stat_id} is not part of any "
-                "component"
-            ) from None
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluation_parts(
-        self, params: ModelParameters, delta_products: list[np.ndarray] | None = None
-    ) -> EvaluationParts:
-        """Evaluate the unmasked ``P`` and keep every intermediate factor.
-
-        ``delta_products`` are a previous pass's, reused when the caller
-        knows the δ variables have not moved since (the 1D sweep)."""
-        prefixes = [
-            np.concatenate([[0.0], np.cumsum(alpha, dtype=float)])
-            for alpha in params.alphas
-        ]
+    def evaluation_parts(self, params: ModelParameters) -> EvaluationParts:
+        """Evaluate the unmasked ``P`` and keep every intermediate factor."""
+        prefixes = [_prefix(alpha) for alpha in params.alphas]
         full_sums = [float(prefix[-1]) for prefix in prefixes]
-
+        delta_products = [
+            component.delta_products(params.deltas) for component in self.components
+        ]
         range_sums: list[dict[int, np.ndarray]] = []
         range_products: list[np.ndarray] = []
-        if delta_products is None:
-            delta_products = [
-                component.delta_products(params.deltas) for component in self.components
-            ]
         component_values: list[float] = []
         for component, dprod in zip(self.components, delta_products):
-            sums = {}
-            product = np.ones(component.num_terms, dtype=float)
-            for pos in component.positions:
-                prefix = prefixes[pos]
-                sums[pos] = prefix[1:].take(component.hi[pos]) - prefix.take(component.lo[pos])
-                product = product * sums[pos]
+            sums = {
+                pos: _range_sums(component, pos, prefixes[pos])
+                for pos in component.positions
+            }
+            product = _range_product(component, sums)
             range_sums.append(sums)
             range_products.append(product)
             component_values.append(float(np.dot(product, dprod)))
-
-        free_product = 1.0
-        for pos in self.free_positions:
-            free_product *= full_sums[pos]
-        value = free_product
-        for component_value in component_values:
-            value *= component_value
+        free_product = self._free_product(full_sums)
         return EvaluationParts(
             prefixes,
             full_sums,
@@ -218,8 +208,53 @@ class CompressedPolynomial:
             delta_products,
             component_values,
             free_product,
-            value,
+            math.prod(component_values, start=free_product),
         )
+
+    def _free_product(self, full_sums) -> float:
+        free_product = 1.0
+        for pos in self.free_positions:
+            free_product *= full_sums[pos]
+        return free_product
+
+    def refresh_attribute(
+        self, parts: EvaluationParts, params: ModelParameters, pos: int
+    ) -> None:
+        """Bring ``parts`` up to date after attribute ``pos``'s α moved
+        and nothing else did: its prefix and full sum, then either the
+        free product or its component's range sums, range product
+        (recomputed left to right from all of its range sums, never by
+        dividing the old factor out) and value; then ``P``.  Every
+        field ends bit-equal to a fresh :meth:`evaluation_parts`."""
+        prefix = _prefix(params.alphas[pos])
+        parts.prefixes[pos] = prefix
+        parts.full_sums[pos] = float(prefix[-1])
+        index = self._component_of_position.get(pos)
+        if index is None:
+            parts.free_product = self._free_product(parts.full_sums)
+        else:
+            component = self.components[index]
+            sums = parts.range_sums[index]
+            sums[pos] = _range_sums(component, pos, prefix)
+            product = _range_product(component, sums)
+            parts.range_products[index] = product
+            parts.component_values[index] = float(
+                np.dot(product, parts.delta_products[index])
+            )
+        parts.value = math.prod(parts.component_values, start=parts.free_product)
+
+    def refresh_deltas(self, parts: EvaluationParts, params: ModelParameters) -> None:
+        """Bring ``parts`` up to date after the δ variables moved and no
+        α did: every component's δ products and value, then ``P``; the
+        range sums and products stand.  Bit-equal to a fresh
+        :meth:`evaluation_parts`, like :meth:`refresh_attribute`."""
+        for index, component in enumerate(self.components):
+            dprod = component.delta_products(params.deltas)
+            parts.delta_products[index] = dprod
+            parts.component_values[index] = float(
+                np.dot(parts.range_products[index], dprod)
+            )
+        parts.value = math.prod(parts.component_values, start=parts.free_product)
 
     def _masked_prefixes(
         self, params: ModelParameters, masks: Mapping[int, np.ndarray]
@@ -253,9 +288,7 @@ class CompressedPolynomial:
             if prefix is None:
                 factors.append(base.range_sums[index][pos])
             else:
-                sums = prefix[1:].take(component.hi[pos])
-                sums -= prefix.take(component.lo[pos])
-                factors.append(sums)
+                factors.append(_range_sums(component, pos, prefix))
         # Left to right with δ last — the solver's fitted parameters
         # depend on this association bit for bit — and in place after
         # the first product (a component spans >= 2 attributes, so
@@ -324,10 +357,13 @@ class CompressedPolynomial:
             return np.full(size, math.prod(values, start=free))
         component = self.components[index]
         coeff = self._masked_terms(base, index, prefixes, skip=pos)
-        # Difference array over [lo, hi], accumulated in term order (all
-        # lo ends, then all hi ends) with no per-term temporaries.
-        diff = np.bincount(component.lo[pos], weights=coeff, minlength=size + 1)
-        np.subtract.at(diff[1:], component.hi[pos], coeff)
+        # Difference array over [lo, hi] in one scatter: each bin adds
+        # its lo ends, then subtracts its hi ends, both in term order.
+        diff = np.bincount(
+            np.concatenate([component.lo[pos], component.hi[pos] + 1]),
+            weights=np.concatenate([coeff, -coeff]),
+            minlength=size + 1,
+        )
         # free × (Q_0 ⋯ Q_{c−1}) × (Q_last ⋯ Q_{c+1}), as outer_products().
         outer = free * (math.prod(values[:index]) * math.prod(values[:index:-1]))
         return np.cumsum(diff[:-1]) * outer
@@ -376,15 +412,26 @@ class CompressedPolynomial:
             key=lambda entry: entry[1].start,
         )
 
-    def delta_gradients(self, parts: EvaluationParts, params: ModelParameters) -> np.ndarray:
+    def delta_gradients(
+        self,
+        parts: EvaluationParts,
+        params: ModelParameters,
+        known: Mapping[int, list[float]] | None = None,
+    ) -> np.ndarray:
         """``∂P/∂δ_j`` of every multi-dimensional statistic ``j`` — the
         sum over the terms containing it, with its ``(δ−1)`` factor
-        removed; one pass per run."""
+        removed; one pass per run.  ``known`` maps a run's ``start`` to
+        its :meth:`~repro.core.terms.DeltaRun.partials`, already computed
+        on exactly these parts (the solver's δ sweep hands over each
+        component's last run)."""
+        known = known or {}
         extended = np.append(params.deltas, 2.0)
         outer = self.outer_products(parts)
         gradients = np.empty(self.num_deltas)
         for index, run in self.delta_runs:
-            partials = run.partials(extended, parts.range_products[index])
+            partials = known.get(run.start)
+            if partials is None:
+                partials = run.partials(extended, parts.range_products[index])
             gradients[run.start : run.stop] = np.multiply(partials, outer[index])
         return gradients
 
@@ -402,13 +449,18 @@ class CompressedPolynomial:
         return total * params.alphas[pos] * gradient / parts.value
 
     def expected_multi_dim(
-        self, parts: EvaluationParts, params: ModelParameters, total: int
+        self,
+        parts: EvaluationParts,
+        params: ModelParameters,
+        total: int,
+        known: Mapping[int, list[float]] | None = None,
     ) -> np.ndarray:
         """``E[⟨c_j, I⟩] = n δ_j P_δj / P`` for every multi-dimensional
-        statistic at once."""
+        statistic at once (``known`` as in :meth:`delta_gradients`)."""
         if parts.value <= 0:
             raise SolverError("polynomial evaluates to 0; model is degenerate")
-        return total * params.deltas * self.delta_gradients(parts, params) / parts.value
+        gradients = self.delta_gradients(parts, params, known)
+        return total * params.deltas * gradients / parts.value
 
 
 def initial_parameters(polynomial: CompressedPolynomial) -> ModelParameters:

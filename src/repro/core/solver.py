@@ -21,6 +21,27 @@ independent.  The solver exploits both facts:
   every ``Q_{δ_j}``, after which the per-statistic updates run with the
   component value maintained incrementally, as in the 1D sweep.
 
+A fit evaluates ``P`` from scratch once.  It keeps that one
+:class:`~repro.core.polynomial.EvaluationParts` current and refreshes
+only what moved, so every field stays bit-equal to a fresh pass:
+
+* after an attribute's 1D update, that attribute's prefix and full sum,
+  then its component's range sums, range product (left to right from
+  all of its range sums, never divided) and value — or the free
+  product — and ``P`` (``refresh_attribute``);
+* after the δ sweep, every component's δ products and value, and ``P``
+  (``refresh_deltas``); the range sums have not moved.
+
+The residual check then reads those parts.  Its gradient of attribute 0
+is the one the next sweep starts with, and the last run of each
+component — the only run whose partials nothing after it moves — hands
+its δ-sweep partials to the check.  Both stay in :meth:`solve`'s
+locals: a standalone :meth:`~MirrorDescentSolver.max_constraint_error`
+or :meth:`~MirrorDescentSolver.constraint_errors` evaluates its own
+parameters from scratch.  The scalar Gauss–Seidel loops run over
+Python floats (IEEE-identical to indexing ``np.float64`` elements) and
+write each attribute's or run's values back once.
+
 Statistics with ``s_j = 0`` pin their variable to exactly 0 — the
 paper's ZERO-statistic observation (Sec 4.3) — and are never revisited.
 """
@@ -98,13 +119,6 @@ class MirrorDescentSolver:
         self.threshold = threshold
 
     # ------------------------------------------------------------------
-    def _multi_dim_errors(self, parts, params: ModelParameters) -> np.ndarray:
-        """``|s_j − E[⟨c_j, I⟩]|`` of every multi-dimensional statistic."""
-        expected = self.polynomial.expected_multi_dim(parts, params, self.statistic_set.total)
-        targets = [statistic.value for statistic in self.statistic_set.multi_dim]
-        return np.abs(expected - np.asarray(targets, dtype=float))
-
-    # ------------------------------------------------------------------
     def solve(
         self,
         params: ModelParameters | None = None,
@@ -123,10 +137,18 @@ class MirrorDescentSolver:
         report.warm_started = warm_started
         start = time.perf_counter()
         try:
+            # The one evaluation state of this fit, kept current by the
+            # sweeps; what the residual check hands the next sweep stays
+            # in these locals.
+            parts = poly.evaluation_parts(params)
+            runs = poly.delta_runs
+            gradient = None
             for iteration in range(self.max_iterations):
-                self._sweep_one_dim(params)
-                self._sweep_multi_dim(params)
-                error = self.max_constraint_error(params)
+                self._sweep_one_dim(params, parts, gradient)
+                known = self._sweep_multi_dim(params, parts, runs)
+                poly.refresh_deltas(parts, params)
+                one_dim, multi_dim, gradient = self._errors(parts, params, known)
+                error = self._worst(one_dim, multi_dim)
                 report.error_trace.append(error)
                 report.iterations = iteration + 1
                 if not math.isfinite(error):
@@ -147,20 +169,18 @@ class MirrorDescentSolver:
         return params, report
 
     # ------------------------------------------------------------------
-    def _sweep_one_dim(self, params: ModelParameters) -> None:
+    def _sweep_one_dim(self, params: ModelParameters, parts, gradient) -> None:
+        """One Gauss–Seidel pass over every attribute's α.  ``gradient``
+        is attribute 0's, when the residual check already computed it on
+        these parts; each attribute refreshes ``parts`` once it moved."""
         poly = self.polynomial
         total = self.statistic_set.total
-        delta_products = None
-        for pos in range(poly.schema.num_attributes):
-            # A 1D sweep leaves every δ where it was.
-            parts = poly.evaluation_parts(params, delta_products)
-            delta_products = parts.delta_products
-            gradient = poly.masked_gradient(parts, params, {}, pos)
+        for pos, targets in enumerate(self.statistic_set.one_dim):
+            if gradient is None:
+                gradient = poly.masked_gradient(parts, params, {}, pos)
             value = parts.value
-            alpha = params.alphas[pos]
-            targets = self.statistic_set.one_dim[pos]
-            for index, target in enumerate(targets):
-                grad = gradient[index]
+            alpha = params.alphas[pos].tolist()
+            for index, (target, grad) in enumerate(zip(targets, gradient.tolist())):
                 if target == 0.0:
                     value -= alpha[index] * grad
                     alpha[index] = 0.0
@@ -182,33 +202,37 @@ class MirrorDescentSolver:
                     "polynomial collapsed to 0 during solving; statistics "
                     "are inconsistent with the cardinality"
                 )
+            params.alphas[pos][:] = alpha
+            poly.refresh_attribute(parts, params, pos)
+            gradient = None
 
-    def _sweep_multi_dim(self, params: ModelParameters) -> None:
-        poly = self.polynomial
-        if poly.num_deltas == 0:
-            return
+    def _sweep_multi_dim(self, params: ModelParameters, parts, runs) -> dict:
+        """One Gauss–Seidel pass over every δ, run by run, reading (not
+        refreshing) ``parts``.  Returns the partials of each component's
+        last run: nothing they read moves after them, so they are the
+        residual check's own."""
         total = self.statistic_set.total
-        parts = poly.evaluation_parts(params)
         component_values = list(parts.component_values)
         free_product = parts.free_product
-        range_products = parts.range_products
         # Extended δ vector: the trailing sentinel slot keeps (δ−1) = 1
         # for the padding entries of the runs' index matrices.
         extended = np.append(params.deltas, 2.0)
-        multi_dim = self.statistic_set.multi_dim
+        targets = [statistic.value for statistic in self.statistic_set.multi_dim]
+        last = {}
 
-        for index, run in poly.delta_runs:
+        for index, run in runs:
             # Only this component's value moves within a run.
             outer = free_product
             for other_index, other_value in enumerate(component_values):
                 if other_index != index:
                     outer *= other_value
             component_value = component_values[index]
-            partials = run.partials(extended, range_products[index])
-            for stat_id, grad_q in zip(range(run.start, run.stop), partials):
-                target = multi_dim[stat_id].value
+            partials = run.partials(extended, parts.range_products[index])
+            deltas = extended[run.start : run.stop].tolist()
+            run_targets = targets[run.start : run.stop]
+            for offset, (target, grad_q) in enumerate(zip(run_targets, partials)):
                 grad = grad_q * outer
-                old = float(extended[stat_id])
+                old = deltas[offset]
                 if target == 0.0:
                     updated = 0.0
                 elif abs(grad) <= _TINY_GRADIENT or target >= total:
@@ -220,42 +244,60 @@ class MirrorDescentSolver:
                     updated = target * rest / ((total - target) * grad)
                     if updated < 0.0:
                         updated = 0.0
-                extended[stat_id] = updated
+                deltas[offset] = updated
                 component_value += (updated - old) * grad_q
+            extended[run.start : run.stop] = deltas
             component_values[index] = component_value
+            last[index] = (run.start, partials)
         params.deltas[:] = extended[:-1]
+        return dict(last.values())
 
     # ------------------------------------------------------------------
-    def max_constraint_error(self, params: ModelParameters) -> float:
-        """``max_j |s_j − E[⟨c_j,I⟩]| / n`` across all statistics."""
+    def _errors(self, parts, params: ModelParameters, known=None):
+        """``(one_dim, multi_dim, gradient)``: ``|s_j − E[⟨c_j, I⟩]|``
+        of every statistic by family, and attribute 0's gradient (the
+        first the next 1D sweep needs).  ``known`` holds δ-run partials
+        already computed on these parts
+        (:meth:`CompressedPolynomial.delta_gradients`)."""
         poly = self.polynomial
         total = self.statistic_set.total
-        parts = poly.evaluation_parts(params)
         if parts.value <= 0:
-            raise SolverError("polynomial evaluates to 0")
-        # np.max, not max(): a NaN residual must come out as NaN.
-        worst = [
-            np.abs(
-                poly.expected_one_dim(parts, params, total, pos)
-                - np.asarray(self.statistic_set.one_dim[pos])
-            ).max()
+            raise SolverError("polynomial evaluates to 0; model is degenerate")
+        gradients = [
+            poly.masked_gradient(parts, params, {}, pos)
             for pos in range(poly.schema.num_attributes)
         ]
+        one_dim = [
+            np.abs(total * alpha * gradient / parts.value - np.asarray(targets))
+            for alpha, gradient, targets in zip(
+                params.alphas, gradients, self.statistic_set.one_dim
+            )
+        ]
+        multi_dim = np.empty(0)
         if poly.num_deltas:
-            worst.append(self._multi_dim_errors(parts, params).max())
-        return float(np.max(worst)) / total
+            expected = poly.expected_multi_dim(parts, params, total, known)
+            targets = [statistic.value for statistic in self.statistic_set.multi_dim]
+            multi_dim = np.abs(expected - np.asarray(targets, dtype=float))
+        return one_dim, multi_dim, gradients[0] if gradients else None
+
+    def _worst(self, one_dim, multi_dim) -> float:
+        # np.max, not max(): a NaN residual must come out as NaN.
+        worst = [errors.max() for errors in one_dim]
+        if multi_dim.size:
+            worst.append(multi_dim.max())
+        return float(np.max(worst)) / self.statistic_set.total
+
+    def max_constraint_error(self, params: ModelParameters) -> float:
+        """``max_j |s_j − E[⟨c_j,I⟩]| / n`` across all statistics."""
+        parts = self.polynomial.evaluation_parts(params)
+        one_dim, multi_dim, _ = self._errors(parts, params)
+        return self._worst(one_dim, multi_dim)
 
     def constraint_errors(self, params: ModelParameters) -> dict:
         """Detailed per-family errors (used by diagnostics and tests)."""
-        poly = self.polynomial
-        total = self.statistic_set.total
-        parts = poly.evaluation_parts(params)
-        one_dim = []
-        for pos in range(poly.schema.num_attributes):
-            expected = poly.expected_one_dim(parts, params, total, pos)
-            targets = np.asarray(self.statistic_set.one_dim[pos])
-            one_dim.append(np.abs(expected - targets))
-        return {"one_dim": one_dim, "multi_dim": self._multi_dim_errors(parts, params)}
+        parts = self.polynomial.evaluation_parts(params)
+        one_dim, multi_dim, _ = self._errors(parts, params)
+        return {"one_dim": one_dim, "multi_dim": multi_dim}
 
 
 def solve_statistics(

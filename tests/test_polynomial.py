@@ -9,6 +9,7 @@ satisfying the structural assumptions.
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.naive import NaivePolynomial
 from repro.core.polynomial import (
@@ -297,6 +298,50 @@ class TestMaskedKernel:
             )
 
 
+def _assert_same_parts(kept, fresh):
+    """Every field of two ``EvaluationParts`` equal bit for bit."""
+    for ours, theirs in (
+        (kept.prefixes, fresh.prefixes),
+        (kept.range_products, fresh.range_products),
+        (kept.delta_products, fresh.delta_products),
+    ):
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            np.testing.assert_array_equal(a, b)
+    assert len(kept.range_sums) == len(fresh.range_sums)
+    for ours, theirs in zip(kept.range_sums, fresh.range_sums):
+        assert ours.keys() == theirs.keys()
+        for pos in ours:
+            np.testing.assert_array_equal(ours[pos], theirs[pos])
+    assert kept.full_sums == fresh.full_sums
+    assert kept.component_values == fresh.component_values
+    assert kept.free_product == fresh.free_product
+    assert kept.value == fresh.value
+
+
+class TestRefresh:
+    """The solver keeps one ``EvaluationParts`` per fit and refreshes
+    only what moved; the fitted parameters depend on the refreshed
+    fields being a fresh pass's bit for bit."""
+
+    @given(masked_models(), st.data())
+    def test_property_refresh_equals_a_fresh_pass(self, model, data):
+        _, poly, params, _ = model
+        parts = poly.evaluation_parts(params)
+        pos = data.draw(st.integers(0, len(poly.sizes) - 1))
+        size = poly.sizes[pos]
+        values = st.floats(0.0, 4.0, allow_subnormal=False)
+        moved = data.draw(st.lists(values, min_size=size, max_size=size))
+        params.alphas[pos][:] = moved
+        poly.refresh_attribute(parts, params, pos)
+        _assert_same_parts(parts, poly.evaluation_parts(params))
+
+        count = poly.num_deltas
+        params.deltas[:] = data.draw(st.lists(values, min_size=count, max_size=count))
+        poly.refresh_deltas(parts, params)
+        _assert_same_parts(parts, poly.evaluation_parts(params))
+
+
 class TestLinearity:
     """P is multi-linear: degree 1 in every variable (Sec 3.1)."""
 
@@ -361,14 +406,6 @@ class TestShapesAndSizes:
         bad = ModelParameters([np.ones(2)] * 3, np.ones(3))
         with pytest.raises(SolverError):
             check_parameter_shapes(poly, bad)
-
-    def test_component_of_stat(self, small_statistics):
-        poly = CompressedPolynomial(small_statistics)
-        for stat_id in range(poly.num_deltas):
-            index = poly.component_of_stat(stat_id)
-            assert stat_id in poly.components[index].stat_terms
-        with pytest.raises(SolverError):
-            poly.component_of_stat(99)
 
     def test_mask_shape_mismatch(self, small_statistics):
         poly = CompressedPolynomial(small_statistics)

@@ -170,7 +170,7 @@ def _reference_multi_dim_errors(poly, params, statistic_set):
     extended = np.append(params.deltas, 2.0)
     errors = []
     for stat_id, statistic in enumerate(statistic_set.multi_dim):
-        index = poly.component_of_stat(stat_id)
+        index = poly.component_of_position(statistic.positions[0])
         grad_q = reference.delta_partial(
             poly.components[index], stat_id, extended, parts.range_products[index]
         )
@@ -210,3 +210,29 @@ class TestVectorisedResidual:
             solver.constraint_errors(params)["multi_dim"], reference, rtol=1e-12
         )
         assert report.final_error == solver.max_constraint_error(params)
+
+    def test_a_solve_leaves_no_reuse_state(self, small_statistics, rng):
+        """What a solve hands from its sweeps to its residual check stays
+        inside that solve: afterwards, the standalone checks on other
+        parameters equal a fresh solver's bit for bit."""
+        poly = CompressedPolynomial(small_statistics)
+        solver = MirrorDescentSolver(poly, max_iterations=5)
+        params, report = solver.solve()
+        assert report.final_error == solver.max_constraint_error(params)
+        # New range products (the run partials read them) and a far-off
+        # δ for the last statistic — the last run, whose partials the
+        # solve reused — so its residual is the largest.
+        other = params.copy()
+        for alpha in other.alphas:
+            alpha *= rng.random(alpha.size) + 0.5
+        other.deltas *= 2.0
+        other.deltas[-1] *= 25.0
+        fresh = MirrorDescentSolver(CompressedPolynomial(small_statistics))
+        assert solver.max_constraint_error(other) == fresh.max_constraint_error(other)
+        ours, theirs = solver.constraint_errors(other), fresh.constraint_errors(other)
+        for mine, reference_errors in zip(ours["one_dim"], theirs["one_dim"]):
+            np.testing.assert_array_equal(mine, reference_errors)
+        np.testing.assert_array_equal(ours["multi_dim"], theirs["multi_dim"])
+        assert theirs["multi_dim"][-1] == max(
+            float(errors.max()) for errors in [*theirs["one_dim"], theirs["multi_dim"]]
+        )

@@ -251,7 +251,7 @@ class TestIndexesFromCsr:
                     assert multi_dim[edge].positions != multi_dim[run.start].positions
             assert run.others.shape[1] == run.rows.size
             for offset, stat_id in enumerate(ids):
-                assert index == poly.component_of_stat(stat_id)
+                assert index == poly.component_of_position(multi_dim[stat_id].positions[0])
                 rows = run.rows[run.bounds[offset] : run.bounds[offset + 1]]
                 assert rows.tolist() == component.stat_terms[stat_id].tolist()
                 columns = run.others[:, run.bounds[offset] : run.bounds[offset + 1]]
