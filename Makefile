@@ -131,6 +131,10 @@ lint:
 	@# not.  The polynomial's masked kernels serve the solver, the world
 	@# sampler and the test oracle, never the query path.
 	@! grep -rnwE "masked_value|masked_gradient|evaluation_parts" src/repro/core/inference.py src/repro/core/summary.py src/repro/core/sharding.py src/repro/query/ src/repro/plan/ src/repro/api/ src/repro/serve/
+	@# One layout rule in the arena: a block's terms are grouped by the
+	@# query's constrained attributes (all of them is the per-term case),
+	@# so there is no per-term fallback.
+	@! grep -n "_block_terms" src/repro/core/arena.py
 	@# Build from counts: selection, build, refit, append and migrate
 	@# read the relation through one Counts reduction (data/counts.py),
 	@# never by a per-statistic row scan.

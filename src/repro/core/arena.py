@@ -26,27 +26,44 @@ with the object — into flat float64 arrays across **all** shards:
   rows of every shard's component over those attributes, contiguous,
   with their δ products, per attribute the table of *distinct*
   ``(shard, lo, hi)`` ranges as flat indices into the prefix array
-  (a few hundred against thousands of term rows), the unmasked range
-  sum of every term, and the unmasked component values.
+  (a few hundred against thousands of term rows) and each row's range
+  in the smallest unsigned dtype, and the unmasked component values.
 
-A query then redoes only what its masks constrain: masked prefix sums
-of the constrained attributes, one small gather per distinct range and
-one ``take`` per term for each constrained attribute of a block
-(unconstrained attributes multiply their folded range sums in; blocks
-no mask touches reuse their component values and their rows are never
-read), one ``np.add.reduceat`` per block.  Everything folds by
-multiplication — padded domains carry α = 0, so nothing may divide.
+A query's cost is set by the attributes it constrains, not by the term
+count.  Per block, the terms are grouped by the query's *constrained
+set* ``K`` — the block's attributes the masks touch, plus the left-out
+attribute of a GROUP BY / SUM: the terms of one component that share
+their distinct range on every attribute of ``K`` are summed into one
+group whose weight folds in δ and the unmasked range sums of every
+attribute outside ``K`` (:class:`_Grouping`).  A query then redoes only
+what its masks constrain: masked prefix sums of the constrained
+attributes, one small gather per distinct range, one ``take`` per group
+for each attribute of ``K``, one ``np.add.reduceat`` per block; blocks
+no mask touches reuse their component values.  On the benchmark's
+33 285-term M1, one constrained attribute leaves 53–198 groups, a pair
+842–1 644 and a triple 6 416–23 210 (M8's 22 023 rows: 121–531,
+1 386–2 465 and 7 513–15 446); grouping by all of a block's attributes
+is the per-term evaluation, so there is one layout rule and no second
+path.  Groupings are built on first use, once per ``(block, K)`` under
+the build lock, live on the arena only (so they die with it on load,
+reload, publish and ``with_shards``, and are never pickled or saved),
+and number at most ``2^|block| − 1`` per block: all 15 of M1's 4-attribute
+block hold ≈ 1.0 MB, and the arena with all of them is smaller than the
+per-term layout it replaced (1.4 against 2.4 MB).
+Everything folds by multiplication — padded domains carry α = 0, so
+nothing may divide.
 GROUP BY and SUM use the gradient trick of
 :meth:`CompressedPolynomial.masked_gradient` on the same products:
-leave the attribute's own factors out, ``np.bincount`` the coefficients
-onto the distinct ranges' ends, one ``cumsum`` (and the row sums of those
-numerators are the COUNT, so an AVG is one pass: ``sum_and_count``).  Batches and
-multi-attribute GROUP BY combinations loop this one-query kernel — on
-the 8-shard, 22 023-term benchmark model a batch of 64 costs per query
-what a single query does (≈ 0.13 ms), so no batch axis is carried —
-which makes batched answers bit-equal to single ones.  No scratch is
-shared between calls: executor threads evaluate on one arena
-concurrently.
+leave the attribute's own factors out, ``np.bincount`` the group
+coefficients onto the attribute's distinct ranges and those onto the
+ranges' ends, one ``cumsum`` (and the row sums of those numerators are
+the COUNT, so an AVG is one pass: ``sum_and_count``).  Batches and
+multi-attribute GROUP BY combinations loop this one-query kernel —
+which makes batched answers bit-equal to single ones.  A cold COUNT
+costs ≈ 70 µs on M1 and ≈ 80 µs on M8 (was ≈ 280 and ≈ 220 µs on the
+per-term kernel; 2-vCPU box), the gradient behind a GROUP BY ≈ 100 µs
+(≈ 290 / 230).  No scratch is shared between calls: executor threads
+evaluate on one arena concurrently.
 
 The kernel yields one value per shard, and :meth:`ShardArena.merge` is
 the one place those become per-shard ``(expectation, variance)``
@@ -147,10 +164,9 @@ class _Block:
         self.starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
         self.dprod = np.concatenate([dprod for _, _, dprod in members])
         shard_of = np.repeat(self.shards, counts)
-        #: pos -> (row -> distinct range, range -> flat prefix index of
-        #: ``lo``, of ``hi + 1``, unmasked range sum per row).
+        #: pos -> (row -> distinct range in the smallest unsigned dtype,
+        #: range -> flat prefix index of ``lo``, of ``hi + 1``).
         self.ranges: dict[int, tuple] = {}
-        product = self.dprod
         for pos in positions:
             offset = shard_of * strides[pos]
             lo = offset + np.concatenate([c.lo[pos] for _, c, _ in members])
@@ -160,16 +176,74 @@ class _Block:
                 lo * flat.shape[0] + hi, return_inverse=True
             )
             range_lo, range_hi = np.divmod(distinct, flat.shape[0])
-            row_range = row_range.astype(np.intp).ravel()
-            base = (flat.take(range_hi) - flat.take(range_lo)).take(row_range)
-            self.ranges[pos] = (row_range, range_lo, range_hi, base)
-            product = product * base
-        self.base_values = np.add.reduceat(product, self.starts)
+            row_range = row_range.ravel().astype(
+                np.min_scalar_type(distinct.size - 1)
+            )
+            self.ranges[pos] = (row_range, range_lo, range_hi)
+        self.base_values = np.add.reduceat(
+            self.folded(positions, prefixes), self.starts
+        )
+
+    def folded(self, positions, prefixes) -> np.ndarray:
+        """Per-term ``dprod · Π_{p ∈ positions} rangesum_p`` over the
+        unmasked prefix sums."""
+        product = self.dprod
+        for pos in positions:
+            row_range, range_lo, range_hi = self.ranges[pos]
+            flat = prefixes[pos]
+            product = product * (flat.take(range_hi) - flat.take(range_lo)).take(
+                row_range
+            )
+        return product
 
     def arrays(self):
         yield from (self.shards, self.starts, self.dprod, self.base_values)
         for arrays in self.ranges.values():
             yield from arrays
+
+
+class _Grouping:
+    """One block's terms summed over every attribute but ``key``: the
+    terms of a component that share their distinct range on each
+    attribute of ``key`` are one group, weighted by the sum of their
+    ``dprod · Π_{p ∉ key} rangesum_p`` (unmasked).  A query that
+    constrains exactly ``key`` (plus, for GROUP BY / SUM, the attribute
+    left out) multiplies one masked range sum per attribute and group
+    into those weights; grouping by every position of the block is the
+    per-term evaluation.  Built once per ``(block, key)`` on first use."""
+
+    __slots__ = ("weights", "ranges", "starts")
+
+    def __init__(self, block: _Block, key: tuple, prefixes):
+        num_terms = block.dprod.shape[0]
+        component = np.repeat(
+            np.arange(block.starts.shape[0]),
+            np.diff(block.starts, append=num_terms),
+        )
+        # One int64 code per term: component first, then each
+        # attribute's distinct range in mixed radix (re-ranked densely
+        # before the radix product could overflow).
+        code, radix = component.astype(np.int64), block.starts.shape[0]
+        for pos in key:
+            row_range, range_lo, _ = block.ranges[pos]
+            if radix * range_lo.shape[0] >= 2**62:
+                _, code = np.unique(code, return_inverse=True)
+                radix = int(code.max()) + 1
+            code = code * range_lo.shape[0] + row_range
+            radix *= range_lo.shape[0]
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        first = np.flatnonzero(np.concatenate([[True], code[1:] != code[:-1]]))
+        rest = [pos for pos in block.positions if pos not in key]
+        self.weights = np.add.reduceat(block.folded(rest, prefixes)[order], first)
+        rows = order[first]
+        self.ranges = {pos: block.ranges[pos][0][rows] for pos in key}
+        self.starts = np.searchsorted(
+            component[rows], np.arange(block.starts.shape[0])
+        )
+
+    def arrays(self):
+        yield from (self.weights, self.starts, *self.ranges.values())
 
 
 class ShardArena:
@@ -244,6 +318,9 @@ class ShardArena:
         ]
         self.num_terms = sum(block.dprod.shape[0] for block in self.blocks)
 
+        #: ``(block index, key)`` -> :class:`_Grouping`, built lazily;
+        #: at most ``2^|positions| − 1`` per block, gone with the arena.
+        self._groupings: dict[tuple, _Grouping] = {}
         self._cache: dict[tuple, tuple[float, float]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -274,24 +351,43 @@ class ShardArena:
             checked[pos] = mask
         return checked
 
-    def _block_terms(self, block: _Block, prefixes, skip: int | None = None):
-        """Per-term ``dprod · Π_p rangesum_p`` of one block over every
-        attribute but ``skip``: range sums are regathered through the
-        distinct-range table for the masked attributes and taken from
-        the folded constants for the rest."""
-        product = None
-        for pos in block.positions:
+    def _grouping(self, index: int, key: tuple) -> _Grouping:
+        """Block ``index``'s terms grouped by the attribute set ``key``,
+        built on first use (double-checked under the build lock, so
+        racing first queries build it once)."""
+        grouping = self._groupings.get((index, key))
+        if grouping is None:
+            with _BUILD_LOCK:
+                grouping = self._groupings.get((index, key))
+                if grouping is None:
+                    grouping = _Grouping(self.blocks[index], key, self.prefixes)
+                    self._groupings[(index, key)] = grouping
+        return grouping
+
+    def _group_terms(self, index: int, prefixes, skip: int | None = None):
+        """``(grouping, per-group coefficients)`` of block ``index``:
+        its terms grouped by the constrained attributes (and ``skip``),
+        each group's weight times one masked range sum per constrained
+        attribute but ``skip``, gathered once per distinct range."""
+        block = self.blocks[index]
+        key = tuple(
+            pos for pos in block.positions if pos in prefixes or pos == skip
+        )
+        grouping = self._grouping(index, key)
+        product = grouping.weights
+        for pos in key:
             if pos == skip:
                 continue
-            row_range, range_lo, range_hi, sums = block.ranges[pos]
-            flat = prefixes.get(pos)
-            if flat is not None:
-                sums = (flat.take(range_hi) - flat.take(range_lo)).take(row_range)
-            if product is None:
-                product = block.dprod * sums
+            _, range_lo, range_hi = block.ranges[pos]
+            flat = prefixes[pos]
+            sums = (flat.take(range_hi) - flat.take(range_lo)).take(
+                grouping.ranges[pos]
+            )
+            if product is grouping.weights:
+                product = product * sums
             else:
                 product *= sums
-        return block.dprod if product is None else product
+        return grouping, product
 
     def _shard_factors(self, prefixes, skip: int | None = None) -> np.ndarray:
         """``(S,)`` masked free product × component values per shard,
@@ -306,15 +402,14 @@ class ShardArena:
                 size = self.sizes[pos]
                 factor = np.where(free, flat[size :: size + 1], 1.0)
             values *= factor
-        for block in self.blocks:
+        for index, block in enumerate(self.blocks):
             if skip in block.positions:
                 continue
             if prefixes.keys().isdisjoint(block.positions):
                 values[block.shards] *= block.base_values
             else:
-                values[block.shards] *= np.add.reduceat(
-                    self._block_terms(block, prefixes), block.starts
-                )
+                grouping, product = self._group_terms(index, prefixes)
+                values[block.shards] *= np.add.reduceat(product, grouping.starts)
         return values
 
     def _masked_prefixes(self, masks: Mapping[int, np.ndarray]) -> dict:
@@ -343,12 +438,13 @@ class ShardArena:
         # Difference array over [lo, hi] per shard: coefficients summed
         # per distinct range, scattered onto the range ends, one cumsum.
         diff = np.zeros(S * stride, dtype=np.float64)
-        for block in self.blocks:
+        for index, block in enumerate(self.blocks):
             if pos in block.positions:
-                row_range, range_lo, range_hi, _ = block.ranges[pos]
+                _, range_lo, range_hi = block.ranges[pos]
+                grouping, product = self._group_terms(index, prefixes, skip=pos)
                 coeff = np.bincount(
-                    row_range,
-                    weights=self._block_terms(block, prefixes, skip=pos),
+                    grouping.ranges[pos],
+                    weights=product,
                     minlength=range_lo.shape[0],
                 )
                 diff += np.bincount(range_lo, weights=coeff, minlength=S * stride)
@@ -584,10 +680,15 @@ class ShardArena:
         arrays += [factor for _, factor in self.free.values()]
         for block in self.blocks:
             arrays += block.arrays()
+        with _BUILD_LOCK:
+            groupings = list(self._groupings.values())
+        for grouping in groupings:
+            arrays += grouping.arrays()
         return {
             "shards": self.num_shards,
             "terms": self.num_terms,
             "components": sum(block.shards.shape[0] for block in self.blocks),
+            "groupings": len(groupings),
             "bytes": sum(array.nbytes for array in arrays),
             "cache_entries": len(self._cache),
             "cache_hits": self.cache_hits,

@@ -10,14 +10,19 @@ summary (an unsharded one is a one-shard arena) and, through a cluster
 worker's ``ShardSlice``, over any subset of it (``TestKernelDifferential``
 is the Hypothesis form of that claim).
 The folded constants must never go stale or race
-(``TestFoldedConstants``), and the lifecycle pieces (lazy build,
-``warm``, hot-swap rebuild, pickling) are covered here too.
+(``TestFoldedConstants``), the lazily built term groupings must be
+built once, per arena, and never carried over to a new arena or a
+pickle (``TestGroupings``, ``TestConcurrentFirstUse``), and the
+lifecycle pieces (lazy build, ``warm``, hot-swap rebuild, pickling)
+are covered here too.
 """
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,6 +31,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.api import Explorer, SummaryStore
+from repro.core import arena as arena_module
 from repro.core.arena import ShardArena
 from repro.core.polynomial import CompressedPolynomial
 from repro.core.sharding import ShardedSummary
@@ -741,3 +747,290 @@ class TestFoldedConstants:
         floor = 2 * 8 * 3 * sum(by_component.schema.sizes())
         assert stats["bytes"] > floor + 8 * stats["terms"]
         assert round_robin.arena.stats()["bytes"] > floor  # no components
+        assert {"cache_hits", "cache_misses", "cache_entries"} <= set(stats)
+
+        # Groupings are built lazily and counted with their bytes: the
+        # same ``(block, K)`` twice adds nothing.
+        arena = ShardArena(by_component)
+        assert arena.stats()["groupings"] == 0
+        grown = []
+        for masks in ({0: [True, False, True, False]}, {1: np.arange(6) < 3}) * 2:
+            before = arena.stats()["bytes"]
+            arena.estimate_masks_batch([masks])
+            grown.append(arena.stats()["bytes"] - before)
+        assert arena.stats()["groupings"] == 2
+        assert grown[0] > 0 and grown[1] > 0 and grown[2:] == [0, 0]
+        held = sum(
+            array.nbytes
+            for grouping in arena._groupings.values()
+            for array in grouping.arrays()
+        )
+        assert arena.stats()["bytes"] == ShardArena(by_component).stats()["bytes"] + held
+
+
+# ----------------------------------------------------------------------
+# Groupings: lazy, per arena, built once, never carried over
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def one_component(relation):
+    """M1-shaped: one summary whose component spans every attribute."""
+    return _fit(relation, pairs=[("A", "B"), ("B", "C")], budget=6)
+
+
+@pytest.fixture(scope="module")
+def round_robin_component(relation):
+    return _fit(relation, num_shards=3, pairs=[("A", "B"), ("B", "C")], budget=6)
+
+
+def _subsets(arena):
+    """Every non-empty subset of every block's positions."""
+    return [
+        subset
+        for block in arena.blocks
+        for size in range(1, len(block.positions) + 1)
+        for subset in itertools.combinations(block.positions, size)
+    ]
+
+
+def _grouping_queries(summary):
+    """Queries that between them group every block by every non-empty
+    subset ``K`` of its positions: a COUNT constraining ``K``, and a
+    GROUP BY and a SUM over each attribute of ``K`` constraining the
+    rest of ``K`` — as ``(kind, attribute, predicate)``."""
+    schema = summary.schema
+    names, sizes = schema.attribute_names, schema.sizes()
+
+    def conj(positions):
+        return Conjunction(
+            schema,
+            {
+                names[pos]: RangePredicate(pos % 2, sizes[pos] - 1 - pos % 2)
+                for pos in positions
+            },
+        )
+
+    queries = []
+    for subset in _subsets(summary.arena):
+        queries.append(("count", None, conj(subset)))
+        for pos in subset:
+            rest = conj([other for other in subset if other != pos])
+            queries += [("group", names[pos], rest), ("sum", names[pos], rest)]
+    return queries
+
+
+def _answer(model, kind, name, predicate):
+    if kind == "count":
+        estimate = model.estimate(predicate)
+        return estimate.expectation, estimate.variance
+    if kind == "group":
+        return model.group_by((name,), predicate)
+    weights = np.arange(model.schema.domain(name).size) + 1.0
+    return model.sum_estimate(name, weights, predicate)
+
+
+def _assert_matches_reference(model, queries):
+    for kind, name, predicate in queries:
+        answer = _answer(model, kind, name, predicate)
+        if kind == "count":
+            assert _close(answer, reference.count(model, predicate))
+        elif kind == "group":
+            _assert_groups_match(answer, reference.group_by(model, (name,), predicate))
+        else:
+            weights = np.arange(model.schema.domain(name).size) + 1.0
+            assert _close(
+                answer, reference.sum_estimate(model, name, weights, predicate)
+            )
+
+
+def _num_groupings(arena) -> int:
+    return sum(2 ** len(block.positions) - 1 for block in arena.blocks)
+
+
+class TestGroupings:
+    """A warmed model — every grouping of every block built — answers
+    like the per-shard reference through every path that builds a new
+    arena: cluster worker halves, a fresh arena, ``with_shards`` /
+    ``refit``, an append followed by a server reload.  None of them
+    inherits a grouping, and no grouping is pickled or saved."""
+
+    @staticmethod
+    def _warm(model):
+        queries = _grouping_queries(model)
+        for kind, name, predicate in queries:
+            _answer(model, kind, name, predicate)
+        assert model.arena.stats()["groupings"] == _num_groupings(model.arena) > 0
+        return model, queries
+
+    @pytest.fixture(
+        params=["one_component", "by_component", "round_robin_component"]
+    )
+    def warmed(self, request):
+        return self._warm(request.getfixturevalue(request.param))
+
+    @pytest.fixture(params=["by_component", "round_robin_component"])
+    def warmed_sharded(self, request):
+        return self._warm(request.getfixturevalue(request.param))
+
+    def test_warmed_model_matches_the_reference(self, warmed):
+        _assert_matches_reference(*warmed)
+
+    def test_worker_halves_merge_to_the_reference(self, warmed_sharded):
+        model, queries = warmed_sharded
+        half = model.num_shards // 2
+        assignment = [[0] if shard < half else [1] for shard in range(model.num_shards)]
+        slices = worker_slices(model, assignment)
+        planner = Explorer.attach(model).planner
+        for kind, name, predicate in queries:
+            if kind == "count":
+                query = CountQuery("R")
+            elif kind == "group":
+                query = CountQuery("R", group_by=(name,))
+            else:
+                query = CountQuery("R", aggregate="sum", aggregate_attr=name)
+            plan = planner.plan(
+                query, predicate=canonicalize_conjunction(predicate, model.schema)
+            )
+            payload = frontend_merge(model, plan, assignment, {0, 1}, slices=slices)
+            if kind == "count":
+                assert _close(payload["value"], reference.count(model, predicate)[0])
+            elif kind == "group":
+                expected = reference.group_by(model, (name,), predicate)
+                groups = dict(
+                    zip(map(tuple, payload["labels"]), payload["counts"].tolist())
+                )
+                assert set(groups) == set(expected)
+                for labels, (value, _) in expected.items():
+                    assert _close(groups[labels], value)
+            else:
+                weights = numeric_weights(model.schema.domain(name))
+                assert _close(
+                    payload["value"],
+                    reference.sum_estimate(model, name, weights, predicate),
+                )
+        for shard_slice in slices.values():
+            assert shard_slice.arena.stats()["groupings"] > 0
+
+    def test_fresh_arena_answers_bit_for_bit(self, warmed):
+        model, queries = warmed
+        fresh = ShardArena(model)
+        assert fresh.stats()["groupings"] == 0
+        for kind, name, predicate in queries:
+            masks = predicate.attribute_masks()
+            if kind == "count":
+                assert fresh.estimate_masks_batch([masks]) == (
+                    model.arena.estimate_masks_batch([masks])
+                )
+            else:
+                pos = model.schema.position(name)
+                assert np.array_equal(
+                    fresh._gradient_numerators(pos, masks),
+                    model.arena._gradient_numerators(pos, masks),
+                )
+        assert fresh.stats()["groupings"] == _num_groupings(fresh)
+
+    def test_refit_and_with_shards_start_without_groupings(self, warmed, relation):
+        model, queries = warmed
+        rows = relation.sample_rows(np.arange(200))
+        if isinstance(model, ShardedSummary):
+            last = model.num_shards - 1
+            swapped = model.with_shards({last: model.shards[last].refit(rows)})
+        else:
+            swapped = model.refit(rows)
+        assert swapped.arena is not model.arena
+        assert swapped.arena.stats()["groupings"] == 0
+        _assert_matches_reference(swapped, queries)
+
+    def test_append_and_reload_start_without_groupings(self, warmed, tmp_path):
+        model, queries = warmed
+        store = SummaryStore(tmp_path / "models")
+        store.save(model, "demo")
+        server = SummaryServer(store=store, name="demo", config=ServeConfig())
+        before = server._generation.explorer.backend.summary
+        assert before.arena.stats()["groupings"] == 0  # the load warms no grouping
+        _assert_matches_reference(before, queries)
+        IngestPipeline.from_store(store, "demo").append([(3, 5, 2)] * 40)
+        assert server.reload() == 2
+        served = server._generation.explorer.backend.summary
+        assert served.total == model.total + 40
+        assert served.arena is not before.arena
+        assert served.arena.stats()["groupings"] == 0
+        _assert_matches_reference(served, queries)
+
+    def test_pickles_carry_no_grouping(self, warmed):
+        model, queries = warmed
+        blob = pickle.dumps(model)
+        assert b"_Grouping" not in blob and b"ShardArena" not in blob
+        clone = pickle.loads(blob)
+        _assert_matches_reference(clone, queries[:3])
+        assert clone.arena.stats()["groupings"] > 0
+        assert model.arena.stats()["groupings"] == _num_groupings(model.arena)
+
+
+class TestConcurrentFirstUse:
+    def test_racing_threads_build_each_grouping_once(
+        self, round_robin_component, monkeypatch
+    ):
+        """Eight threads walk every attribute subset, each in its own
+        order, on a fresh arena: every ``(block, K)`` grouping is built
+        exactly once and the answers are bit-identical to serial ones on
+        another fresh arena (and batches to singles)."""
+        model = round_robin_component
+        sizes = model.schema.sizes()
+        rng = np.random.default_rng(7)
+        subsets = _subsets(model.arena)
+        masks = {
+            subset: {pos: rng.random(sizes[pos]) < 0.6 for pos in subset}
+            for subset in subsets
+        }
+
+        def walk(arena, order, start=None):
+            if start is not None:
+                start.wait(timeout=60)
+            answers = {}
+            for index in order:
+                subset = subsets[index]
+                answers[subset, "count"] = arena.estimate_masks_batch(
+                    [masks[subset]]
+                )
+                for pos in subset:
+                    rest = {p: m for p, m in masks[subset].items() if p != pos}
+                    answers[subset, pos] = (
+                        arena._gradient_numerators(pos, rest).tobytes(),
+                        arena.group_by([pos], rest),
+                        arena.sum_estimate(pos, np.arange(sizes[pos]) + 1.0, rest),
+                    )
+            return answers
+
+        serial = walk(ShardArena(model), range(len(subsets)))
+
+        builds = {}
+        build = arena_module._Grouping
+
+        def counted(block, key, prefixes):
+            builds[id(block), key] = builds.get((id(block), key), 0) + 1
+            return build(block, key, prefixes)
+
+        monkeypatch.setattr(arena_module, "_Grouping", counted)
+        arena = ShardArena(model)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        start = threading.Barrier(8)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(
+                        walk, arena, rng.permutation(len(subsets)).tolist(), start
+                    )
+                    for _ in range(8)
+                ]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == serial for result in results)
+        assert len(builds) == _num_groupings(arena) == arena.stats()["groupings"]
+        assert set(builds.values()) == {1}
+
+        arena.clear_cache()
+        batch = arena.estimate_masks_batch([masks[subset] for subset in subsets])
+        assert batch == [serial[subset, "count"][0] for subset in subsets]
