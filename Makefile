@@ -158,6 +158,9 @@ lint:
 	@# Explorer per client-chosen session name.
 	@! grep -rnwE --include='*.py' "SQLEngine|conjunction_from_conditions|strict" src/repro/query/ src/repro/plan/ src/repro/api/
 	@! grep -nwE "_asts|_predicates|_sessions" src/repro/api/explorer.py src/repro/serve/server.py
+	@# Labels resolve by bisection on a per-domain table (LabelTable):
+	@# no per-label loop on the query path.
+	@! grep -n "_comparison_mask" src/repro/query/linear.py
 	@# Appends read only the batch: the ingest pipeline holds just the
 	@# summary, never a copy of the rows it was fitted on, and
 	@# `repro ingest` needs no base relation (its --data flag and the

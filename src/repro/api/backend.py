@@ -8,7 +8,7 @@ engine, the evaluation harness, the CLI) can ask a backend what it can
 do instead of probing for attributes:
 
 * ``supports_sum`` — the backend can answer ``SUM``/``AVG`` aggregates
-  via :meth:`sum_values`;
+  via :meth:`sum_values` and :meth:`sum_and_count`;
 * ``is_exact`` — answers are ground truth, not estimates (used by the
   harness to pick the reference method).
 
@@ -69,6 +69,17 @@ class Backend(abc.ABC):
         raise QueryError(
             f"backend {self.name!r} ({type(self).__name__}) does not "
             "support SUM/AVG aggregates"
+        )
+
+    def sum_and_count(
+        self, attr, weights, predicate: "Conjunction"
+    ) -> tuple[float, float]:
+        """``(SUM(w(attr)), COUNT(*))`` under a conjunction — what an AVG
+        needs.  The default asks :meth:`sum_values` and :meth:`count`;
+        a model backend answers both from one pass."""
+        return (
+            float(self.sum_values(attr, weights, predicate)),
+            float(self.count(predicate)),
         )
 
     # -- introspection ---------------------------------------------------

@@ -795,15 +795,23 @@ class ArenaModel:
             self.schema.position(attr), weights, self.masks_for(predicate)
         )
 
+    def sum_and_count(
+        self, attr, weights, predicate=None
+    ) -> tuple[float, QueryEstimate]:
+        """``E[Σ_{rows ⊨ π} w(attr)]`` and the COUNT estimate, from one
+        arena pass."""
+        total, expectation, variance = self.arena.sum_and_count(
+            self.schema.position(attr), weights, self.masks_for(predicate)
+        )
+        return total, QueryEstimate(expectation, variance, self.total)
+
     def avg_estimate(self, attr, weights, predicate=None) -> float:
         """``E[SUM] / E[COUNT]`` — the ratio-of-expectations estimator
         for AVG (the one samplers use), in one arena pass; over the whole
         relation the count is ``n``."""
-        masks = self.masks_for(predicate)
-        total, count, _ = self.arena.sum_and_count(
-            self.schema.position(attr), weights, masks
-        )
-        if not masks:
+        total, estimate = self.sum_and_count(attr, weights, predicate)
+        count = estimate.expectation
+        if predicate is None or predicate.is_trivial():
             count = float(self.total)
         if count <= 0:
             raise QueryError("AVG undefined: predicate has expected count 0")

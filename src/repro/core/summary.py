@@ -252,6 +252,9 @@ class EntropySummary:
     def sum_estimate(self, attr, weights, predicate=None) -> float:
         return self.engine.sum_estimate(attr, weights, predicate)
 
+    def sum_and_count(self, attr, weights, predicate=None):
+        return self.engine.sum_and_count(attr, weights, predicate)
+
     def avg_estimate(self, attr, weights, predicate=None) -> float:
         return self.engine.avg_estimate(attr, weights, predicate)
 

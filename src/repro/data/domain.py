@@ -29,7 +29,7 @@ class Domain:
         sequence is the integer index used throughout the model.
     """
 
-    __slots__ = ("name", "_labels", "_index", "_numeric_weights")
+    __slots__ = ("name", "_labels", "_index", "_numeric_weights", "_lookup")
 
     def __init__(self, name: str, labels: Sequence) -> None:
         labels = list(labels)
@@ -48,6 +48,9 @@ class Domain:
         #: Filled by ``repro.query.linear.numeric_weights`` on first use
         #: (labels never change, so neither does the SUM/AVG vector).
         self._numeric_weights = None
+        #: Filled by ``repro.query.linear.label_table`` on first use: the
+        #: bounds and keys WHERE conditions bisect (never saved).
+        self._lookup = None
 
     @property
     def size(self) -> int:

@@ -4,15 +4,22 @@ Every query surface (SQL text, the fluent builder, raw conjunctions
 from the evaluation harness) reduces its WHERE clause to one
 :class:`CanonicalPredicate` — a per-attribute interval/set form in
 canonical attribute order.  Normalization is interval algebra over the
-dense domain indices:
+dense domain indices, in one pass over the conditions:
 
-* conditions on the same attribute **intersect** (``x >= 3 AND x <= 7``
-  equals ``x BETWEEN 3 AND 7``),
-* duplicate conjuncts dedupe for free (idempotent intersection),
-* trivial conjuncts (a mask selecting the whole domain) drop out,
+* each condition resolves to a *selection* — an index ``range`` or a
+  sorted index list — by bisection on its domain's
+  :class:`~repro.query.linear.LabelTable`, at a cost that does not grow
+  with the domain,
+* selections on the same attribute **intersect** (``x >= 3 AND x <= 7``
+  equals ``x BETWEEN 3 AND 7``), so duplicate conjuncts dedupe for free,
+* trivial conjuncts (a selection of the whole domain) drop out,
 * an empty intersection — or a condition selecting no value at all —
   marks the predicate as a **contradiction**, which the planner answers
   with ``0`` in O(1) without touching any backend.
+
+No dense mask is built here: :meth:`CanonicalPredicate.to_conjunction`
+builds each constrained attribute's mask once, read-only, the first
+time a backend needs it, and the :class:`Conjunction` carries them.
 
 The canonical form is hashable: :attr:`CanonicalPredicate.key` is the
 predicate part of every :attr:`~repro.plan.planner.QueryPlan.cache_key`,
@@ -30,7 +37,7 @@ import numpy as np
 from repro.data.schema import Schema
 from repro.errors import QueryError, ReproError
 from repro.query.ast import Condition
-from repro.query.linear import condition_mask
+from repro.query.linear import intersect, resolve
 from repro.stats.predicates import (
     Conjunction,
     Predicate,
@@ -100,7 +107,9 @@ class CanonicalPredicate:
         return None
 
     def to_conjunction(self) -> Conjunction:
-        """The executable :class:`Conjunction` (memoized).
+        """The executable :class:`Conjunction` (memoized), carrying the
+        read-only mask of every constrained attribute.  A cached plan is
+        shared across threads, so no caller may write into them.
 
         Contradictions have no conjunction — the planner must
         short-circuit them before execution.
@@ -110,13 +119,20 @@ class CanonicalPredicate:
                 "a contradictory predicate has no executable conjunction; "
                 f"short-circuit it ({self.empty_reason or 'empty selection'})"
             )
-        if self._conjunction is None:
-            names = self.schema.attribute_names
-            self._conjunction = Conjunction(
-                self.schema,
-                {names[pos]: predicate for pos, predicate in self.entries},
+        conjunction = self._conjunction
+        if conjunction is None:
+            # Racing first calls on a shared plan each build an equal
+            # conjunction; whichever lands is the one kept.
+            masks = {}
+            domains = self.schema.domains
+            for pos, predicate in self.entries:
+                mask = predicate.mask(domains[pos].size)
+                mask.setflags(write=False)
+                masks[pos] = mask
+            conjunction = self._conjunction = Conjunction(
+                self.schema, dict(self.entries), masks=masks
             )
-        return self._conjunction
+        return conjunction
 
     def describe(self) -> str:
         """One-line human form used by ``explain()``."""
@@ -142,29 +158,32 @@ class CanonicalPredicate:
         return f"CanonicalPredicate({self.describe()})"
 
 
-def _entry_from_mask(mask: np.ndarray) -> Predicate | None:
-    """Tightest predicate for a value mask; None when trivial."""
-    hits = np.flatnonzero(mask)
-    if hits.size == mask.size:
+def _entry(selection, size: int) -> Predicate | None:
+    """Tightest predicate for a non-empty selection (an index ``range``
+    or a sorted index list); None when it is the whole domain."""
+    count = len(selection)
+    if count == size:
         return None
-    if hits[-1] - hits[0] + 1 == hits.size:
-        return RangePredicate(int(hits[0]), int(hits[-1]))
-    return SetPredicate(hits.tolist())
+    if isinstance(selection, range):
+        return RangePredicate(selection.start, selection.stop - 1)
+    first, last = selection[0], selection[-1]
+    if last - first + 1 == count:
+        return RangePredicate(first, last)
+    return SetPredicate(selection)
 
 
-def _from_masks(
-    schema: Schema, masks: dict[int, np.ndarray]
-) -> CanonicalPredicate:
+def _from_selections(schema: Schema, selections: dict) -> CanonicalPredicate:
     entries = []
-    for pos, mask in masks.items():
-        if not mask.any():
-            name = schema.attribute_names[pos]
+    domains = schema.domains
+    for pos, selection in selections.items():
+        if not selection:
+            name = domains[pos].name
             return CanonicalPredicate(
                 schema,
                 is_empty=True,
                 empty_reason=f"no value of {name!r} satisfies the conditions",
             )
-        predicate = _entry_from_mask(mask)
+        predicate = _entry(selection, domains[pos].size)
         if predicate is not None:
             entries.append((pos, predicate))
     return CanonicalPredicate(schema, entries)
@@ -175,21 +194,22 @@ def canonicalize_conditions(
 ) -> CanonicalPredicate:
     """Normalize parsed WHERE conditions.
 
-    Labels resolve to dense-index masks once, masks on the same
-    attribute intersect, and unsatisfiable conditions (values outside
-    the active domain, reversed ranges after clamping, contradictory
-    bounds) collapse to the canonical contradiction instead of raising.
-    Unknown attributes and type errors still raise.
+    Each condition resolves to an index selection by bisection, the
+    selections on one attribute intersect, and unsatisfiable conditions
+    (values outside the active domain, reversed ranges after clamping,
+    contradictory bounds) collapse to the canonical contradiction
+    instead of raising.  Unknown attributes and type errors still raise.
     """
-    masks: dict[int, np.ndarray] = {}
+    selections: dict = {}
+    domains = schema.domains
     for condition in conditions:
         pos = schema.position(condition.attribute)
-        mask = condition_mask(schema.domain(pos), condition)
-        if pos in masks:
-            masks[pos] = masks[pos] & mask
-        else:
-            masks[pos] = mask
-    return _from_masks(schema, masks)
+        selection = resolve(domains[pos], condition)
+        previous = selections.get(pos)
+        selections[pos] = (
+            selection if previous is None else intersect(previous, selection)
+        )
+    return _from_selections(schema, selections)
 
 
 def canonicalize_conjunction(predicate: Conjunction | None, schema=None):
@@ -207,4 +227,10 @@ def canonicalize_conjunction(predicate: Conjunction | None, schema=None):
         return CanonicalPredicate(schema)
     if predicate.is_trivial():
         return CanonicalPredicate(predicate.schema)
-    return _from_masks(predicate.schema, predicate.attribute_masks())
+    return _from_selections(
+        predicate.schema,
+        {
+            pos: np.flatnonzero(mask).tolist()
+            for pos, mask in predicate.attribute_masks().items()
+        },
+    )

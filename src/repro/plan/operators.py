@@ -105,7 +105,8 @@ class GroupByOp(Operator):
 
 class AggregateOp(Operator):
     """``SUM``/``AVG`` over a numeric attribute as a weighted linear
-    query; AVG is the ratio estimator SUM/COUNT."""
+    query; AVG is the ratio estimator SUM/COUNT, both from one
+    ``sum_and_count`` backend call (one arena pass on a model)."""
 
     name = "Aggregate"
 
@@ -116,11 +117,10 @@ class AggregateOp(Operator):
         schema = backend.schema
         pos = schema.position(query.aggregate_attr)
         weights = numeric_weights(schema.domain(pos))
-        predicate = plan.conjunction_or_none()
-        total = float(backend.sum_values(pos, weights, predicate))
         if query.aggregate == "sum":
+            total = float(backend.sum_values(pos, weights, plan.conjunction_or_none()))
             return QueryResult(query, total, None)
-        count = float(backend.count(plan.conjunction()))
+        total, count = backend.sum_and_count(pos, weights, plan.conjunction())
         if count <= 0:
             raise QueryError("AVG undefined: no rows match the predicate")
         return QueryResult(query, total / count, None)

@@ -2,7 +2,7 @@
 
 EntropyDB's core claim (Sec 4.2) is that a counting query is one cheap
 polynomial evaluation.  Everything around that evaluation — resolving
-labels to index masks, merging intervals, deciding which backend (or
+labels to index selections, merging intervals, deciding which backend (or
 which shards) to touch, batching compatible queries — is planning, and
 it lives here exactly once.  The Explorer (and through it the CLI and
 the server), and the evaluation harness all build :class:`QueryPlan`
@@ -75,8 +75,6 @@ class QueryPlan:
     # -- predicate views --------------------------------------------------
     def conjunction(self) -> Conjunction:
         """Executable conjunction (trivial when unconstrained)."""
-        if self.predicate.is_trivial:
-            return Conjunction(self.predicate.schema, {})
         return self.predicate.to_conjunction()
 
     def conjunction_or_none(self) -> Conjunction | None:
@@ -136,12 +134,12 @@ class Planner:
     ) -> QueryPlan:
         """Full planning pass: parse/validate → normalize → route.
 
-        Callers that normalized already (the Explorer, to time the
-        stages apart) pass the :class:`CanonicalPredicate` to skip
-        re-normalization.
+        Callers that ran the first two stages already (the Explorer, to
+        time the stages apart) pass the validated :class:`CountQuery`
+        with its :class:`CanonicalPredicate`, and only routing runs.
         """
-        query = self.parse(query)
         if predicate is None:
+            query = self.parse(query)
             predicate = self.normalize(query)
         route = route_query(self.backend, query, predicate)
         return QueryPlan(query, predicate, route, pick_operator(query, predicate))

@@ -128,12 +128,11 @@ def route_query(backend, query, predicate) -> Route:
     name = getattr(backend, "name", type(backend).__name__)
     summary = getattr(backend, "summary", None)
     if summary is not None and hasattr(summary, "shards"):
-        conjunction = (
-            None if predicate.is_trivial else predicate.to_conjunction()
-        )
 
         def sharded_detail():
-            live = summary.live_shards(conjunction)
+            live = summary.live_shards(
+                None if predicate.is_trivial else predicate.to_conjunction()
+            )
             live_set = set(live)
             return {
                 "live_shards": tuple(live),

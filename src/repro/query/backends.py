@@ -64,6 +64,14 @@ class SummaryBackend(Backend):
         """Model-expected ``SUM(w(attr))`` (Sec 7 aggregate extension)."""
         return self.summary.sum_estimate(attr, weights, predicate)
 
+    def sum_and_count(
+        self, attr, weights, predicate: Conjunction
+    ) -> tuple[float, float]:
+        """SUM and COUNT from one arena pass, the count reported as
+        :meth:`value_of` reports it (rounded when ``rounded``)."""
+        total, estimate = self.summary.sum_and_count(attr, weights, predicate)
+        return total, self.value_of(estimate)
+
     def group_counts(
         self, attrs: Sequence[str], predicate: Conjunction | None
     ) -> dict[tuple, float]:

@@ -3,9 +3,14 @@
 Two jobs live here:
 
 * Resolve one parsed WHERE condition (over *labels*: state codes, raw
-  numbers for bucketized attributes, ...) into a mask over the dense
-  domain indices; :mod:`repro.plan.canonical` intersects the masks
-  into a canonical predicate.
+  numbers for bucketized attributes, ...) into the dense domain indices
+  it selects: an index ``range``, or a sorted index list when the
+  domain's labels do not sort in label order.  Each domain's
+  :class:`LabelTable` — every label's low and high key, built once and
+  cached on the domain — is bisected, so a condition costs two or three
+  bisections however large the domain; no label is visited one by one.
+  :mod:`repro.plan.canonical` intersects the selections into a
+  canonical predicate.
 * Provide the paper's formal :class:`LinearQuery` — a vector ``q ∈ R^d``
   over the possible-tuple space with answer ``⟨q, n^I⟩`` (Fig. 1).  It
   is materializable only for small schemas and is used by tests and
@@ -13,6 +18,8 @@ Two jobs live here:
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -30,100 +37,175 @@ from repro.stats.predicates import Conjunction
 # Label resolution
 # ----------------------------------------------------------------------
 
-def _label_key(label):
-    """String form used to match SQL literals against composite labels
-    (e.g. city labels ``('WA', 'Seattle')`` match ``'WA/Seattle'``)."""
-    if isinstance(label, tuple):
-        return "/".join(str(part) for part in label)
-    return None
+class LabelTable:
+    """What resolving a WHERE condition reads of one domain, built once.
 
-
-def _literal_matches(domain: Domain, literal) -> int | None:
-    """Domain index of a literal, or ``None`` when it does not resolve
-    to a single label."""
-    if literal in domain:
-        return domain.index_of(literal)
-    if isinstance(literal, str):
-        for index, label in enumerate(domain.labels):
-            if _label_key(label) == literal:
-                return index
-    if isinstance(literal, (int, float)):
-        for index, label in enumerate(domain.labels):
-            if isinstance(label, Bucket) and literal in label:
-                return index
-    return None
-
-
-def _comparison_mask(domain: Domain, op: str, literal) -> np.ndarray:
-    """Mask for ``A <op> literal`` under per-label-kind semantics:
-
-    * plain labels compare by value (numbers) — the domain must be
-      sorted for a range to result; an unsorted one gives a set, which
-      the canonical predicate accepts as well;
-    * bucket labels use overlap semantics (``A < v`` keeps buckets
-      starting below ``v``; ``A > v`` keeps buckets ending above it).
+    Every label has a *low* and a *high* key — a :class:`Bucket`'s
+    bounds, a plain label is both — and is closed on the right unless it
+    is a half-open bucket.  ``lows`` and ``highs`` hold the keys sorted,
+    ``low_order`` / ``high_order`` the permutations that sort them
+    (``None`` when label order already does: every bucketized and every
+    sorted numeric domain), ``highs`` breaking ties open-before-closed.
+    ``lows`` is ``None`` when the labels do not compare with each other
+    at all.  ``=`` and ``IN`` read the label dict, the composite-key dict
+    (``'WA/Seattle'`` for ``('WA', 'Seattle')``, first label wins) and,
+    for a number, the buckets sorted by their lows.
     """
-    labels = domain.labels
-    mask = np.zeros(domain.size, dtype=bool)
-    for index, label in enumerate(labels):
-        if isinstance(label, Bucket):
-            if op == "<":
-                mask[index] = label.low < literal
-            elif op == "<=":
-                mask[index] = label.low <= literal
-            elif op == ">":
-                mask[index] = label.high > literal
-            elif op == ">=":
-                # ``[low, high)`` holds no value ``>= high``; only a
-                # right-closed bucket reaches its upper bound.
-                if label.closed_right:
-                    mask[index] = label.high >= literal
-                else:
-                    mask[index] = label.high > literal
+
+    __slots__ = (
+        "name", "size", "index", "composite", "lows", "low_order",
+        "highs", "high_order", "closed", "bucket_lows", "buckets",
+    )
+
+    def __init__(self, domain: Domain):
+        labels = domain.labels
+        self.name = domain.name
+        self.size = len(labels)
+        self.index = domain._index
+        self.composite: dict[str, int] = {}
+        lows, highs, closed, buckets = [], [], [], []
+        for index, label in enumerate(labels):
+            if isinstance(label, tuple):
+                self.composite.setdefault("/".join(map(str, label)), index)
+            if isinstance(label, Bucket):
+                lows.append(label.low)
+                highs.append(label.high)
+                closed.append(label.closed_right)
+                buckets.append((label.low, index, label))
             else:
-                raise QueryError(f"unsupported bucket comparison {op!r}")
-        else:
-            try:
-                if op == "<":
-                    mask[index] = label < literal
-                elif op == "<=":
-                    mask[index] = label <= literal
-                elif op == ">":
-                    mask[index] = label > literal
-                elif op == ">=":
-                    mask[index] = label >= literal
-                else:
-                    raise QueryError(f"unsupported comparison {op!r}")
-            except TypeError:
-                raise QueryError(
-                    f"cannot compare {literal!r} with label {label!r} of "
-                    f"attribute {domain.name!r}"
-                ) from None
-    return mask
+                lows.append(label)
+                highs.append(label)
+                closed.append(True)
+        buckets.sort(key=lambda bucket: (bucket[0], bucket[1]))
+        self.bucket_lows = [low for low, _, _ in buckets]
+        self.buckets = [(index, label) for _, index, label in buckets]
+        try:
+            low_order = sorted(range(self.size), key=lows.__getitem__)
+            high_order = sorted(
+                range(self.size), key=lambda i: (highs[i], closed[i])
+            )
+        except TypeError:
+            self.lows = self.highs = self.closed = None
+            self.low_order = self.high_order = None
+            return
+        self.lows = [lows[i] for i in low_order]
+        self.highs = [highs[i] for i in high_order]
+        self.closed = [closed[i] for i in high_order]
+        identity = list(range(self.size))
+        self.low_order = None if low_order == identity else low_order
+        self.high_order = None if high_order == identity else high_order
+
+    def match(self, literal) -> int | None:
+        """Index of the one label a literal names, or ``None``."""
+        index = self.index.get(literal)
+        if index is not None:
+            return index
+        if isinstance(literal, str):
+            return self.composite.get(literal)
+        if isinstance(literal, (int, float)) and self.bucket_lows:
+            at = bisect_right(self.bucket_lows, literal)
+            if at:
+                index, bucket = self.buckets[at - 1]
+                if literal in bucket:
+                    return index
+        return None
+
+    def compare(self, op: str, literal):
+        """Selection of ``A <op> literal``: the labels a bucket overlaps
+        or a plain label satisfies (``<`` keeps buckets starting below
+        ``v``, ``>`` buckets ending above it, ``>=`` a bucket's open
+        upper bound excluded)."""
+        lows, highs = self.lows, self.highs
+        try:
+            if lows is None:  # the labels do not compare with each other
+                raise TypeError
+            if op == "<":
+                run, order = range(bisect_left(lows, literal)), self.low_order
+            elif op == "<=":
+                run, order = range(bisect_right(lows, literal)), self.low_order
+            elif op == ">":
+                start = bisect_right(highs, literal)
+                run, order = range(start, self.size), self.high_order
+            elif op == ">=":
+                start = bisect_right(highs, literal)
+                closed = self.closed
+                while start and closed[start - 1] and highs[start - 1] == literal:
+                    start -= 1
+                run, order = range(start, self.size), self.high_order
+            else:
+                raise QueryError(f"unsupported comparison {op!r}")
+        except TypeError:
+            raise QueryError(
+                f"cannot compare {literal!r} with the labels of attribute "
+                f"{self.name!r}"
+            ) from None
+        if literal != literal:  # NaN satisfies no comparison
+            return range(0)
+        if order is None:
+            return run
+        return sorted(order[run.start : run.stop])
+
+
+def label_table(domain: Domain) -> LabelTable:
+    """The domain's :class:`LabelTable` (built on first use, cached on
+    the domain like :func:`numeric_weights`)."""
+    table = domain._lookup
+    if table is None:
+        table = domain._lookup = LabelTable(domain)
+    return table
+
+
+def intersect(a, b):
+    """Intersection of two selections (a ``range`` of indices or a
+    sorted index list); a list stays sorted."""
+    if isinstance(a, range):
+        if isinstance(b, range):
+            return range(max(a.start, b.start), min(a.stop, b.stop))
+        a, b = b, a
+    if not isinstance(b, range):
+        b = set(b)
+    return [index for index in a if index in b]
+
+
+def resolve(domain: Domain, condition: Condition):
+    """The dense indices one condition selects: a ``range`` or a sorted
+    index list, empty when no label satisfies it (a literal outside the
+    active domain, a range past the last label).  Type errors (comparing
+    a number with string labels, ...) raise :class:`QueryError`."""
+    table = label_table(domain)
+    op, values = condition.op, condition.values
+    if op == "=" or op == "!=":
+        index = table.match(values[0])
+        if op == "=":
+            return range(0) if index is None else range(index, index + 1)
+        if index is None:
+            return range(table.size)
+        return [*range(index), *range(index + 1, table.size)]
+    if op == "in":
+        found = {table.match(literal) for literal in values}
+        found.discard(None)
+        return sorted(found)
+    if op == "between":
+        low, high = values
+        return intersect(table.compare(">=", low), table.compare("<=", high))
+    return table.compare(op, values[0])
 
 
 def condition_mask(domain: Domain, condition: Condition) -> np.ndarray:
-    """Boolean value mask of one condition over a domain.
+    """Boolean value mask of one condition over a domain (the dense form
+    of :func:`resolve`'s selection).
 
-    A condition that selects no value (a literal outside the active
-    domain, a range past the last label) gives the empty mask, which
-    the query planner turns into a contradiction that answers ``0``
-    without touching a backend.  Type errors (comparing a number with a
-    string label, ...) raise :class:`QueryError`.
+    A condition that selects no value gives the empty mask, which the
+    query planner turns into a contradiction that answers ``0`` without
+    touching a backend.  Type errors raise :class:`QueryError`.
     """
-    if condition.op in ("=", "!=", "in"):
-        mask = np.zeros(domain.size, dtype=bool)
-        for literal in condition.values:
-            index = _literal_matches(domain, literal)
-            if index is not None:
-                mask[index] = True
-        return ~mask if condition.op == "!=" else mask
-    if condition.op == "between":
-        low, high = condition.values
-        return _comparison_mask(domain, ">=", low) & _comparison_mask(
-            domain, "<=", high
-        )
-    return _comparison_mask(domain, condition.op, condition.values[0])
+    mask = np.zeros(domain.size, dtype=bool)
+    selection = resolve(domain, condition)
+    if isinstance(selection, range):
+        mask[selection.start : selection.stop] = True
+    else:
+        mask[selection] = True
+    return mask
 
 
 def numeric_weights(domain: Domain) -> np.ndarray:

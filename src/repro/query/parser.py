@@ -21,15 +21,21 @@ import re
 from repro.errors import QueryError
 from repro.query.ast import COMPARISONS, Condition, CountQuery
 
+#: One scan of the text: each match is a token after optional
+#: whitespace — word, punctuation, string, number or operator, in order
+#: of frequency (no two start with the same character) — or, where no
+#: token starts, the rest of the text, which is an error unless it is a
+#: trailing ``;``.
 _TOKEN = re.compile(
     r"""
     \s*(?:
-        (?P<number>-?\d+(?:\.\d+)?)
-      | (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
-      | (?P<op><=|>=|!=|<>|=|<|>)
-      | (?P<punct>[(),*])
-      | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
+        ([A-Za-z_][A-Za-z0-9_.]*)
+      | ([(),*])
+      | ('(?:[^']|'')*'|"(?:[^"]|"")*")
+      | (-?\d+(?:\.\d+)?)
+      | (<=|>=|!=|<>|=|<|>)
     )
+    | ([\s\S]+)
     """,
     re.VERBOSE,
 )
@@ -39,60 +45,59 @@ _KEYWORDS = {
     "order", "limit", "count", "sum", "avg", "as", "asc", "desc", "or",
 }
 
+#: The fixed tokens, built once: keywords by their lower-case spelling,
+#: punctuation and operators (``<>`` spelled ``!=``) by their text.
+_FIXED = {
+    **{keyword: ("keyword", keyword) for keyword in _KEYWORDS},
+    **{punct: ("punct", punct) for punct in "(),*"},
+    **{op: ("op", op) for op in ("<=", ">=", "!=", "=", "<", ">")},
+    "<>": ("op", "!="),
+}
+
+#: The token after the last one; reading past it stays on it.
+_EOF = ("eof", None)
+
 
 class _Tokens:
     def __init__(self, text: str):
-        self.tokens: list[tuple[str, object]] = []
-        pos = 0
-        while pos < len(text):
-            match = _TOKEN.match(text, pos)
-            if match is None:
-                if text[pos:].strip() == ";":
-                    break
-                raise QueryError(f"cannot tokenize query at: {text[pos:pos+20]!r}")
-            pos = match.end()
-            if match.lastgroup == "number":
-                raw = match.group("number")
-                value = float(raw) if "." in raw else int(raw)
-                self.tokens.append(("literal", value))
-            elif match.lastgroup == "string":
-                raw = match.group("string")
-                quote = raw[0]
-                value = raw[1:-1].replace(quote * 2, quote)
-                self.tokens.append(("literal", value))
-            elif match.lastgroup == "op":
-                op = match.group("op")
-                self.tokens.append(("op", "!=" if op == "<>" else op))
-            elif match.lastgroup == "punct":
-                self.tokens.append(("punct", match.group("punct")))
-            else:
-                word = match.group("word")
-                lowered = word.lower()
-                if lowered in _KEYWORDS:
-                    self.tokens.append(("keyword", lowered))
-                else:
-                    self.tokens.append(("name", word))
+        tokens: list[tuple[str, object]] = []
+        append = tokens.append
+        fixed = _FIXED.get
+        for word, punct, string, number, op, rest in _TOKEN.findall(text):
+            if word:
+                append(fixed(word.lower()) or ("name", word))
+            elif punct or op:
+                append(_FIXED[punct or op])
+            elif string:
+                quote = string[0]
+                append(("literal", string[1:-1].replace(quote * 2, quote)))
+            elif number:
+                append(("literal", float(number) if "." in number else int(number)))
+            elif rest.strip() != ";":
+                raise QueryError(f"cannot tokenize query at: {rest[:20]!r}")
+        append(_EOF)
+        self.tokens = tokens
         self.index = 0
 
     def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return ("eof", None)
+        return self.tokens[self.index]
 
     def next(self):
-        token = self.peek()
-        self.index += 1
+        token = self.tokens[self.index]
+        if token is not _EOF:
+            self.index += 1
         return token
 
     def expect(self, kind, value=None):
-        token = self.next()
+        token = self.tokens[self.index]
         if token[0] != kind or (value is not None and token[1] != value):
             want = value if value is not None else kind
             raise QueryError(f"expected {want!r}, found {token[1]!r}")
+        self.index += 1
         return token[1]
 
     def accept(self, kind, value=None) -> bool:
-        token = self.peek()
+        token = self.tokens[self.index]
         if token[0] == kind and (value is None or token[1] == value):
             self.index += 1
             return True

@@ -162,12 +162,21 @@ class SetPredicate(Predicate):
 class Conjunction:
     """``π = ∧_i ρ_i`` — a per-attribute conjunction over a schema.
 
-    Attributes not mentioned are unconstrained.  Immutable.
+    Attributes not mentioned are unconstrained.  Immutable.  ``masks``
+    optionally carries the constrained attributes' value masks, built
+    once by the caller (the planner's canonical predicate hands its
+    read-only ones), which :meth:`attribute_masks` then returns instead
+    of building fresh ones.
     """
 
-    __slots__ = ("schema", "_predicates")
+    __slots__ = ("schema", "_predicates", "_masks")
 
-    def __init__(self, schema: Schema, predicates: Mapping | None = None):
+    def __init__(
+        self,
+        schema: Schema,
+        predicates: Mapping | None = None,
+        masks: Mapping[int, np.ndarray] | None = None,
+    ):
         self.schema = schema
         resolved: dict[int, Predicate] = {}
         for attr, predicate in (predicates or {}).items():
@@ -180,6 +189,7 @@ class Conjunction:
             if not predicate.is_true:
                 resolved[pos] = predicate
         self._predicates = resolved
+        self._masks = masks
 
     @property
     def constrained_positions(self) -> list[int]:
@@ -191,6 +201,8 @@ class Conjunction:
 
     def attribute_masks(self) -> dict[int, np.ndarray]:
         """Masks for the constrained attributes only."""
+        if self._masks is not None:
+            return dict(self._masks)
         return {
             pos: predicate.mask(self.schema.domain(pos).size)
             for pos, predicate in self._predicates.items()

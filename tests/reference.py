@@ -27,6 +27,12 @@ order.  Its emission order is the canonical term order.
 (``core.terms.DeltaRun``): one statistic's δ partial from the per-term
 tuples, the padded ``np.prod(axis=1)`` then ``.sum()`` that the run
 plan must reproduce bit for bit.
+
+:func:`condition_mask` is the oracle for label resolution
+(``query.linear.resolve``): every label of the domain tested one by one
+in Python, with :func:`_literal_matches` and :func:`_comparison_mask`
+kept as the per-label implementation they replaced, and
+:func:`_entry_from_mask` turning a mask into its canonical predicate.
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from repro.data.binning import Bucket
+from repro.data.domain import Domain
+from repro.errors import QueryError
+from repro.stats.predicates import RangePredicate, SetPredicate
 
 
 def narrowed(summary, predicate=None, shards=None):
@@ -217,3 +228,102 @@ def delta_partial(component, stat_id, extended, range_products) -> float:
         padded[row, : len(row_others)] = row_others
     dprod = np.prod(extended[padded] - 1.0, axis=1)
     return float((range_products[rows] * dprod).sum())
+
+
+def _label_key(label):
+    """String form used to match SQL literals against composite labels
+    (e.g. city labels ``('WA', 'Seattle')`` match ``'WA/Seattle'``)."""
+    if isinstance(label, tuple):
+        return "/".join(str(part) for part in label)
+    return None
+
+
+def _literal_matches(domain: Domain, literal) -> int | None:
+    """Domain index of a literal, or ``None`` when it does not resolve
+    to a single label."""
+    if literal in domain:
+        return domain.index_of(literal)
+    if isinstance(literal, str):
+        for index, label in enumerate(domain.labels):
+            if _label_key(label) == literal:
+                return index
+    if isinstance(literal, (int, float)):
+        for index, label in enumerate(domain.labels):
+            if isinstance(label, Bucket) and literal in label:
+                return index
+    return None
+
+
+def _comparison_mask(domain: Domain, op: str, literal) -> np.ndarray:
+    """Mask for ``A <op> literal`` under per-label-kind semantics:
+
+    * plain labels compare by value (numbers) — the domain must be
+      sorted for a range to result; an unsorted one gives a set, which
+      the canonical predicate accepts as well;
+    * bucket labels use overlap semantics (``A < v`` keeps buckets
+      starting below ``v``; ``A > v`` keeps buckets ending above it).
+    """
+    labels = domain.labels
+    mask = np.zeros(domain.size, dtype=bool)
+    for index, label in enumerate(labels):
+        if isinstance(label, Bucket):
+            if op == "<":
+                mask[index] = label.low < literal
+            elif op == "<=":
+                mask[index] = label.low <= literal
+            elif op == ">":
+                mask[index] = label.high > literal
+            elif op == ">=":
+                # ``[low, high)`` holds no value ``>= high``; only a
+                # right-closed bucket reaches its upper bound.
+                if label.closed_right:
+                    mask[index] = label.high >= literal
+                else:
+                    mask[index] = label.high > literal
+            else:
+                raise QueryError(f"unsupported bucket comparison {op!r}")
+        else:
+            try:
+                if op == "<":
+                    mask[index] = label < literal
+                elif op == "<=":
+                    mask[index] = label <= literal
+                elif op == ">":
+                    mask[index] = label > literal
+                elif op == ">=":
+                    mask[index] = label >= literal
+                else:
+                    raise QueryError(f"unsupported comparison {op!r}")
+            except TypeError:
+                raise QueryError(
+                    f"cannot compare {literal!r} with label {label!r} of "
+                    f"attribute {domain.name!r}"
+                ) from None
+    return mask
+
+
+def _entry_from_mask(mask: np.ndarray):
+    """Tightest predicate for a value mask; None when trivial."""
+    hits = np.flatnonzero(mask)
+    if hits.size == mask.size:
+        return None
+    if hits[-1] - hits[0] + 1 == hits.size:
+        return RangePredicate(int(hits[0]), int(hits[-1]))
+    return SetPredicate(hits.tolist())
+
+
+def condition_mask(domain: Domain, condition) -> np.ndarray:
+    """Boolean value mask of one condition, label by label."""
+    if condition.op in ("=", "!=", "in"):
+        mask = np.zeros(domain.size, dtype=bool)
+        for literal in condition.values:
+            index = _literal_matches(domain, literal)
+            if index is not None:
+                mask[index] = True
+        return ~mask if condition.op == "!=" else mask
+    if condition.op == "between":
+        low, high = condition.values
+        return _comparison_mask(domain, ">=", low) & _comparison_mask(
+            domain, "<=", high
+        )
+    return _comparison_mask(domain, condition.op, condition.values[0])

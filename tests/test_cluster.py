@@ -38,6 +38,7 @@ from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import QueryError, ReproError
 from repro.obs import sample_value
+from repro.query.linear import numeric_weights
 from repro.serve import (
     ClusterCoordinator,
     ServeClient,
@@ -1171,3 +1172,55 @@ class TestValidation:
                 workers=2,
                 assignment=[[0], [0], [0], [0]],
             )
+
+
+# ----------------------------------------------------------------------
+# AVG: one arena pass on every surface
+# ----------------------------------------------------------------------
+
+class TestAvgOnEverySurface:
+    TEXTS = [
+        "SELECT AVG(hour) FROM R",
+        "SELECT AVG(hour) FROM R WHERE state IN ('CA', 'NY')",
+        "SELECT AVG(hour) FROM R WHERE hour >= 3 AND state != 'WA'",
+        "SELECT AVG(hour) FROM R WHERE hour BETWEEN 2 AND 9",
+    ]
+
+    @pytest.fixture(scope="class")
+    def flat(self):
+        return (
+            SummaryBuilder(_relation())
+            .pairs(("state", "hour"))
+            .per_pair_budget(4)
+            .iterations(40)
+            .fit()
+        )
+
+    @staticmethod
+    def _reference(model, plan):
+        predicate = plan.conjunction_or_none()
+        weights = numeric_weights(model.schema.domain("hour"))
+        total = reference.sum_estimate(model, "hour", weights, predicate)
+        return total / reference.count(model, predicate)[0]
+
+    def test_explorer_and_server_agree_with_the_reference(self, flat, summary):
+        for model in (flat, summary):
+            explorer = Explorer.attach(model)
+            server = SummaryServer(model, config=ServeConfig(cache_size=0))
+            with ServerThread(server), ServeClient(port=server.port) as client:
+                for sql in self.TEXTS:
+                    expected = self._reference(model, explorer.plan(sql))
+                    arena = model.arena
+                    passes = arena.cache_hits + arena.cache_misses
+                    assert explorer.sql(sql).scalar == pytest.approx(expected, rel=1e-9)
+                    # One sum_and_count pass: no COUNT kernel call beside it.
+                    assert arena.cache_hits + arena.cache_misses == passes
+                    assert client.query(sql)["value"] == pytest.approx(expected, rel=1e-9)
+
+    def test_cluster_merge_agrees_with_the_reference(self, summary, explorer):
+        assignment = [[shard % 2] for shard in range(summary.num_shards)]
+        for sql in self.TEXTS:
+            plan = explorer.plan(sql)
+            payload = frontend_merge(summary, plan, assignment, {0, 1})
+            expected = self._reference(summary, plan)
+            assert payload["value"] == pytest.approx(expected, rel=1e-9)

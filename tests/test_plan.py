@@ -496,3 +496,58 @@ class TestPlannerDirect:
         )
         with pytest.raises(QueryError, match="contradictory"):
             canonical.to_conjunction()
+
+
+class TestSharedPlanMasks:
+    """A cached plan is shared across threads: the masks its conjunction
+    hands out are built once, read-only, and answer bit for bit what
+    freshly built masks answer."""
+
+    TEXTS = [
+        "SELECT COUNT(*) FROM R WHERE hour BETWEEN 2 AND 5 AND state != 'NY'",
+        "SELECT COUNT(*) FROM R WHERE state IN ('CA', 'WA') AND hour >= 3",
+        "SELECT COUNT(*) FROM R WHERE hour = 6",
+        "SELECT SUM(hour) FROM R WHERE state = 'NY'",
+        "SELECT state, COUNT(*) FROM R WHERE hour < 4 GROUP BY state",
+    ]
+
+    @pytest.fixture(scope="class")
+    def m8(self, relation):
+        partition = partition_relation(relation, 8)
+        return ShardedSummary.fit_partitions(
+            partition, max_iterations=40, name="m8", workers=1
+        )
+
+    def test_masks_are_built_once_and_read_only(self, summary):
+        plan = Explorer.attach(summary).plan(self.TEXTS[0])
+        masks = plan.conjunction().attribute_masks()
+        assert sorted(masks) == [0, 1]
+        for pos, mask in masks.items():
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
+            assert plan.conjunction().attribute_masks()[pos] is mask
+
+    def test_answers_equal_fresh_masks_bitwise(self, summary, m8):
+        for model in (summary, m8):
+            explorer = Explorer.attach(model)
+            schema = model.schema
+            for text in self.TEXTS:
+                conjunction = explorer.plan(text).conjunction()
+                shared = conjunction.attribute_masks()
+                fresh = {
+                    pos: conjunction.predicate_at(pos).mask(schema.domain(pos).size)
+                    for pos in conjunction.constrained_positions
+                }
+                assert all(mask.flags.writeable for mask in fresh.values())
+                arena = model.arena
+                answers = []
+                for masks in (shared, fresh):
+                    arena.clear_cache()
+                    answers.append(
+                        (
+                            arena.estimate_masks_batch([masks]),
+                            arena.sum_estimate(1, np.arange(HOURS, dtype=float), masks),
+                            arena.group_by([0], masks),
+                        )
+                    )
+                assert answers[0] == answers[1]
